@@ -175,7 +175,8 @@ def cmd_assimilate(args: argparse.Namespace) -> int:
     metas = pipeline.assimilate_all(loaded, cfg)
     for meta in metas:
         print(os.path.join(cfg.out_dir, meta.dataset_ids[0], "meta.csv"))
-    if failures or len(metas) < len(loaded):
+    skipped = any(meta.n < cfg.n_random_detectors for meta in metas)
+    if failures or len(metas) < len(loaded) or skipped:
         return EXIT_PARTIAL
     return EXIT_OK
 

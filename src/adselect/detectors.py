@@ -22,7 +22,7 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, FitError
 from .util import rng_from
 
-PORTFOLIO_VERSION = "native-7/1"
+PORTFOLIO_VERSION = "native-7/2"
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +164,33 @@ def sample_random_config(
 # ---------------------------------------------------------------------------
 # model implementations
 
-_CHUNK = 16384  # bounds the (chunk x n_train) distance matrices
+# Fixed sizes, never derived from --jobs, free memory or the machine. A query
+# block holds _BLOCK_ELEMENTS // width rows, so that each (rows x width)
+# temporary holds at most 2**16 float64 values (512 KB, cache-resident).
+_BLOCK_ELEMENTS = 1 << 16
+_TREE_GROUP = 64  # isolation trees grown together, level by level
+
+
+def _block_rows(width: int) -> int:
+    """Query rows per block so that a (rows x width) temporary fits the budget."""
+    return max(1, _BLOCK_ELEMENTS // width)
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, (len(A), len(B)); clipped at 0 for fp noise."""
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        - 2.0 * (A @ B.T)
-        + np.sum(B * B, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Squared euclidean distances, (len(A), len(B)), summed feature by feature.
+
+    Each entry depends on its own pair of rows only, so scores do not change
+    with the query block size. A BLAS product would not do: its kernel and
+    summation order vary with the number of rows.
+    """
+    cols = np.ascontiguousarray(B.T)
+    d2 = np.subtract(A[:, :1], cols[0])
+    d2 *= d2
+    for j in range(1, A.shape[1]):
+        diff = np.subtract(A[:, j : j + 1], cols[j])
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 class _KnnModel:
@@ -202,8 +218,9 @@ class _KnnModel:
     def _knn_dists(self, Q: np.ndarray, exclude_self: bool) -> np.ndarray:
         k_eff = self.k + 1 if exclude_self else self.k
         out = np.empty((Q.shape[0], self.k))
-        for s in range(0, Q.shape[0], _CHUNK):
-            block = Q[s : s + _CHUNK]
+        rows = _block_rows(self.X.shape[0])
+        for s in range(0, Q.shape[0], rows):
+            block = Q[s : s + rows]
             d2 = _pairwise_sq_dists(block, self.X)
             part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)
             if exclude_self:
@@ -255,8 +272,9 @@ class _LofModel:
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         out = np.empty(Q.shape[0])
-        for s in range(0, Q.shape[0], _CHUNK):
-            block = Q[s : s + _CHUNK]
+        rows = _block_rows(self.X.shape[0])
+        for s in range(0, Q.shape[0], rows):
+            block = Q[s : s + rows]
             d = np.sqrt(_pairwise_sq_dists(block, self.X))
             order = np.argsort(d, axis=1, kind="stable")[:, : self.k]
             ndist = np.take_along_axis(d, order, axis=1)
@@ -266,11 +284,23 @@ class _LofModel:
 
 
 class _IsolationForest:
-    """Isolation forest with level-synchronous vectorized build and scoring."""
+    """Isolation forest (Liu, Ting & Zhou, ICDM 2008) stored as flat arrays.
 
-    def __init__(self, trees: list[dict], psi: int):
-        self.trees = trees
+    Every tree is a complete binary tree of depth ``cap = ceil(log2 psi)``:
+    node i has children 2i+1 and 2i+2, and each row of ``feature``,
+    ``threshold`` and ``path`` holds one tree. Internal nodes send x left
+    when ``x[feature] < threshold``. ``path`` is NaN at internal nodes and
+    holds ``depth + c(size)`` at a leaf and at every node below it, so a
+    query descends exactly ``cap`` levels and reads its path length from the
+    bottom row.
+    """
+
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, path: np.ndarray, psi: int):
+        self.feature = feature
+        self.threshold = threshold
+        self.path = path
         self.psi = psi
+        self.cap = int(np.log2(feature.shape[1] + 1)) - 1
 
     @staticmethod
     def _avg_path(n: np.ndarray | float):
@@ -284,135 +314,134 @@ class _IsolationForest:
 
     @classmethod
     def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_IsolationForest":
-        n, d = X.shape
+        n = X.shape[0]
         if n < 2:
             raise FitError(f"iforest needs at least 2 training rows, got {n}")
         n_trees = int(params["n_trees"])
         psi = min(int(params["subsample"]), n)
-        max_depth = max(1, int(np.ceil(np.log2(max(psi, 2)))))
+        cap = max(1, int(np.ceil(np.log2(max(psi, 2)))))
+        width = 2 ** (cap + 1) - 1
+        feature = np.zeros((n_trees, width), dtype=np.intp)
+        threshold = np.zeros((n_trees, width))
+        path = np.full((n_trees, width), np.nan)
         rng = rng_from(seed, "iforest")
-        trees = [cls._build_tree(X, psi, max_depth, rng) for _ in range(n_trees)]
-        return cls(trees, psi)
+        for g in range(0, n_trees, _TREE_GROUP):
+            group = slice(g, min(g + _TREE_GROUP, n_trees))
+            cls._grow(X, psi, cap, rng, feature[group], threshold[group], path[group])
+        # copy each leaf's path length down to every node of its subtree
+        for depth in range(cap):
+            parents = path[:, 2**depth - 1 : 2 ** (depth + 1) - 1]
+            children = path[:, 2 ** (depth + 1) - 1 : 2 ** (depth + 2) - 1]
+            np.copyto(children, np.repeat(parents, 2, axis=1), where=np.isnan(children))
+        return cls(feature, threshold, path, psi)
 
-    @staticmethod
-    def _build_tree(X: np.ndarray, psi: int, max_depth: int, rng: np.random.Generator) -> dict:
+    @classmethod
+    def _grow(
+        cls,
+        X: np.ndarray,
+        psi: int,
+        cap: int,
+        rng: np.random.Generator,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        path: np.ndarray,
+    ) -> None:
+        """Grow a group of trees level by level, writing their rows in place.
+
+        The rows of every live segment (a node still to be split) are kept
+        contiguous and sorted by node id ``tree * width + node``, with trees
+        counted within the group.
+        """
         n, d = X.shape
-        sample = rng.choice(n, size=psi, replace=False) if psi < n else np.arange(n)
-        Xs = X[sample]
-
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        leaf_size: list[int] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            leaf_size.append(0)
-            return len(feature) - 1
-
-        idx = np.arange(psi)
-        # segments: (node, start, end) windows into idx, one level at a time;
-        # only segments of size > 1 below the depth cap are enqueued
-        segs = [(new_node(), 0, psi)]
+        n_trees, width = feature.shape
+        rows = np.concatenate(
+            [rng.choice(n, size=psi, replace=False) if psi < n else np.arange(n) for _ in range(n_trees)]
+        )
+        node = np.repeat(np.arange(n_trees) * width, psi)  # global id of each row's node
+        feature, threshold, path = feature.ravel(), threshold.ravel(), path.ravel()
         depth = 0
-        while segs:
-            k = len(segs)
-            sizes = np.asarray([e - s for _, s, e in segs])
-            bounds = np.concatenate(([0], np.cumsum(sizes)))
-            flat = np.concatenate([idx[s:e] for _, s, e in segs])
-            feats = rng.integers(0, d, size=k)
-            vals = Xs[flat, np.repeat(feats, sizes)]
-            lo = np.minimum.reduceat(vals, bounds[:-1])
-            hi = np.maximum.reduceat(vals, bounds[:-1])
+        while rows.size:
+            starts = np.flatnonzero(np.diff(node, prepend=-1))
+            sizes = np.diff(starts, append=rows.size)
+            seg_node = node[starts]
+            feats = rng.integers(0, d, size=starts.size)
+            vals = X[rows, np.repeat(feats, sizes)]
+            lo = np.minimum.reduceat(vals, starts)
+            hi = np.maximum.reduceat(vals, starts)
             # constant drawn feature: redraw uniformly among non-constant ones
-            for j in np.flatnonzero(lo == hi):
-                b0, b1 = bounds[j], bounds[j + 1]
-                sub = Xs[flat[b0:b1]]
-                mins = sub.min(axis=0)
-                maxs = sub.max(axis=0)
-                usable = np.flatnonzero(mins < maxs)
-                if len(usable) == 0:
-                    continue  # every feature constant: the segment becomes a leaf
-                f = int(usable[int(rng.integers(0, len(usable)))])
-                feats[j] = f
-                vals[b0:b1] = sub[:, f]
-                lo[j] = mins[f]
-                hi[j] = maxs[f]
+            const = np.flatnonzero(lo == hi)
+            if const.size:
+                in_const = np.repeat(lo == hi, sizes)
+                sub = X[rows[in_const]]
+                sub_starts = np.cumsum(sizes[const]) - sizes[const]
+                mins = np.minimum.reduceat(sub, sub_starts, axis=0)
+                maxs = np.maximum.reduceat(sub, sub_starts, axis=0)
+                usable = mins < maxs
+                n_usable = usable.sum(axis=1)
+                ok = np.flatnonzero(n_usable > 0)  # others stay constant: they become leaves
+                if ok.size:
+                    pick = rng.integers(0, n_usable[ok])
+                    f = np.argmax(np.cumsum(usable[ok], axis=1) > pick[:, None], axis=1)
+                    feats[const[ok]] = f
+                    lo[const[ok]] = mins[ok, f]
+                    hi[const[ok]] = maxs[ok, f]
+                    vals[in_const] = sub[np.arange(sub.shape[0]), np.repeat(feats[const], sizes[const])]
             thr = rng.uniform(lo, hi)
             thr = np.where(thr > lo, thr, np.nextafter(lo, hi))
-            go_left = vals < np.repeat(thr, sizes)
-            left_counts = np.add.reduceat(go_left.astype(np.int64), bounds[:-1])
 
-            next_segs = []
-            for j, (node, s, e) in enumerate(segs):
-                if lo[j] == hi[j]:
-                    leaf_size[node] = int(sizes[j])
-                    continue
-                feature[node] = int(feats[j])
-                threshold[node] = float(thr[j])
-                b0, b1 = bounds[j], bounds[j + 1]
-                gl = go_left[b0:b1]
-                seg_rows = flat[b0:b1]
-                idx[s:e] = np.concatenate([seg_rows[gl], seg_rows[~gl]])
-                mid = s + int(left_counts[j])
-                ln, rn = new_node(), new_node()
-                left[node], right[node] = ln, rn
-                if mid - s > 1 and depth + 1 < max_depth:
-                    next_segs.append((ln, s, mid))
-                else:
-                    leaf_size[ln] = mid - s
-                if e - mid > 1 and depth + 1 < max_depth:
-                    next_segs.append((rn, mid, e))
-                else:
-                    leaf_size[rn] = e - mid
-            segs = next_segs
+            split = lo < hi
+            leaf = seg_node[~split]
+            path[leaf] = depth + cls._avg_path(sizes[~split])
+            feature[seg_node[split]] = feats[split]
+            threshold[seg_node[split]] = thr[split]
+
+            keep = np.repeat(split, sizes)
+            go_right = vals[keep] >= np.repeat(thr, sizes)[keep]
+            parent = node[keep]
+            tree_base = parent - parent % width
+            child = 2 * parent - tree_base + 1 + go_right
+            order = np.argsort(child, kind="stable")
+            rows, node = rows[keep][order], child[order]
             depth += 1
 
-        return {
-            "feature": np.asarray(feature, dtype=np.int32),
-            "threshold": np.asarray(threshold, dtype=np.float64),
-            "left": np.asarray(left, dtype=np.int32),
-            "right": np.asarray(right, dtype=np.int32),
-            "leaf_size": np.asarray(leaf_size, dtype=np.int64),
-            "depth_cap": max_depth,
-        }
+            # children that are single rows or at the depth cap become leaves
+            starts = np.flatnonzero(np.diff(node, prepend=-1))
+            sizes = np.diff(starts, append=rows.size)
+            done = (sizes == 1) | (depth == cap)
+            path[node[starts[done]]] = depth + cls._avg_path(sizes[done])
+            live = np.repeat(~done, sizes)
+            rows, node = rows[live], node[live]
 
     def _path_lengths(self, Q: np.ndarray) -> np.ndarray:
-        m = Q.shape[0]
-        total = np.zeros(m)
-        for t in self.trees:
-            node = np.zeros(m, dtype=np.int32)
-            depth = np.zeros(m, dtype=np.int32)
-            for _ in range(t["depth_cap"] + 1):
-                internal = t["left"][node] >= 0
-                if not internal.any():
-                    break
-                rows = np.flatnonzero(internal)
-                cur = node[rows]
-                go = Q[rows, t["feature"][cur]] < t["threshold"][cur]
-                node[rows] = np.where(go, t["left"][cur], t["right"][cur])
-                depth[rows] += 1
-            total += depth + self._avg_path(t["leaf_size"][node])
-        return total / len(self.trees)
+        """Mean path length of each query over all trees, summed in tree order."""
+        n_trees, width = self.feature.shape
+        m, d = Q.shape
+        flat_q = np.ascontiguousarray(Q).ravel()
+        row_base = np.arange(m) * d
+        tree_base = np.arange(n_trees)[:, None] * width
+        node = np.repeat(tree_base, m, axis=1)
+        for _ in range(self.cap):
+            v = flat_q.take(row_base + self.feature.take(node))
+            go_right = v >= self.threshold.take(node)
+            node *= 2
+            node += 1 - tree_base
+            node += go_right
+        lengths = self.path.take(node)
+        total = lengths[0].copy()
+        for row in lengths[1:]:
+            total += row
+        return total / n_trees
 
-    def scores_from_paths(self, Q: np.ndarray) -> np.ndarray:
-        c = float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0])
-        c = max(c, 1.0)
-        return np.power(2.0, -self._path_lengths(Q) / c)
+    def query_scores(self, Q: np.ndarray) -> np.ndarray:
+        c = max(float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0]), 1.0)
+        rows = _block_rows(self.feature.shape[0])
+        out = np.empty(Q.shape[0])
+        for s in range(0, Q.shape[0], rows):
+            out[s : s + rows] = np.power(2.0, -self._path_lengths(Q[s : s + rows]) / c)
+        return out
 
     def train_scores(self) -> np.ndarray:
         return self.query_scores(self._train_X)
-
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(Q.shape[0])
-        for s in range(0, Q.shape[0], 65536):
-            block = Q[s : s + 65536]
-            out[s : s + block.shape[0]] = self.scores_from_paths(block)
-        return out
 
 
 class _HbosModel:
@@ -535,8 +564,9 @@ class _KdeModel:
         n, d = self.X.shape
         const = -np.log(n) - d * np.log(self.h) - 0.5 * d * np.log(2.0 * np.pi)
         out = np.empty(Q.shape[0])
-        for s in range(0, Q.shape[0], _CHUNK):
-            block = Q[s : s + _CHUNK]
+        rows = _block_rows(self.X.shape[0])
+        for s in range(0, Q.shape[0], rows):
+            block = Q[s : s + rows]
             e = -_pairwise_sq_dists(block, self.X) / (2.0 * self.h**2)
             m = e.max(axis=1)
             lse = m + np.log(np.sum(np.exp(e - m[:, None]), axis=1))

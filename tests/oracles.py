@@ -131,3 +131,30 @@ class ConstantDetector:
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], 1 if self.flag else 0, dtype=np.int8)
+
+
+def iforest_leaves(feature, threshold, path, x) -> list[tuple[int, int]]:
+    """(leaf node, depth) that x reaches in every tree of a flat isolation forest.
+
+    Walks one point down one tree at a time and stops at the first node with
+    a path length, a leaf; internal nodes hold NaN there.
+    """
+    leaves = []
+    for t in range(feature.shape[0]):
+        node, depth = 0, 0
+        while np.isnan(path[t, node]):
+            node = 2 * node + 1 if x[feature[t, node]] < threshold[t, node] else 2 * node + 2
+            depth += 1
+        leaves.append((node, depth))
+    return leaves
+
+
+def iforest_mean_path(feature, threshold, path, Q) -> np.ndarray:
+    """Mean path length of each row of Q, summed over trees in tree order."""
+    out = []
+    for x in Q:
+        total = 0.0
+        for t, (node, _) in enumerate(iforest_leaves(feature, threshold, path, x)):
+            total += path[t, node]
+        out.append(total / feature.shape[0])
+    return np.asarray(out)

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from adselect import detectors, features, pipeline
+from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 from adselect.corpus import write_corpus_csvs
+from adselect.errors import FitError
 
 
 @pytest.fixture()
@@ -74,6 +76,43 @@ def test_assimilate_rerun_hits_manifest(tmp_path, corpus_dir):
     assert read(meta) == first
     events = [json.loads(line) for line in open(log) if line.strip()]
     assert any(e["event"] == "assimilate_skipped" for e in events)
+
+
+def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monkeypatch):
+    args = ["assimilate", "--datasets", str(corpus_dir / "twin_blobs.csv")] + fast_flags(tmp_path)
+    assert main(args) == EXIT_OK
+    cfg = pipeline.RunConfig(seed=11)
+    current = cfg.fingerprint()
+    monkeypatch.setattr(pipeline, "PORTFOLIO_VERSION", "native-7/1")
+    assert cfg.fingerprint() != current
+    log = tmp_path / "events.log"
+    assert main(args + ["--log-file", str(log)]) == EXIT_OK
+    events = [json.loads(line) for line in open(log) if line.strip()]
+    assert not any(e["event"] == "assimilate_skipped" for e in events)
+
+
+def test_assimilate_with_skipped_instance_is_partial(tmp_path, corpus_dir, monkeypatch):
+    real = features._detector_features
+    default_ids = {c.config_id for c in detectors.default_configs()}
+    injected = []
+
+    def fail_first_random_detector(config, *args, **kwargs):
+        if not injected and config.config_id not in default_ids:
+            injected.append(config.config_id)
+            raise FitError("injected failure")
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(features, "_detector_features", fail_first_random_detector)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retries": 0}))
+    rc = main(
+        ["assimilate", "--config", str(cfg), "--datasets", str(corpus_dir / "halo.csv")]
+        + fast_flags(tmp_path)
+    )
+    assert injected
+    assert rc == EXIT_PARTIAL
+    with open(tmp_path / "run" / "halo" / "meta.csv") as fh:
+        assert len(fh.read().strip().splitlines()) == 1 + 2  # one of 3 instances skipped
 
 
 def test_assimilate_requires_datasets(tmp_path):

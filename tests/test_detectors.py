@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adselect import detectors
 from adselect.dataset import LabeledDataset
 from adselect.detectors import (
     ALGORITHMS,
@@ -15,6 +16,7 @@ from adselect.detectors import (
 from adselect.errors import ConfigError, FitError
 
 from conftest import make_dataset
+from oracles import iforest_leaves, iforest_mean_path
 
 
 def normals(n, dim=2, seed=0, name="train"):
@@ -259,3 +261,101 @@ def test_scores_finite_everywhere(algorithm):
     )
     s = det.scores(probes)
     assert np.all(np.isfinite(s))
+
+
+# ---------------------------------------------------------------------------
+# flat isolation forest and block budgets
+
+
+def _forest_case(name):
+    """(training rows, n_trees, subsample) for the forest edge cases."""
+    if name == "default":
+        return normals(300, dim=3, seed=30).features, 100, 256
+    if name == "two-rows-one-feature":
+        return np.asarray([[0.0], [1.0]]), 50, 64
+    if name == "adjacent-floats":
+        # uniform(lo, hi) rounds to lo about half the time: the nextafter guard
+        return np.asarray([[1.0], [np.nextafter(1.0, 2.0)]]), 50, 64
+    if name == "psi-equals-n":
+        return normals(90, dim=2, seed=31).features, 60, 512
+    if name == "constant-column":
+        X = normals(80, dim=3, seed=32).features.copy()
+        X[:, 1] = 2.5
+        return X, 80, 128
+    if name == "all-duplicates":
+        return np.tile([[1.5, -2.0]], (40, 1)), 50, 64
+    if name == "largest":
+        return normals(700, dim=3, seed=33).features, 300, 512
+    raise KeyError(name)
+
+
+FULL_SAMPLE_CASES = (
+    "two-rows-one-feature", "adjacent-floats", "psi-equals-n", "constant-column", "all-duplicates",
+)
+FOREST_CASES = ("default", *FULL_SAMPLE_CASES, "largest")
+
+
+def fit_forest(name, seed=0):
+    X, n_trees, subsample = _forest_case(name)
+    data = LabeledDataset(features=X, labels=np.zeros(len(X), dtype=np.int8), name=name)
+    return fit(config_for("iforest", n_trees=n_trees, subsample=subsample, seed=seed), data), X
+
+
+@pytest.mark.parametrize("case", FOREST_CASES)
+def test_iforest_scorer_matches_naive_walk(case):
+    det, X = fit_forest(case)
+    model = det.model
+    assert not np.isnan(model.path[:, 2**model.cap - 1 :]).any()
+    probes = np.concatenate(
+        [X[:10], np.random.default_rng(34).standard_normal((30, X.shape[1])) * 3]
+    )
+    expected_paths = iforest_mean_path(model.feature, model.threshold, model.path, probes)
+    c = max(float(model._avg_path(np.asarray([model.psi], dtype=np.float64))[0]), 1.0)
+    assert np.array_equal(det.scores(probes), np.power(2.0, -expected_paths / c))
+    assert np.all((det.scores(probes) > 0) & (det.scores(probes) <= 1))
+
+
+@pytest.mark.parametrize("case", FULL_SAMPLE_CASES)
+def test_iforest_leaves_hold_depth_plus_c_of_their_rows(case):
+    # with psi = n every training row is in every tree, so the rows reaching
+    # a leaf are exactly the rows it was grown from
+    det, X = fit_forest(case)
+    model = det.model
+    assert model.psi == len(X)
+    members: dict = {}
+    for i, x in enumerate(X):
+        for t, leaf in enumerate(iforest_leaves(model.feature, model.threshold, model.path, x)):
+            members.setdefault((t, leaf), []).append(i)
+    for (t, (node, depth)), rows in members.items():
+        assert model.path[t, node] == depth + model._avg_path(np.asarray([len(rows)], dtype=np.float64))[0]
+        if depth < model.cap and len(rows) > 1:
+            # growth stops early only where no feature varies (constant-feature redraw rule)
+            assert np.all(X[rows] == X[rows[0]]), (case, t, node)
+    internal = np.isnan(model.path)
+    if case == "constant-column":
+        assert not np.any(model.feature[internal] == 1)
+    if case == "all-duplicates":
+        assert not internal.any()  # every root is a leaf
+
+
+def test_iforest_same_seed_same_forest():
+    a, _ = fit_forest("default", seed=4)
+    b, _ = fit_forest("default", seed=4)
+    c, _ = fit_forest("default", seed=5)
+    for name in ("feature", "threshold", "path"):
+        assert np.array_equal(getattr(a.model, name), getattr(b.model, name), equal_nan=True)
+    assert not np.array_equal(a.model.threshold, c.model.threshold)
+
+
+@pytest.mark.parametrize("algorithm", ("knn", "lof", "kde", "iforest"))
+def test_scores_independent_of_block_budget(algorithm, monkeypatch):
+    data = normals(157, dim=5, seed=35)
+    probes = np.random.default_rng(36).standard_normal((400, 5)) * 2
+    results = []
+    for budget in (1, 1000, 1 << 30):  # one row per block, uneven blocks, one block
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+        det = fit(config_for(algorithm, seed=2), data)
+        results.append((det.threshold, det.scores(probes)))
+    for threshold, scores in results[1:]:
+        assert threshold == results[0][0]
+        assert np.array_equal(scores, results[0][1])
