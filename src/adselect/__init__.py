@@ -56,7 +56,6 @@ from .metamodel import (
     fit_meta_model,
     load_model,
     rf_fit,
-    rf_predict,
     save_model,
 )
 from .pipeline import RecommendationResult, RunConfig, assimilate_dataset, rank_candidates

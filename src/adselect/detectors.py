@@ -235,6 +235,29 @@ class _KnnModel:
         return self._aggregate(self._knn_dists(Q, exclude_self=False))
 
 
+def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row, by (distance, index).
+
+    Equal to ``np.argsort(d, axis=1, kind="stable")[:, :k]``, without sorting
+    whole rows. A partition finds each row's k-th smallest distance; where
+    exactly k entries lie at or below it, they are the k nearest, found in
+    index order and then sorted stably by distance. A row where the k-th
+    distance recurs beyond the k nearest is sorted in full, so that the tie
+    goes to the lower index.
+    """
+    m, n = d.shape
+    within = d <= np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    full = np.count_nonzero(within, axis=1) != k
+    within[full] = False
+    flat = np.flatnonzero(within).reshape(-1, k)  # row-major, so ascending index within a row
+    flat = np.take_along_axis(flat, d.ravel()[flat].argsort(axis=1, kind="stable"), axis=1)
+    out = np.empty((m, k), dtype=np.intp)
+    out[~full] = flat % n
+    for row in np.flatnonzero(full):
+        out[row] = np.argsort(d[row], kind="stable")[:k]
+    return out
+
+
 _LRD_CAP = 1e10  # stands in for infinite local reachability density at duplicates
 
 
@@ -250,10 +273,15 @@ class _LofModel:
         n = X.shape[0]
         if n <= k:
             raise FitError(f"lof with n_neighbors={k} needs more than {k} training rows, got {n}")
-        d = np.sqrt(_pairwise_sq_dists(X, X))
-        np.fill_diagonal(d, np.inf)
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        ndist = np.take_along_axis(d, order, axis=1)
+        order = np.empty((n, k), dtype=np.intp)
+        ndist = np.empty((n, k))
+        rows = _block_rows(n)
+        for s in range(0, n, rows):
+            d = np.sqrt(_pairwise_sq_dists(X[s : s + rows], X))
+            m = d.shape[0]
+            d[np.arange(m), np.arange(s, s + m)] = np.inf  # a row is not its own neighbour
+            order[s : s + m] = _k_nearest(d, k)
+            ndist[s : s + m] = np.take_along_axis(d, order[s : s + m], axis=1)
         model = cls(X, k, kdist=ndist[:, -1])
         model._lrd = model._lrd_from(ndist, order)
         model._train_lof = model._lrd[order].mean(axis=1) / model._lrd
@@ -276,7 +304,7 @@ class _LofModel:
         for s in range(0, Q.shape[0], rows):
             block = Q[s : s + rows]
             d = np.sqrt(_pairwise_sq_dists(block, self.X))
-            order = np.argsort(d, axis=1, kind="stable")[:, : self.k]
+            order = _k_nearest(d, self.k)
             ndist = np.take_along_axis(d, order, axis=1)
             lrd_q = self._lrd_from(ndist, order)
             out[s : s + block.shape[0]] = self._lrd[order].mean(axis=1) / lrd_q

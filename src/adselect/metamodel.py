@@ -127,91 +127,89 @@ class _Tree:
 
 
 def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by variance reduction.
+    """Best (feature, threshold) by variance reduction, all features at once.
 
     Candidates are midpoints between consecutive sorted unique feature
     values. Equal gains keep the lowest feature index, then the lowest
-    threshold (guaranteed by strict-improvement scans in ascending order).
+    threshold: one argmax over the feature-major gain table returns the
+    first maximum. Column-wise cumsums add in the same order as a per-column
+    scan, so the gains are the same floats.
     """
     m = X.shape[0]
+    xs = np.sort(X, axis=0, kind="stable")
+    boundary = xs[:-1] < xs[1:]
+    if not boundary.any():
+        return None
     total_sum = y.sum()
     total_sq = (y * y).sum()
     parent_sse = total_sq - total_sum**2 / m
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    counts = np.arange(1, m, dtype=np.float64)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        boundary = xs[:-1] < xs[1:]
-        if not boundary.any():
-            continue
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        left_sse = csq - csum**2 / counts
-        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (m - counts)
-        gains = parent_sse - left_sse - right_sse
-        gains[~boundary] = -np.inf
-        k = int(np.argmax(gains))  # ties: argmax keeps the lowest threshold
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            thr = (xs[k] + xs[k + 1]) / 2.0
-            if thr >= xs[k + 1]:  # adjacent floats: midpoint rounded up, keep the split real
-                thr = xs[k]
-            best = (j, float(thr))
-    return best
+    ys = y[X.argsort(axis=0, kind="stable")]
+    csum = ys.cumsum(axis=0)[:-1]
+    csq = (ys * ys).cumsum(axis=0)[:-1]
+    counts = np.arange(1, m, dtype=np.float64)[:, None]
+    left_sse = csq - csum**2 / counts
+    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (m - counts)
+    gains = parent_sse - left_sse - right_sse
+    gains[~boundary] = -np.inf
+    j, k = divmod(int(gains.T.argmax()), m - 1)
+    if not gains[k, j] > 0.0:
+        return None
+    thr = (xs[k, j] + xs[k + 1, j]) / 2.0
+    if thr >= xs[k + 1, j]:  # adjacent floats: midpoint rounded up, keep the split real
+        thr = xs[k, j]
+    return j, float(thr)
 
 
 def _node_mean(values: np.ndarray) -> float:
-    """Arithmetic mean, exact (no fp drift) when every value is identical."""
-    if np.all(values == values[0]):
+    """Arithmetic mean, exact (no fp drift) when every value is identical.
+
+    ``sum / len`` is the same float as ``values.mean()``, without its overhead.
+    """
+    if (values == values[0]).all():
         return float(values[0])
-    return float(values.mean())
+    return float(values.sum() / len(values))
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, min_samples_split: int) -> _Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node(rows: np.ndarray) -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(_node_mean(y[rows]))
-        return len(feature) - 1
-
+    """Grow one tree depth first; a split node's children get the next two ids."""
+    value = [_node_mean(y)]
+    splits: list[tuple[int, int, float]] = []  # (node, feature, threshold)
     # explicit stack: degenerate splits can make trees n deep
-    stack = [(new_node(np.arange(X.shape[0])), np.arange(X.shape[0]))]
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if len(rows) < min_samples_split:
             continue
-        split = _best_split(X[rows], y[rows])
+        X_rows = X[rows]
+        y_rows = y[rows]
+        split = _best_split(X_rows, y_rows)
         if split is None:
             continue
         j, thr = split
-        go = X[rows, j] <= thr
-        feature[node] = j
-        threshold[node] = thr
+        go = X_rows[:, j] <= thr
         left_rows = rows[go]
         right_rows = rows[~go]
-        left[node] = new_node(left_rows)
-        right[node] = new_node(right_rows)
-        stack.append((right[node], right_rows))
-        stack.append((left[node], left_rows))
+        child = len(value)
+        splits.append((node, j, thr))
+        value.append(_node_mean(y_rows[go]))
+        value.append(_node_mean(y_rows[~go]))
+        stack.append((child + 1, right_rows))
+        stack.append((child, left_rows))
 
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    n_nodes = len(value)
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
+    left = np.full(n_nodes, -1, dtype=np.int32)
+    right = np.full(n_nodes, -1, dtype=np.int32)
+    if splits:
+        split_nodes, split_features, split_thresholds = zip(*splits)
+        nodes = np.asarray(split_nodes)
+        feature[nodes] = split_features
+        threshold[nodes] = split_thresholds
+        # the i-th split made nodes 2i+1 and 2i+2
+        left[nodes] = np.arange(1, 2 * len(splits), 2)
+        right[nodes] = left[nodes] + 1
+    return _Tree(feature=feature, threshold=threshold, left=left, right=right, value=np.asarray(value))
 
 
 @dataclass
@@ -270,10 +268,6 @@ def rf_fit(
         bootstrap=bootstrap,
         min_samples_split=min_samples_split,
     )
-
-
-def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,118 @@ def iforest_mean_path(feature, threshold, path, Q) -> np.ndarray:
             total += path[t, node]
         out.append(total / feature.shape[0])
     return np.asarray(out)
+
+
+def best_split_per_feature(X: np.ndarray, y: np.ndarray):
+    """Best (feature, threshold) by variance reduction, one feature at a time.
+
+    Strict-improvement scans in ascending feature order, with argmax taking
+    the lowest threshold, so equal gains keep the lowest feature and then
+    the lowest threshold. Midpoints that round up to the upper value fall
+    back to the lower value.
+    """
+    m = X.shape[0]
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    parent_sse = total_sq - total_sum**2 / m
+    best_gain = 0.0
+    best = None
+    counts = np.arange(1, m, dtype=np.float64)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        boundary = xs[:-1] < xs[1:]
+        if not boundary.any():
+            continue
+        csum = np.cumsum(ys)[:-1]
+        csq = np.cumsum(ys * ys)[:-1]
+        left_sse = csq - csum**2 / counts
+        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (m - counts)
+        gains = parent_sse - left_sse - right_sse
+        gains[~boundary] = -np.inf
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            thr = (xs[k] + xs[k + 1]) / 2.0
+            if thr >= xs[k + 1]:
+                thr = xs[k]
+            best = (j, float(thr))
+    return best
+
+
+def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, split=best_split_per_feature) -> dict:
+    """Regression tree grown depth first, one node record at a time.
+
+    A split node's children are appended left then right; the left subtree
+    is grown first. A node's value is the mean of its targets, or the shared
+    value itself when all targets are equal. Returns the five node arrays.
+    """
+    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def new_node(rows):
+        vals = y[rows]
+        nodes["feature"].append(-1)
+        nodes["threshold"].append(0.0)
+        nodes["left"].append(-1)
+        nodes["right"].append(-1)
+        nodes["value"].append(float(vals[0]) if np.all(vals == vals[0]) else float(vals.mean()))
+        return len(nodes["value"]) - 1
+
+    stack = [(new_node(np.arange(X.shape[0])), np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if len(rows) < min_samples_split:
+            continue
+        found = split(X[rows], y[rows])
+        if found is None:
+            continue
+        j, thr = found
+        go = X[rows, j] <= thr
+        nodes["feature"][node] = j
+        nodes["threshold"][node] = thr
+        nodes["left"][node] = new_node(rows[go])
+        nodes["right"][node] = new_node(rows[~go])
+        stack.append((nodes["right"][node], rows[~go]))
+        stack.append((nodes["left"][node], rows[go]))
+    return {
+        "feature": np.asarray(nodes["feature"], dtype=np.int32),
+        "threshold": np.asarray(nodes["threshold"], dtype=np.float64),
+        "left": np.asarray(nodes["left"], dtype=np.int32),
+        "right": np.asarray(nodes["right"], dtype=np.int32),
+        "value": np.asarray(nodes["value"], dtype=np.float64),
+    }
+
+
+def lof_full_matrix(X: np.ndarray, k: int, Q: np.ndarray, lrd_cap: float = 1e10) -> tuple[np.ndarray, np.ndarray]:
+    """(train, query) LOF scores from whole distance matrices and full stable sorts.
+
+    Neighbours are the first k of ``argsort(kind="stable")`` of each distance
+    row, so ties go to the lower index; a training row is not its own
+    neighbour. Distances are summed feature by feature, as in the detector.
+    """
+
+    def dists(A, B):
+        d2 = np.zeros((len(A), len(B)))
+        for j in range(A.shape[1]):
+            diff = A[:, j : j + 1] - B[:, j]
+            d2 += diff * diff
+        return np.sqrt(d2)
+
+    def lrd(ndist, neighbors, kdist):
+        mean_reach = np.maximum(kdist[neighbors], ndist).mean(axis=1)
+        out = np.full_like(mean_reach, lrd_cap)
+        pos = mean_reach > 0
+        out[pos] = 1.0 / mean_reach[pos]
+        return np.minimum(out, lrd_cap)
+
+    d = dists(X, X)
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    ndist = np.take_along_axis(d, order, axis=1)
+    kdist = ndist[:, -1]
+    train_lrd = lrd(ndist, order, kdist)
+    dq = dists(Q, X)
+    qorder = np.argsort(dq, axis=1, kind="stable")[:, :k]
+    query_lrd = lrd(np.take_along_axis(dq, qorder, axis=1), qorder, kdist)
+    return train_lrd[order].mean(axis=1) / train_lrd, train_lrd[qorder].mean(axis=1) / query_lrd

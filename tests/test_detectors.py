@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from adselect.detectors import (
 from adselect.errors import ConfigError, FitError
 
 from conftest import make_dataset
-from oracles import iforest_leaves, iforest_mean_path
+from oracles import iforest_leaves, iforest_mean_path, lof_full_matrix
 
 
 def normals(n, dim=2, seed=0, name="train"):
@@ -359,3 +361,57 @@ def test_scores_independent_of_block_budget(algorithm, monkeypatch):
     for threshold, scores in results[1:]:
         assert threshold == results[0][0]
         assert np.array_equal(scores, results[0][1])
+
+
+def _distance_rows(case):
+    rng = np.random.default_rng(37)
+    if case == "all-equal":
+        return np.full((6, 40), 1.5)
+    if case == "ties":
+        return rng.integers(0, 5, (30, 40)).astype(np.float64)  # many ties at every rank
+    d = rng.random((30, 40))
+    if case == "inf":
+        d[::2, ::3] = np.inf
+        d[1] = np.inf
+    return d
+
+
+@pytest.mark.parametrize("case", ("distinct", "ties", "all-equal", "inf"))
+@pytest.mark.parametrize("k", (1, 2, 7, 39, 40))
+def test_k_nearest_matches_stable_argsort(case, k):
+    d = _distance_rows(case)
+    want = np.argsort(d, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(detectors._k_nearest(d, k), want)
+
+
+def test_k_nearest_orders_ties_by_index():
+    d = np.asarray([[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]])
+    assert detectors._k_nearest(d, 4).tolist() == [[4, 1, 3, 0]]
+
+
+@pytest.mark.parametrize("case", ("normal", "duplicates", "integer-grid"))
+def test_lof_scores_match_full_matrix_oracle(case):
+    rng = np.random.default_rng(38)
+    X = rng.standard_normal((90, 3))
+    if case == "duplicates":
+        X = np.repeat(X[:30], 3, axis=0)
+    elif case == "integer-grid":
+        X = rng.integers(0, 4, (90, 3)).astype(np.float64)
+    Q = np.vstack([X[:20], rng.integers(-1, 5, (40, 3)).astype(np.float64), rng.standard_normal((40, 3))])
+    for k in (1, 5, 20, 89):
+        model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        train, query = lof_full_matrix(X, k, Q, lrd_cap=detectors._LRD_CAP)
+        assert model.train_scores().tobytes() == train.tobytes(), k
+        assert model.query_scores(Q).tobytes() == query.tobytes(), k
+
+
+def test_lof_fit_never_holds_a_full_distance_matrix():
+    X = np.random.default_rng(39).standard_normal((4000, 2))
+    tracemalloc.start()
+    try:
+        detectors._LofModel.fit(X, {"n_neighbors": 20}, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full = 4000 * 4000 * 8  # one n x n float64 matrix: 128 MB
+    assert peak < full / 16, peak

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adselect import metamodel
 from adselect.errors import ModelFormatError
 from adselect.features import MetaDataset
 from adselect.metamodel import (
@@ -10,9 +11,10 @@ from adselect.metamodel import (
     fit_meta_model,
     load_model,
     rf_fit,
-    rf_predict,
     save_model,
 )
+
+from oracles import best_split_per_feature, grow_tree_nodewise
 
 
 def make_meta(X, y=None, columns=None, dataset="d"):
@@ -156,7 +158,7 @@ def test_forest_prediction_is_mean_of_trees():
     model = rf_fit(X, y, seed=1, n_trees=10)
     probes = rng.random((15, 3))
     stacked = np.stack([t.predict(probes) for t in model.trees])
-    assert np.allclose(rf_predict(model, probes), stacked.mean(axis=0), rtol=0, atol=1e-15)
+    assert np.allclose(model.predict(probes), stacked.mean(axis=0), rtol=0, atol=1e-15)
 
 
 def test_forest_predictions_within_target_range():
@@ -199,6 +201,82 @@ def test_tie_breaking_prefers_lowest_feature_index():
     model = rf_fit(x, y, seed=0, n_trees=1, bootstrap=False)
     root_feature = model.trees[0].feature[0]
     assert root_feature == 0
+
+
+def _split_case(case, seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 17))
+    X = rng.random((n, d))
+    if case == "tied":
+        X = rng.integers(0, 3, (n, d)).astype(np.float64)
+    elif case == "duplicate-column":
+        X[:, -1] = X[:, 0]
+    elif case == "constant-column":
+        X[:, d // 2] = 0.25
+    elif case == "all-constant":
+        X = np.full((n, d), 0.5)
+    elif case == "duplicate-rows":
+        X = np.repeat(X[: (n + 2) // 3], 3, axis=0)[:n]
+    elif case == "adjacent-float":
+        X[:, 0] = np.where(rng.random(n) < 0.5, 0.3, np.nextafter(0.3, 1.0))
+    elif case == "signed-zero":
+        X = rng.choice([-0.0, 0.0, 1.0], size=(n, d))
+    y = rng.random(n) if seed % 3 else rng.integers(0, 3, n) / 3.0
+    return X, y
+
+
+SPLIT_CASES = (
+    "random", "tied", "duplicate-column", "constant-column", "all-constant",
+    "duplicate-rows", "adjacent-float", "signed-zero",
+)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_best_split_matches_per_feature_oracle(case):
+    for seed in range(40):
+        X, y = _split_case(case, seed)
+        got = metamodel._best_split(X, y)
+        assert got == best_split_per_feature(X, y), (case, seed)
+        if got is not None:
+            assert np.float64(got[1]).tobytes() == np.float64(best_split_per_feature(X, y)[1]).tobytes()
+    if case == "all-constant":
+        assert got is None
+
+
+def _forest_arrays(model):
+    return [{f: getattr(t, f) for f in ("feature", "threshold", "left", "right", "value")} for t in model.trees]
+
+
+def _assert_forests_bitwise_equal(a, b):
+    for ta, tb in zip(_forest_arrays(a), _forest_arrays(b), strict=True):
+        for f in ta:
+            assert ta[f].dtype == tb[f].dtype and ta[f].shape == tb[f].shape, f
+            assert ta[f].tobytes() == tb[f].tobytes(), f
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_forest_bitwise_equal_with_oracle_split(case, monkeypatch):
+    for seed in range(4):
+        X, y = _split_case(case, seed)
+        fast = rf_fit(X, y, seed=seed, n_trees=8)
+        monkeypatch.setattr(metamodel, "_best_split", best_split_per_feature)
+        slow = rf_fit(X, y, seed=seed, n_trees=8)
+        monkeypatch.undo()
+        _assert_forests_bitwise_equal(fast, slow)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_forest_bitwise_equal_to_nodewise_grower(case, monkeypatch):
+    def reference(X, y, min_samples_split):
+        return metamodel._Tree(**grow_tree_nodewise(X, y, min_samples_split))
+
+    for seed in range(4):
+        X, y = _split_case(case, seed)
+        fast = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=2 + seed % 2)
+        monkeypatch.setattr(metamodel, "_grow_tree", reference)
+        slow = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=2 + seed % 2)
+        monkeypatch.undo()
+        _assert_forests_bitwise_equal(fast, slow)
 
 
 def test_rf_rejects_empty_training_set():
