@@ -5,7 +5,7 @@ rank, evaluate, hv-estimate. Global flags (--config, --seed, --jobs, --out)
 may appear after the subcommand name.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 partial
-failure (some datasets failed or instances were skipped).
+failure (some datasets failed, or instances or rank candidates were skipped).
 """
 
 from __future__ import annotations
@@ -216,6 +216,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
         data, cfg, method=args.method, n_candidates=args.n_candidates, model_path=args.model
     )
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    if len(result.entries) < args.n_candidates:  # some candidates were skipped
+        return EXIT_PARTIAL
     return EXIT_OK
 
 

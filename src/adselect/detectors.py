@@ -207,24 +207,25 @@ class _KnnModel:
         return cls(X, k, str(params["aggregation"]))
 
     def _aggregate(self, dists: np.ndarray) -> np.ndarray:
-        # dists: (m, >=k) ascending k smallest in the first k columns
-        block = dists[:, : self.k]
+        # dists: (m, k) ascending k smallest, or (m, 1) holding the k-th for "largest"
         if self.aggregation == "largest":
-            return block[:, -1]
+            return dists[:, -1]
         if self.aggregation == "mean":
-            return block.mean(axis=1)
-        return np.median(block, axis=1)
+            return dists.mean(axis=1)
+        return np.median(dists, axis=1)
 
     def _knn_dists(self, Q: np.ndarray, exclude_self: bool) -> np.ndarray:
         k_eff = self.k + 1 if exclude_self else self.k
-        out = np.empty((Q.shape[0], self.k))
+        largest = self.aggregation == "largest"
+        out = np.empty((Q.shape[0], 1 if largest else self.k))
         rows = _block_rows(self.X.shape[0])
         for s in range(0, Q.shape[0], rows):
             block = Q[s : s + rows]
             d2 = _pairwise_sq_dists(block, self.X)
-            part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)
-            if exclude_self:
-                part = part[:, 1:]  # drop the zero self-distance
+            if largest:  # the k_eff-th smallest alone: no sort
+                part = d2.min(axis=1, keepdims=True) if k_eff == 1 else np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
+            else:  # mean and median sum in order: sort the k_eff nearest, drop the self-distance
+                part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)[:, k_eff - self.k :]
             out[s : s + block.shape[0]] = np.sqrt(part)
         return out
 

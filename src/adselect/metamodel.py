@@ -104,6 +104,11 @@ class FeatureScaler:
 # ---------------------------------------------------------------------------
 # regression trees and forest
 
+# Fixed, never derived from --jobs or the machine. A tree group holds at most
+# this many (row, feature) values, or one tree's when that is more; padding
+# keeps each split-search array under twice the group's values.
+_FOREST_ELEMENTS = 1 << 16
+
 
 @dataclass
 class _Tree:
@@ -114,102 +119,206 @@ class _Tree:
     value: np.ndarray  # leaf mean (stored for every node)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            internal = self.feature[node] >= 0
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            cur = node[rows]
-            go = X[rows, self.feature[cur]] <= self.threshold[cur]
-            node[rows] = np.where(go, self.left[cur], self.right[cur])
-        return self.value[node]
+        return _predict_trees([self], X)[0]
+
+
+def _predict_trees(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
+    """(len(trees), m) predictions: every tree descends together, one gather per level."""
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)  # trees back to back: child ids become flat indices
+
+    def flat(name):
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    feature, threshold, value = flat("feature"), flat("threshold"), flat("value")
+    left, right = flat("left") + shift, flat("right") + shift
+    node = np.repeat(roots[:, None], X.shape[0], axis=1)
+    cols = np.arange(X.shape[0])
+    while True:
+        f = feature[node]
+        inner = f >= 0
+        if not inner.any():
+            return value[node]
+        go = X[cols, f] <= threshold[node]  # leaves read column -1; discarded below
+        node = np.where(inner, np.where(go, left[node], right[node]), node)
+
+
+def _node_stats(y: np.ndarray, ysq: np.ndarray, starts, counts) -> tuple[np.ndarray, ...]:
+    """Target sum, sum of squares and parent SSE of each node's contiguous rows.
+
+    One ``np.add.reduce`` per node: numpy's pairwise sum is not a sequential
+    sum, so a segmented reduction (``reduceat``) can differ in the last bits.
+    ``sum**2`` stays a numpy scalar power (the C library's ``pow``); an
+    array square rounds differently on some inputs.
+    """
+    sums, sqs, parent = [], [], []
+    for a, c in zip(starts.tolist(), counts.tolist()):
+        s = np.add.reduce(y[a : a + c])
+        q = np.add.reduce(ysq[a : a + c])
+        sums.append(s)
+        sqs.append(q)
+        parent.append(q - s**2 / c)
+    return np.asarray(sums), np.asarray(sqs), np.asarray(parent)
+
+
+def _best_splits(X, y, counts, sums, sqs, parent_sse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each of k nodes by variance reduction.
+
+    X is (features, k, m) and y is (k, m); a node's rows past its count are
+    padding, NaN in X, which sorts after every real value (+inf included), so
+    each node's own rows keep their sorted positions and cumsums. Candidates
+    are midpoints between consecutive sorted unique values. Equal gains keep
+    the lowest feature, then the lowest threshold: one argmax over each
+    node's feature-major gain table returns the first maximum. Returns
+    (feature, threshold, found), found False where no split gains.
+    """
+    d, k, m = X.shape
+    order = X.argsort(axis=2, kind="stable")
+    xs = X.ravel()[order + np.arange(0, d * k * m, m).reshape(d, k, 1)]
+    ys = y.ravel()[order + np.arange(0, k * m, m).reshape(1, k, 1)]
+    csum = ys.cumsum(axis=2)[:, :, :-1]
+    csq = (ys * ys).cumsum(axis=2)[:, :, :-1]
+    left_n = np.arange(1, m, dtype=np.float64)
+    total_sum, total_sq, n = sums[:, None], sqs[:, None], counts[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding only; masked below
+        left_sse = csq - csum**2 / left_n
+        right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - left_n)
+    gains = parent_sse[:, None] - left_sse - right_sse
+    gains[~((xs[:, :, :-1] < xs[:, :, 1:]) & (left_n < n))] = -np.inf
+    gains = gains.transpose(1, 0, 2).reshape(k, -1)  # feature-major within each node
+    best = gains.argmax(axis=1)
+    j, pos = np.divmod(best, m - 1)
+    nodes = np.arange(k)
+    lo, hi = xs[j, nodes, pos], xs[j, nodes, pos + 1]
+    thr = (lo + hi) / 2.0
+    thr = np.where(thr >= hi, lo, thr)  # adjacent floats: midpoint rounded up, keep the split real
+    return j, thr, gains[nodes, best] > 0.0
 
 
 def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) by variance reduction, all features at once.
-
-    Candidates are midpoints between consecutive sorted unique feature
-    values. Equal gains keep the lowest feature index, then the lowest
-    threshold: one argmax over the feature-major gain table returns the
-    first maximum. Column-wise cumsums add in the same order as a per-column
-    scan, so the gains are the same floats.
-    """
+    """Best (feature, threshold) of one node: the one-node call of ``_best_splits``."""
     m = X.shape[0]
-    xs = np.sort(X, axis=0, kind="stable")
-    boundary = xs[:-1] < xs[1:]
-    if not boundary.any():
+    if m < 2:
         return None
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum**2 / m
-    ys = y[X.argsort(axis=0, kind="stable")]
-    csum = ys.cumsum(axis=0)[:-1]
-    csq = (ys * ys).cumsum(axis=0)[:-1]
-    counts = np.arange(1, m, dtype=np.float64)[:, None]
-    left_sse = csq - csum**2 / counts
-    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (m - counts)
-    gains = parent_sse - left_sse - right_sse
-    gains[~boundary] = -np.inf
-    j, k = divmod(int(gains.T.argmax()), m - 1)
-    if not gains[k, j] > 0.0:
-        return None
-    thr = (xs[k, j] + xs[k + 1, j]) / 2.0
-    if thr >= xs[k + 1, j]:  # adjacent floats: midpoint rounded up, keep the split real
-        thr = xs[k, j]
-    return j, float(thr)
+    counts = np.asarray([m])
+    j, thr, found = _best_splits(X.T[:, None], y[None], counts, *_node_stats(y, y * y, np.zeros(1, int), counts))
+    return (int(j[0]), float(thr[0])) if found[0] else None
 
 
-def _node_mean(values: np.ndarray) -> float:
-    """Arithmetic mean, exact (no fp drift) when every value is identical.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(start, start + count) for every pair."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) - np.repeat(offsets - starts, counts)
 
-    ``sum / len`` is the same float as ``values.mean()``, without its overhead.
+
+def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, min_samples_split: int) -> list[_Tree]:
+    """Grow one tree per row of ``rows`` (its sample of X), level by level.
+
+    Every live node of every tree is split in one pass per depth. A node owns
+    a contiguous run of the tree's rows, in the order a depth-first grower
+    would see them: a split moves its left rows before its right rows,
+    each side keeping its order. Nodes are searched together by power-of-two
+    size class, padded to the class's largest node, so every node fills more
+    than half of its padded rows. Trees are then numbered depth first: the
+    i-th split in preorder owns nodes 2i+1 and 2i+2.
     """
-    if (values == values[0]).all():
-        return float(values[0])
-    return float(values.sum() / len(values))
+    n_trees, n = rows.shape
+    XT = X[rows.ravel()].T.copy()  # (features, rows); node rows are contiguous
+    yc = y[rows.ravel()]
+    ysq = yc * yc
+    starts, counts = np.arange(n_trees) * n, np.full(n_trees, n)
+    tree = np.arange(n_trees)
+    levels = []  # per depth: tree, value and split flag of each node; feature, threshold of each split
+    while True:
+        differ = np.logical_or.reduceat(
+            yc[_ranges(starts, counts)] != np.repeat(yc[starts], counts), np.cumsum(counts) - counts
+        )
+        splittable = counts >= max(min_samples_split, 2)
+        need = np.flatnonzero(differ | splittable)
+        sums, sqs, parent = _node_stats(yc, ysq, starts[need], counts[need])
+        value = yc[starts]  # every target equal: that value, exactly
+        value[differ] = (sums / counts[need])[differ[need]]
+        keep = splittable[need]
+        cand, sums, sqs, parent = need[keep], sums[keep], sqs[keep], parent[keep]
+        feature = np.zeros(cand.size, dtype=np.int64)
+        threshold = np.zeros(cand.size)
+        found = np.zeros(cand.size, dtype=bool)
+        size_class = np.ceil(np.log2(counts[cand])).astype(int)
+        for c in np.unique(size_class):
+            part = np.flatnonzero(size_class == c)
+            m = int(counts[cand[part]].max())
+            node_rows = starts[cand[part], None] + np.arange(m)
+            pad = np.arange(m) >= counts[cand[part], None]
+            node_rows[pad] = 0
+            Xp = XT[:, node_rows]
+            Xp[:, pad] = np.nan
+            feature[part], threshold[part], found[part] = _best_splits(
+                Xp, yc[node_rows], counts[cand[part]], sums[part], sqs[part], parent[part]
+            )
+        split = np.zeros(starts.size, dtype=bool)
+        split[cand[found]] = True
+        feature, threshold = feature[found], threshold[found]
+        levels.append((tree, value, split, feature, threshold))
+        if not found.any():
+            break
+
+        # stable partition of each split node's rows: left rows first, each side in order
+        s_starts, s_counts = starts[split], counts[split]
+        pos = _ranges(s_starts, s_counts)
+        owner = np.repeat(np.arange(s_starts.size), s_counts)
+        go = XT[feature[owner], pos] <= threshold[owner]
+        offsets = np.cumsum(s_counts) - s_counts
+        left_before = np.cumsum(go) - go  # left rows ahead of this one, within its node below
+        left_before -= left_before[offsets][owner]
+        n_left = np.add.reduceat(go.astype(np.int64), offsets)
+        dest = np.where(go, s_starts[owner] + left_before, pos + n_left[owner] - left_before)
+        XT[:, dest] = XT[:, pos]
+        yc[dest], ysq[dest] = yc[pos], ysq[pos]
+        starts = np.stack([s_starts, s_starts + n_left], axis=1).ravel()
+        counts = np.stack([n_left, s_counts - n_left], axis=1).ravel()
+        tree = np.repeat(tree[split], 2)
+    return _number_trees(levels, n_trees)
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, min_samples_split: int) -> _Tree:
-    """Grow one tree depth first; a split node's children get the next two ids."""
-    value = [_node_mean(y)]
-    splits: list[tuple[int, int, float]] = []  # (node, feature, threshold)
-    # explicit stack: degenerate splits can make trees n deep
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if len(rows) < min_samples_split:
-            continue
-        X_rows = X[rows]
-        y_rows = y[rows]
-        split = _best_split(X_rows, y_rows)
-        if split is None:
-            continue
-        j, thr = split
-        go = X_rows[:, j] <= thr
-        left_rows = rows[go]
-        right_rows = rows[~go]
-        child = len(value)
-        splits.append((node, j, thr))
-        value.append(_node_mean(y_rows[go]))
-        value.append(_node_mean(y_rows[~go]))
-        stack.append((child + 1, right_rows))
-        stack.append((child, left_rows))
+def _number_trees(levels: list, n_trees: int) -> list[_Tree]:
+    """Node arrays in depth-first numbering from per-depth node records.
 
-    n_nodes = len(value)
-    feature = np.full(n_nodes, -1, dtype=np.int32)
-    threshold = np.zeros(n_nodes)
-    left = np.full(n_nodes, -1, dtype=np.int32)
-    right = np.full(n_nodes, -1, dtype=np.int32)
-    if splits:
-        split_nodes, split_features, split_thresholds = zip(*splits)
-        nodes = np.asarray(split_nodes)
-        feature[nodes] = split_features
-        threshold[nodes] = split_thresholds
-        # the i-th split made nodes 2i+1 and 2i+2
-        left[nodes] = np.arange(1, 2 * len(splits), 2)
-        right[nodes] = left[nodes] + 1
-    return _Tree(feature=feature, threshold=threshold, left=left, right=right, value=np.asarray(value))
+    The children of the i-th split node of a depth are nodes 2i and 2i+1 of
+    the next depth.
+    """
+    below = [None] * len(levels)  # splits in each node's subtree, itself included
+    for depth in reversed(range(len(levels))):
+        split = levels[depth][2]
+        below[depth] = split.astype(np.int64)
+        if split.any():
+            below[depth][split] += below[depth + 1][0::2] + below[depth + 1][1::2]
+    sizes = 2 * below[0] + 1
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    feature = np.full(total, -1, dtype=np.int32)
+    threshold = np.zeros(total)
+    left = np.full(total, -1, dtype=np.int32)
+    right = np.full(total, -1, dtype=np.int32)
+    value = np.empty(total)
+    ids = np.zeros(n_trees, dtype=np.int64)
+    pre = np.zeros(n_trees, dtype=np.int64)  # preorder rank among splits
+    for depth, (tree, val, split, feat, thr) in enumerate(levels):
+        at = offsets[tree] + ids
+        value[at] = val
+        p = pre[split]
+        feature[at[split]] = feat
+        threshold[at[split]] = thr
+        left[at[split]] = 2 * p + 1
+        right[at[split]] = 2 * p + 2
+        if split.any():
+            left_splits = below[depth + 1][0::2]
+            pre = np.stack([p + 1, p + 1 + left_splits], axis=1).ravel()
+            ids = np.stack([2 * p + 1, 2 * p + 2], axis=1).ravel()
+    return [
+        _Tree(feature=feature[a:b], threshold=threshold[a:b], left=left[a:b], right=right[a:b], value=value[a:b])
+        for a, b in zip(offsets.tolist(), (offsets + sizes).tolist())
+    ]
 
 
 @dataclass
@@ -227,7 +336,7 @@ class ForestModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (m, {self.n_features}) inputs, got {X.shape}")
-        preds = np.stack([t.predict(X) for t in self.trees])
+        preds = _predict_trees(self.trees, X)
         out = preds.mean(axis=0)
         # where every tree agrees the mean is that value exactly
         unanimous = np.all(preds == preds[0], axis=0)
@@ -244,24 +353,27 @@ def rf_fit(
     min_samples_split: int = 2,
     jobs: int = 1,
 ) -> ForestModel:
-    """Fit the forest; each tree owns a seed derived from (seed, tree index)."""
+    """Fit the forest; each tree owns a seed derived from (seed, tree index).
+
+    Trees grow in groups of about ``_FOREST_ELEMENTS`` values, on ``jobs``
+    workers. Trees are independent, so the grouping never changes a tree.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, d) with matching y")
-    if X.shape[0] < 1:
-        raise ValueError("cannot fit on an empty training set")
+    if X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError("cannot fit on an empty training set or without features")
     n = X.shape[0]
-
-    def grow(t: int) -> _Tree:
-        if bootstrap:
-            rows = rng_from(seed, "tree", t).integers(0, n, size=n)
-            return _grow_tree(X[rows], y[rows], min_samples_split)
-        return _grow_tree(X, y, min_samples_split)
-
-    trees = pmap(grow, list(range(n_trees)), jobs)
+    if bootstrap:
+        rows = np.asarray([rng_from(seed, "tree", t).integers(0, n, size=n) for t in range(n_trees)])
+    else:
+        rows = np.broadcast_to(np.arange(n), (n_trees, n))
+    per_group = max(1, _FOREST_ELEMENTS // (n * X.shape[1]))
+    groups = [rows[s : s + per_group] for s in range(0, n_trees, per_group)]
+    grown = pmap(lambda g: _grow_trees(X, y, g, min_samples_split), groups, jobs)
     return ForestModel(
-        trees=trees,
+        trees=[t for group in grown for t in group],
         n_features=X.shape[1],
         seed=seed,
         n_trees=n_trees,

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 
+from adselect.util import rng_from
+
 
 def welzl_min_circle(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
     """Exact minimal enclosing circle in 2-D (Welzl's algorithm)."""
@@ -239,6 +241,50 @@ def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, spl
         "right": np.asarray(nodes["right"], dtype=np.int32),
         "value": np.asarray(nodes["value"], dtype=np.float64),
     }
+
+
+def rf_fit_nodewise(
+    X: np.ndarray,
+    y: np.ndarray,
+    seed: int,
+    n_trees: int,
+    bootstrap: bool = True,
+    min_samples_split: int = 2,
+    split=best_split_per_feature,
+) -> list[dict]:
+    """Forest of node arrays, each tree grown alone by ``grow_tree_nodewise``.
+
+    Tree t is fit on the rows drawn by ``rng_from(seed, "tree", t)``, n with
+    replacement, or on every row in order without bootstrap.
+    """
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        rows = rng_from(seed, "tree", t).integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(grow_tree_nodewise(X[rows], y[rows], min_samples_split, split))
+    return trees
+
+
+def knn_scores_sorted(X: np.ndarray, Q: np.ndarray | None, k: int, aggregation: str) -> np.ndarray:
+    """knn scores from the sorted k nearest distances of each row, whole matrix at once.
+
+    With Q None these are leave-self-out training scores: the k+1 nearest
+    of each training row are sorted and the smallest, its own zero, is
+    dropped. Distances are summed feature by feature, as in the detector.
+    """
+    A = X if Q is None else Q
+    k_eff = k + 1 if Q is None else k
+    d2 = np.zeros((len(A), len(X)))
+    for j in range(X.shape[1]):
+        diff = A[:, j : j + 1] - X[:, j]
+        d2 += diff * diff
+    part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)
+    dists = np.sqrt(part[:, k_eff - k :])
+    if aggregation == "largest":
+        return dists[:, -1]
+    if aggregation == "mean":
+        return dists.mean(axis=1)
+    return np.median(dists, axis=1)
 
 
 def lof_full_matrix(X: np.ndarray, k: int, Q: np.ndarray, lrd_cap: float = 1e10) -> tuple[np.ndarray, np.ndarray]:

@@ -198,6 +198,27 @@ def test_rank_linear_needs_no_model(tmp_path, corpus_dir, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_rank_exits_partial_when_a_candidate_is_skipped(tmp_path, corpus_dir, capsys, monkeypatch):
+    real_fit = detectors.fit
+    failing = []
+
+    def fit(config, data, *args, **kwargs):  # every fit of the first family drawn fails
+        if not failing:
+            failing.append(config.algorithm)
+        if config.algorithm == failing[0]:
+            raise FitError(f"{config.algorithm} unavailable")
+        return real_fit(config, data, *args, **kwargs)
+
+    monkeypatch.setattr(detectors, "fit", fit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retries": 0}))
+    args = ["rank", "--config", str(cfg), "--dataset", str(corpus_dir / "halo.csv"), "--n-candidates", "4"]
+    rc = main(args + ["--seed", "5", "--hv-samples", "1000", "--out", str(tmp_path / "r")])
+    payload = json.loads(capsys.readouterr().out)
+    assert 0 < len(payload["candidates"]) < 4
+    assert rc == EXIT_PARTIAL
+
+
 def test_rank_meta_requires_model(tmp_path, corpus_dir):
     rc = main(
         ["rank", "--dataset", str(corpus_dir / "halo.csv"), "--method", "meta", "--out", str(tmp_path / "r")]

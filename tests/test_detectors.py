@@ -18,7 +18,7 @@ from adselect.detectors import (
 from adselect.errors import ConfigError, FitError
 
 from conftest import make_dataset
-from oracles import iforest_leaves, iforest_mean_path, lof_full_matrix
+from oracles import iforest_leaves, iforest_mean_path, knn_scores_sorted, lof_full_matrix
 
 
 def normals(n, dim=2, seed=0, name="train"):
@@ -387,6 +387,20 @@ def test_k_nearest_matches_stable_argsort(case, k):
 def test_k_nearest_orders_ties_by_index():
     d = np.asarray([[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]])
     assert detectors._k_nearest(d, 4).tolist() == [[4, 1, 3, 0]]
+
+
+@pytest.mark.parametrize("case", ("normal", "integer-grid"))
+@pytest.mark.parametrize("aggregation", ("largest", "mean", "median"))
+def test_knn_scores_match_sorted_oracle(case, aggregation):
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((60, 3))
+    if case == "integer-grid":  # many tied distances
+        X = rng.integers(0, 3, (60, 3)).astype(np.float64)
+    Q = np.vstack([X[:15], rng.integers(-1, 4, (30, 3)).astype(np.float64), rng.standard_normal((30, 3))])
+    for k in (1, 2, 59):  # k = n - 1: every other training row is a neighbour
+        model = detectors._KnnModel.fit(X, {"k": k, "aggregation": aggregation}, seed=0)
+        assert model.train_scores().tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes(), k
+        assert model.query_scores(Q).tobytes() == knn_scores_sorted(X, Q, k, aggregation).tobytes(), k
 
 
 @pytest.mark.parametrize("case", ("normal", "duplicates", "integer-grid"))

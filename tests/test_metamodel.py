@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from adselect.metamodel import (
     save_model,
 )
 
-from oracles import best_split_per_feature, grow_tree_nodewise
+from oracles import best_split_per_feature, rf_fit_nodewise
 
 
 def make_meta(X, y=None, columns=None, dataset="d"):
@@ -248,40 +250,131 @@ def _forest_arrays(model):
 
 
 def _assert_forests_bitwise_equal(a, b):
-    for ta, tb in zip(_forest_arrays(a), _forest_arrays(b), strict=True):
+    trees_a = a if isinstance(a, list) else _forest_arrays(a)
+    trees_b = b if isinstance(b, list) else _forest_arrays(b)
+    for ta, tb in zip(trees_a, trees_b, strict=True):
         for f in ta:
             assert ta[f].dtype == tb[f].dtype and ta[f].shape == tb[f].shape, f
             assert ta[f].tobytes() == tb[f].tobytes(), f
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
-def test_forest_bitwise_equal_with_oracle_split(case, monkeypatch):
+def test_forest_bitwise_equal_with_oracle_split(case):
     for seed in range(4):
         X, y = _split_case(case, seed)
         fast = rf_fit(X, y, seed=seed, n_trees=8)
-        monkeypatch.setattr(metamodel, "_best_split", best_split_per_feature)
-        slow = rf_fit(X, y, seed=seed, n_trees=8)
-        monkeypatch.undo()
-        _assert_forests_bitwise_equal(fast, slow)
+        _assert_forests_bitwise_equal(fast, rf_fit_nodewise(X, y, seed=seed, n_trees=8))
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
-def test_forest_bitwise_equal_to_nodewise_grower(case, monkeypatch):
-    def reference(X, y, min_samples_split):
-        return metamodel._Tree(**grow_tree_nodewise(X, y, min_samples_split))
-
+def test_forest_bitwise_equal_to_nodewise_grower(case):
     for seed in range(4):
         X, y = _split_case(case, seed)
-        fast = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=2 + seed % 2)
-        monkeypatch.setattr(metamodel, "_grow_tree", reference)
-        slow = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=2 + seed % 2)
-        monkeypatch.undo()
+        mss = 2 + seed % 2
+        fast = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=mss)
+        slow = rf_fit_nodewise(X, y, seed=seed, n_trees=8, min_samples_split=mss, split=metamodel._best_split)
         _assert_forests_bitwise_equal(fast, slow)
+
+
+def _edge_case(case, n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, 3))
+    y = rng.random(n)
+    if case == "constant-y":
+        y = np.full(n, 0.1)
+    elif case == "duplicate-rows":
+        X = np.repeat(X[:1], n, axis=0)
+    elif case == "tied":
+        X = rng.integers(0, 2, (n, 3)).astype(np.float64)
+    return X, y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
+@pytest.mark.parametrize("case", ["random", "constant-y", "duplicate-rows", "tied"])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_bitwise_equal_on_size_class_edges(n, case, bootstrap):
+    # without bootstrap every root holds exactly n rows: one node per size-class edge
+    X, y = _edge_case(case, n, seed=n)
+    for mss in (1, 2, 5, n + 1):
+        fast = rf_fit(X, y, seed=n, n_trees=6, bootstrap=bootstrap, min_samples_split=mss)
+        slow = rf_fit_nodewise(X, y, seed=n, n_trees=6, bootstrap=bootstrap, min_samples_split=mss)
+        _assert_forests_bitwise_equal(fast, slow)
+        if mss > n:
+            assert all(len(t.feature) == 1 for t in fast.trees)
+
+
+def test_forest_bitwise_equal_on_chain_shaped_tree():
+    # each split peels the largest target off the rest into a one-row right leaf
+    n = 40
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = 4.0 ** np.arange(n)
+    fast = rf_fit(X, y, seed=0, n_trees=2, bootstrap=False)
+    slow = rf_fit_nodewise(X, y, seed=0, n_trees=2, bootstrap=False)
+    _assert_forests_bitwise_equal(fast, slow)
+    tree = fast.trees[0]
+    assert len(tree.feature) == 2 * n - 1
+    assert np.array_equal(tree.right[tree.feature >= 0], np.arange(2, 2 * n - 1, 2))
+    assert np.all(tree.feature[tree.right[tree.feature >= 0]] == -1)
+    assert np.array_equal(tree.predict(X), y)
+
+
+def test_forest_grouping_and_jobs_do_not_change_trees(monkeypatch):
+    rng = np.random.default_rng(10)
+    X = rng.integers(0, 6, (300, 16)).astype(np.float64)
+    y = rng.random(300)
+    one = rf_fit(X, y, seed=5, n_trees=20, jobs=1)
+    assert metamodel._FOREST_ELEMENTS // (300 * 16) < 20  # more than one tree group
+    _assert_forests_bitwise_equal(one, rf_fit(X, y, seed=5, n_trees=20, jobs=4))
+    _assert_forests_bitwise_equal(one, rf_fit_nodewise(X, y, seed=5, n_trees=20))
+    monkeypatch.setattr(metamodel, "_FOREST_ELEMENTS", 1)  # one tree per group
+    _assert_forests_bitwise_equal(one, rf_fit(X, y, seed=5, n_trees=20))
+
+
+def test_forest_predict_matches_per_point_walk():
+    rng = np.random.default_rng(11)
+    X = rng.random((60, 4))
+    model = rf_fit(X, rng.random(60), seed=2, n_trees=15)
+    probes = np.vstack([rng.random((30, 4)), X[:10]])
+    stacked = np.stack([t.predict(probes) for t in model.trees])
+    for t, row in zip(model.trees, stacked):
+        for x, got in zip(probes, row):
+            node = 0
+            while t.feature[node] >= 0:
+                node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.right[node]
+            assert got.tobytes() == t.value[node].tobytes()
+
+
+def test_forest_split_search_stays_within_element_budget(monkeypatch):
+    rng = np.random.default_rng(12)
+    X = rng.random((2000, 16))
+    y = rng.random(2000)
+    sizes = []
+    search = metamodel._best_splits
+
+    def recording(Xp, *args):
+        sizes.append(Xp.size)
+        return search(Xp, *args)
+
+    monkeypatch.setattr(metamodel, "_best_splits", recording)
+    tracemalloc.start()
+    try:
+        rf_fit(X, y, seed=0, n_trees=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = metamodel._FOREST_ELEMENTS
+    assert 2000 * 16 <= budget < 8 * 2000 * 16  # the 8 trees grow in several groups
+    assert max(sizes) < 2 * budget
+    # a group's rows plus about fifteen split-search temporaries of that size;
+    # growing all 8 trees at once would hold about four times as much
+    assert peak < 24 * 8 * budget, peak
 
 
 def test_rf_rejects_empty_training_set():
     with pytest.raises(ValueError):
         rf_fit(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError):
+        rf_fit(np.empty((3, 0)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
