@@ -5,7 +5,9 @@ rank, evaluate, hv-estimate. Global flags (--config, --seed, --jobs, --out)
 may appear after the subcommand name.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 partial
-failure (some datasets failed, or instances or rank candidates were skipped).
+failure (some datasets failed, instances or rank candidates were skipped, or
+a landmark detector failed or ran out of time in assimilate or rank --method
+meta).
 """
 
 from __future__ import annotations
@@ -149,6 +151,12 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _lacks_landmark(meta: MetaDataset) -> bool:
+    """True if a landmark is absent: its columns hold NaN."""
+    cols = [j for j, name in enumerate(meta.columns) if name.startswith("landmark_")]
+    return bool(np.isnan(meta.X[:, cols]).any())
+
+
 def cmd_assimilate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(
         args,
@@ -176,7 +184,7 @@ def cmd_assimilate(args: argparse.Namespace) -> int:
     for meta in metas:
         print(os.path.join(cfg.out_dir, meta.dataset_ids[0], "meta.csv"))
     skipped = any(meta.n < cfg.n_random_detectors for meta in metas)
-    if failures or len(metas) < len(loaded) or skipped:
+    if failures or len(metas) < len(loaded) or skipped or any(map(_lacks_landmark, metas)):
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -216,7 +224,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         data, cfg, method=args.method, n_candidates=args.n_candidates, model_path=args.model
     )
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    if len(result.entries) < args.n_candidates:  # some candidates were skipped
+    if len(result.entries) < args.n_candidates or result.absent_landmarks:
         return EXIT_PARTIAL
     return EXIT_OK
 

@@ -313,23 +313,40 @@ class _LofModel:
 
 
 class _IsolationForest:
-    """Isolation forest (Liu, Ting & Zhou, ICDM 2008) stored as flat arrays.
+    """Isolation forest (Liu, Ting & Zhou, ICDM 2008) stored level-major.
 
-    Every tree is a complete binary tree of depth ``cap = ceil(log2 psi)``:
-    node i has children 2i+1 and 2i+2, and each row of ``feature``,
-    ``threshold`` and ``path`` holds one tree. Internal nodes send x left
-    when ``x[feature] < threshold``. ``path`` is NaN at internal nodes and
-    holds ``depth + c(size)`` at a leaf and at every node below it, so a
-    query descends exactly ``cap`` levels and reads its path length from the
-    bottom row.
+    Every tree is a complete binary tree of depth ``cap = ceil(log2 psi)``.
+    Level L of the forest holds ``n_trees * 2**L`` nodes, tree after tree, so
+    node i of a level has its children at 2i (left) and 2i+1 (right) of the
+    next level, with no per-tree offset. The flat arrays ``_feature``,
+    ``_threshold`` and ``_path`` hold the levels back to back. Internal nodes
+    send x left when ``x[feature] < threshold``. ``path`` is NaN at internal
+    nodes and holds ``depth + c(size)`` at a leaf and at every node below it,
+    so a query descends exactly ``cap`` levels and reads its path length from
+    the bottom level. The read-only properties ``feature``, ``threshold`` and
+    ``path`` give each tree as one complete-tree row, where node i has
+    children 2i+1 and 2i+2.
     """
 
-    def __init__(self, feature: np.ndarray, threshold: np.ndarray, path: np.ndarray, psi: int):
-        self.feature = feature
-        self.threshold = threshold
-        self.path = path
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, path: np.ndarray, n_trees: int, psi: int):
+        self._feature = feature
+        self._threshold = threshold
+        self._path = path
+        self.n_trees = n_trees
         self.psi = psi
-        self.cap = int(np.log2(feature.shape[1] + 1)) - 1
+        self.cap = int(np.log2(feature.size // n_trees + 1)) - 1
+
+    def _level(self, depth: int) -> slice:
+        return slice(self.n_trees * (2**depth - 1), self.n_trees * (2 ** (depth + 1) - 1))
+
+    def _trees(self, flat: np.ndarray) -> np.ndarray:
+        out = np.concatenate([flat[self._level(L)].reshape(self.n_trees, -1) for L in range(self.cap + 1)], axis=1)
+        out.flags.writeable = False
+        return out
+
+    feature = property(lambda self: self._trees(self._feature))
+    threshold = property(lambda self: self._trees(self._threshold))
+    path = property(lambda self: self._trees(self._path))
 
     @staticmethod
     def _avg_path(n: np.ndarray | float):
@@ -349,59 +366,48 @@ class _IsolationForest:
         n_trees = int(params["n_trees"])
         psi = min(int(params["subsample"]), n)
         cap = max(1, int(np.ceil(np.log2(max(psi, 2)))))
-        width = 2 ** (cap + 1) - 1
-        feature = np.zeros((n_trees, width), dtype=np.intp)
-        threshold = np.zeros((n_trees, width))
-        path = np.full((n_trees, width), np.nan)
+        size = n_trees * (2 ** (cap + 1) - 1)
+        model = cls(np.zeros(size, dtype=np.intp), np.zeros(size), np.full(size, np.nan), n_trees, psi)
+        c = cls._avg_path(np.arange(psi + 1))
         rng = rng_from(seed, "iforest")
         for g in range(0, n_trees, _TREE_GROUP):
-            group = slice(g, min(g + _TREE_GROUP, n_trees))
-            cls._grow(X, psi, cap, rng, feature[group], threshold[group], path[group])
+            model._grow(X, rng, g, min(g + _TREE_GROUP, n_trees), c)
         # copy each leaf's path length down to every node of its subtree
         for depth in range(cap):
-            parents = path[:, 2**depth - 1 : 2 ** (depth + 1) - 1]
-            children = path[:, 2 ** (depth + 1) - 1 : 2 ** (depth + 2) - 1]
-            np.copyto(children, np.repeat(parents, 2, axis=1), where=np.isnan(children))
-        return cls(feature, threshold, path, psi)
+            children = model._path[model._level(depth + 1)]
+            np.copyto(children, np.repeat(model._path[model._level(depth)], 2), where=np.isnan(children))
+        return model
 
-    @classmethod
-    def _grow(
-        cls,
-        X: np.ndarray,
-        psi: int,
-        cap: int,
-        rng: np.random.Generator,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        path: np.ndarray,
-    ) -> None:
-        """Grow a group of trees level by level, writing their rows in place.
+    def _grow(self, X: np.ndarray, rng: np.random.Generator, first: int, last: int, c: np.ndarray) -> None:
+        """Grow trees ``first`` to ``last - 1`` together, level by level.
 
-        The rows of every live segment (a node still to be split) are kept
-        contiguous and sorted by node id ``tree * width + node``, with trees
-        counted within the group.
+        ``c[k]`` is ``c(k)`` for k = 0..psi. The rows of every live segment (a
+        node still to be split) are kept contiguous, segments in node order.
+        One stable sort on (segment, goes right) carries each segment forward
+        as its two child segments, left rows then right rows, each side in
+        its old order; child sizes come from each segment's count of rows
+        going right. Rows of leaves and finished children are dropped once.
         """
         n, d = X.shape
-        n_trees, width = feature.shape
-        rows = np.concatenate(
-            [rng.choice(n, size=psi, replace=False) if psi < n else np.arange(n) for _ in range(n_trees)]
+        flat_x = np.ascontiguousarray(X).ravel()
+        psi = self.psi
+        at = d * np.concatenate(  # offset of each sampled row in flat_x
+            [rng.choice(n, size=psi, replace=False) if psi < n else np.arange(n) for _ in range(first, last)]
         )
-        node = np.repeat(np.arange(n_trees) * width, psi)  # global id of each row's node
-        feature, threshold, path = feature.ravel(), threshold.ravel(), path.ravel()
-        depth = 0
-        while rows.size:
-            starts = np.flatnonzero(np.diff(node, prepend=-1))
-            sizes = np.diff(starts, append=rows.size)
-            seg_node = node[starts]
-            feats = rng.integers(0, d, size=starts.size)
-            vals = X[rows, np.repeat(feats, sizes)]
+        sizes = np.full(last - first, psi)
+        node = np.arange(first, last)  # index of each live segment's node within its level
+        for depth in range(self.cap):
+            level = self._level(depth)
+            starts = np.cumsum(sizes) - sizes
+            feats = rng.integers(0, d, size=sizes.size)
+            vals = flat_x.take(at + np.repeat(feats, sizes))
             lo = np.minimum.reduceat(vals, starts)
             hi = np.maximum.reduceat(vals, starts)
             # constant drawn feature: redraw uniformly among non-constant ones
             const = np.flatnonzero(lo == hi)
             if const.size:
                 in_const = np.repeat(lo == hi, sizes)
-                sub = X[rows[in_const]]
+                sub = X[at[in_const] // d]
                 sub_starts = np.cumsum(sizes[const]) - sizes[const]
                 mins = np.minimum.reduceat(sub, sub_starts, axis=0)
                 maxs = np.maximum.reduceat(sub, sub_starts, axis=0)
@@ -419,51 +425,59 @@ class _IsolationForest:
             thr = np.where(thr > lo, thr, np.nextafter(lo, hi))
 
             split = lo < hi
-            leaf = seg_node[~split]
-            path[leaf] = depth + cls._avg_path(sizes[~split])
-            feature[seg_node[split]] = feats[split]
-            threshold[seg_node[split]] = thr[split]
+            self._path[level][node[~split]] = depth + c[sizes[~split]]
+            self._feature[level][node[split]] = feats[split]
+            self._threshold[level][node[split]] = thr[split]
 
-            keep = np.repeat(split, sizes)
-            go_right = vals[keep] >= np.repeat(thr, sizes)[keep]
-            parent = node[keep]
-            tree_base = parent - parent % width
-            child = 2 * parent - tree_base + 1 + go_right
-            order = np.argsort(child, kind="stable")
-            rows, node = rows[keep][order], child[order]
-            depth += 1
-
+            # segment s has children 2s (left) and 2s+1 (right)
+            go_right = vals >= np.repeat(thr, sizes)
+            n_right = np.add.reduceat(go_right, starts, dtype=np.intp)
+            child_sizes = np.empty(2 * sizes.size, dtype=np.intp)
+            child_sizes[0::2] = sizes - n_right
+            child_sizes[1::2] = n_right
+            child_node = np.repeat(2 * node, 2)
+            child_node[1::2] += 1
             # children that are single rows or at the depth cap become leaves
-            starts = np.flatnonzero(np.diff(node, prepend=-1))
-            sizes = np.diff(starts, append=rows.size)
-            done = (sizes == 1) | (depth == cap)
-            path[node[starts[done]]] = depth + cls._avg_path(sizes[done])
-            live = np.repeat(~done, sizes)
-            rows, node = rows[live], node[live]
+            live = np.repeat(split, 2)
+            done = live & ((child_sizes == 1) | (depth + 1 == self.cap))
+            live ^= done
+            self._path[self._level(depth + 1)][child_node[done]] = depth + 1 + c[child_sizes[done]]
+            if not live.any():
+                break
+
+            # sort every row by child (2s + go_right), then cut out the rows of leaves
+            # and finished children. Each segment holds 2+ of a group's at most
+            # 64 * 512 rows, so keys fit 16 bits, where numpy's stable sort is a radix sort.
+            key_type = np.min_scalar_type(2 * sizes.size - 1)
+            key = np.repeat(np.arange(0, 2 * sizes.size, 2, dtype=key_type), sizes) + go_right
+            at = at.take(np.argsort(key, kind="stable"))
+            if not live.all():
+                at = at[np.repeat(live, child_sizes)]
+            sizes, node = child_sizes[live], child_node[live]
 
     def _path_lengths(self, Q: np.ndarray) -> np.ndarray:
         """Mean path length of each query over all trees, summed in tree order."""
-        n_trees, width = self.feature.shape
         m, d = Q.shape
         flat_q = np.ascontiguousarray(Q).ravel()
         row_base = np.arange(m) * d
-        tree_base = np.arange(n_trees)[:, None] * width
-        node = np.repeat(tree_base, m, axis=1)
-        for _ in range(self.cap):
-            v = flat_q.take(row_base + self.feature.take(node))
-            go_right = v >= self.threshold.take(node)
+        level = self._level(0)  # the roots: one node per tree, no gather
+        v = flat_q.take(row_base + self._feature[level][:, None])
+        node = 2 * np.arange(self.n_trees)[:, None] + (v >= self._threshold[level][:, None])
+        for depth in range(1, self.cap):
+            level = self._level(depth)
+            v = flat_q.take(row_base + self._feature[level].take(node))
+            go_right = v >= self._threshold[level].take(node)
             node *= 2
-            node += 1 - tree_base
             node += go_right
-        lengths = self.path.take(node)
+        lengths = self._path[self._level(self.cap)].take(node)
         total = lengths[0].copy()
         for row in lengths[1:]:
             total += row
-        return total / n_trees
+        return total / self.n_trees
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         c = max(float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0]), 1.0)
-        rows = _block_rows(self.feature.shape[0])
+        rows = _block_rows(self.n_trees)
         out = np.empty(Q.shape[0])
         for s in range(0, Q.shape[0], rows):
             out[s : s + rows] = np.power(2.0, -self._path_lengths(Q[s : s + rows]) / c)

@@ -149,8 +149,8 @@ def _node_stats(y: np.ndarray, ysq: np.ndarray, starts, counts) -> tuple[np.ndar
 
     One ``np.add.reduce`` per node: numpy's pairwise sum is not a sequential
     sum, so a segmented reduction (``reduceat``) can differ in the last bits.
-    ``sum**2`` stays a numpy scalar power (the C library's ``pow``); an
-    array square rounds differently on some inputs.
+    The square is ``s * s``, correctly rounded everywhere; a numpy scalar
+    power ``s**2`` calls the C library's ``pow``, which need not be.
     """
     sums, sqs, parent = [], [], []
     for a, c in zip(starts.tolist(), counts.tolist()):
@@ -158,7 +158,7 @@ def _node_stats(y: np.ndarray, ysq: np.ndarray, starts, counts) -> tuple[np.ndar
         q = np.add.reduce(ysq[a : a + c])
         sums.append(s)
         sqs.append(q)
-        parent.append(q - s**2 / c)
+        parent.append(q - s * s / c)
     return np.asarray(sums), np.asarray(sqs), np.asarray(parent)
 
 

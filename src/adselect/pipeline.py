@@ -330,6 +330,7 @@ class RecommendationResult:
     entries: tuple[tuple[DetectorConfig, float], ...]
     method: str
     provenance: str
+    absent_landmarks: tuple[str, ...] = ()  # algorithms whose landmark failed (method "meta")
 
     def to_dict(self) -> dict:
         return {
@@ -427,6 +428,7 @@ def rank_candidates(
     if not feats:
         raise DataError("no candidate detector could be fitted")
 
+    absent: tuple[str, ...] = ()
     if method == "linear":
         scored = [(config, ranking.lc_score(hv, fpr)) for config, hv, fpr in feats]
     else:
@@ -441,6 +443,7 @@ def rank_candidates(
             budget_s=cfg.landmark_budget_s,
             jobs=cfg.jobs,
         )
+        absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
         lm_row = [np.nan if v is None else v for v in landmarks.as_row()]
         rows = [lm_row + [hv, fpr] for _, hv, fpr in feats]
         md = MetaDataset(
@@ -454,4 +457,6 @@ def rank_candidates(
         scored = [(feats[i][0], float(predictions[i])) for i in range(len(feats))]
 
     scored.sort(key=lambda cs: (-cs[1], cs[0].config_id))
-    return RecommendationResult(entries=tuple(scored), method=method, provenance=provenance)
+    return RecommendationResult(
+        entries=tuple(scored), method=method, provenance=provenance, absent_landmarks=absent
+    )

@@ -173,7 +173,7 @@ def best_split_per_feature(X: np.ndarray, y: np.ndarray):
     m = X.shape[0]
     total_sum = y.sum()
     total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum**2 / m
+    parent_sse = total_sq - total_sum * total_sum / m
     best_gain = 0.0
     best = None
     counts = np.arange(1, m, dtype=np.float64)

@@ -259,6 +259,60 @@ def test_rank_meta_with_model(tmp_path, corpus_dir, capsys):
     assert len(payload["provenance"]) == 64  # sha256 of the model file
 
 
+def fail_family(monkeypatch, algorithm):
+    """Make every fit of one detector family raise FitError."""
+
+    def fitter(X, params, seed):
+        raise FitError(f"{algorithm} unavailable")
+
+    monkeypatch.setitem(detectors._FITTERS, algorithm, fitter)
+
+
+def log_events(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def test_assimilate_exits_partial_when_a_landmark_fails(tmp_path, corpus_dir, monkeypatch):
+    fail_family(monkeypatch, "hbos")
+    log = tmp_path / "events.jsonl"
+    rc = main(
+        ["assimilate", "--datasets", str(corpus_dir / "halo.csv"), "--log-file", str(log)]
+        + fast_flags(tmp_path)
+    )
+    failed = [e["algorithm"] for e in log_events(log) if e["event"] == "landmark_failed"]
+    assert failed == ["hbos"]
+    with open(tmp_path / "run" / "halo" / "meta.csv") as fh:
+        assert len(fh.read().strip().splitlines()) == 1 + 3  # no instance skipped: the landmark alone
+    assert rc == EXIT_PARTIAL
+
+
+def test_rank_meta_exits_partial_when_a_landmark_fails(tmp_path, corpus_dir, capsys, monkeypatch):
+    main(
+        ["assimilate", "--datasets", str(corpus_dir / "twin_blobs.csv"), str(corpus_dir / "halo.csv")]
+        + fast_flags(tmp_path)
+    )
+    model = tmp_path / "model.json"
+    main(
+        [
+            "train-meta",
+            "--meta-dataset", str(tmp_path / "run" / "twin_blobs" / "meta.csv"),
+            str(tmp_path / "run" / "halo" / "meta.csv"),
+            "--model-out", str(model),
+        ]
+    )
+    fail_family(monkeypatch, "hbos")
+    capsys.readouterr()
+    args = ["rank", "--dataset", str(corpus_dir / "halo.csv"), "--n-candidates", "3", "--seed", "5"]
+    args += ["--hv-samples", "1000", "--out", str(tmp_path / "r")]
+    log = tmp_path / "events.jsonl"
+    rc = main(args + ["--method", "meta", "--model", str(model), "--log-file", str(log)])
+    assert len(json.loads(capsys.readouterr().out)["candidates"]) == 3  # no candidate skipped
+    assert [e["algorithm"] for e in log_events(log) if e["event"] == "landmark_failed"] == ["hbos"]
+    assert rc == EXIT_PARTIAL
+    assert main(args + ["--method", "linear"]) == EXIT_OK  # the linear score uses no landmark
+
+
 def test_rank_deterministic_given_seed(tmp_path, corpus_dir, capsys):
     args = [
         "rank",

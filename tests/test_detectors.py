@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -317,6 +318,19 @@ def test_iforest_scorer_matches_naive_walk(case):
     assert np.all((det.scores(probes) > 0) & (det.scores(probes) <= 1))
 
 
+@pytest.mark.parametrize("case", ("default", "constant-column"))
+def test_iforest_query_on_a_threshold_goes_right(case):
+    # one probe per tree, lying exactly on that tree's root threshold
+    det, X = fit_forest(case)
+    model = det.model
+    feature, threshold, path = model.feature, model.threshold, model.path
+    probes = np.repeat(X[:1], model.n_trees, axis=0)
+    probes[np.arange(model.n_trees), feature[:, 0]] = threshold[:, 0]
+    expected_paths = iforest_mean_path(feature, threshold, path, probes)
+    c = max(float(model._avg_path(np.asarray([model.psi], dtype=np.float64))[0]), 1.0)
+    assert np.array_equal(det.scores(probes), np.power(2.0, -expected_paths / c))
+
+
 @pytest.mark.parametrize("case", FULL_SAMPLE_CASES)
 def test_iforest_leaves_hold_depth_plus_c_of_their_rows(case):
     # with psi = n every training row is in every tree, so the rows reaching
@@ -347,6 +361,42 @@ def test_iforest_same_seed_same_forest():
     for name in ("feature", "threshold", "path"):
         assert np.array_equal(getattr(a.model, name), getattr(b.model, name), equal_nan=True)
     assert not np.array_equal(a.model.threshold, c.model.threshold)
+
+
+# sha256 of feature (little-endian int64) and threshold (little-endian float64)
+# of fit_forest(case, seed=7). Both come from PCG64 draws and IEEE arithmetic
+# only, so they hold on every platform; a change to the order or number of
+# draws changes them.
+FOREST_DIGESTS = {
+    "default": (  # psi < n: rng.choice per tree; 100 trees, two groups
+        "1dd02eb6fa4af3569fe56302e85b63df563b222aaa6ee6e649186b08373c3ae6",
+        "5a718b8fcc3751f876e277ffaa986345167b2460afc3b86c0748b3e0e1435c6e",
+    ),
+    "psi-equals-n": (
+        "6589f8ba6501089ba827f0ba47973ae6328b71c01c111424b791032dfb9d8839",
+        "a8f6af23b98322f344bd1145a0fd37f421105bb070ca830342453f6bba87f1f3",
+    ),
+    "constant-column": (  # redraws the feature; 80 trees, two groups
+        "0559378e3ac104f4438c5f08a3fbb7939657a5f51432149b49f48272d6e13e98",
+        "653186202535d68264a4c20ecc8e6f1652b9389bce31dd705142c081626951fd",
+    ),
+    "all-duplicates": (
+        "0a4cdba6a632ec823ca6646927a8ab4bbb46c3527d84a5ea0f3c3cc23a019428",
+        "0a4cdba6a632ec823ca6646927a8ab4bbb46c3527d84a5ea0f3c3cc23a019428",
+    ),
+    "largest": (  # 300 trees, five groups
+        "a82a09a5c7221c64a6e9d944ecb30f7df8a565ed0edc85f6b14f2c87475265a1",
+        "9ff0837bb5f311cfd2e806f8760cb96683aef40ec603b8fec0e8b58de99b9f7c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_DIGESTS))
+def test_iforest_draw_order_is_pinned(case):
+    model = fit_forest(case, seed=7)[0].model
+    feature = hashlib.sha256(np.ascontiguousarray(model.feature, dtype="<i8").tobytes()).hexdigest()
+    threshold = hashlib.sha256(np.ascontiguousarray(model.threshold, dtype="<f8").tobytes()).hexdigest()
+    assert (feature, threshold) == FOREST_DIGESTS[case]
 
 
 @pytest.mark.parametrize("algorithm", ("knn", "lof", "kde", "iforest"))
@@ -382,6 +432,22 @@ def test_k_nearest_matches_stable_argsort(case, k):
     d = _distance_rows(case)
     want = np.argsort(d, axis=1, kind="stable")[:, :k]
     assert np.array_equal(detectors._k_nearest(d, k), want)
+
+
+def test_k_nearest_sorts_in_full_only_rows_with_a_tie_at_the_kth_distance(monkeypatch):
+    real_argsort = np.argsort
+    sorted_rows = []
+
+    def argsort(a, *args, **kwargs):
+        sorted_rows.append(1 if np.ndim(a) == 1 else np.shape(a)[0])
+        return real_argsort(a, *args, **kwargs)
+
+    d = np.random.default_rng(39).random((30, 40))  # distinct: every k-th distance is unique
+    d[7, 20] = np.sort(d[7])[4]  # row 7: its 5th distance recurs
+    want = real_argsort(d, axis=1, kind="stable")[:, :5]
+    monkeypatch.setattr(np, "argsort", argsort)
+    assert np.array_equal(detectors._k_nearest(d, 5), want)
+    assert sum(sorted_rows) == 1
 
 
 def test_k_nearest_orders_ties_by_index():

@@ -245,6 +245,17 @@ def test_best_split_matches_per_feature_oracle(case):
         assert got is None
 
 
+def test_node_stats_squares_the_sum_with_a_product():
+    # a numpy scalar power calls the C library's pow, which can round x**2
+    # differently from the IEEE product x * x; split gains must not depend on it
+    x = np.random.default_rng(51).standard_normal(100_000) * 1000
+    y = np.concatenate([x[:20], [v for v in x if np.float64(v) ** 2 != v * v]])
+    ones = np.ones(y.size, dtype=np.intp)
+    sums, _, parent = metamodel._node_stats(y, np.zeros(y.size), np.arange(y.size), ones)
+    assert np.array_equal(sums, y)
+    assert np.array_equal(parent, 0.0 - y * y / ones)
+
+
 def _forest_arrays(model):
     return [{f: getattr(t, f) for f in ("feature", "threshold", "left", "right", "value")} for t in model.trees]
 
