@@ -218,6 +218,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    """Rank random candidates; one that takes over `detector_budget_s` (in --config) is replaced."""
     cfg = _load_run_config(args, label_column=args.label_column, hv_samples=args.hv_samples)
     data = dataset.load_csv(args.dataset, cfg.label_column, labels_required=False)
     result = pipeline.rank_candidates(

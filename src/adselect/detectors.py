@@ -193,7 +193,15 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return d2
 
 
-class _KnnModel:
+class _Model:
+    """A portfolio model; ``train_scores`` gives the scores that set its threshold."""
+
+    def train_scores(self, X: np.ndarray) -> np.ndarray:
+        """Scores of the training rows X, which the model was fitted on."""
+        return self.query_scores(X)
+
+
+class _KnnModel(_Model):
     def __init__(self, X: np.ndarray, k: int, aggregation: str):
         self.X = X
         self.k = k
@@ -229,8 +237,9 @@ class _KnnModel:
             out[s : s + block.shape[0]] = np.sqrt(part)
         return out
 
-    def train_scores(self) -> np.ndarray:
-        return self._aggregate(self._knn_dists(self.X, exclude_self=True))
+    def train_scores(self, X: np.ndarray) -> np.ndarray:
+        """Leave-self-out: the k nearest other training rows."""
+        return self._aggregate(self._knn_dists(X, exclude_self=True))
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         return self._aggregate(self._knn_dists(Q, exclude_self=False))
@@ -262,7 +271,7 @@ def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
 _LRD_CAP = 1e10  # stands in for infinite local reachability density at duplicates
 
 
-class _LofModel:
+class _LofModel(_Model):
     def __init__(self, X: np.ndarray, k: int, kdist: np.ndarray):
         self.X = X
         self.k = k
@@ -296,7 +305,8 @@ class _LofModel:
         lrd[pos] = 1.0 / mean_reach[pos]
         return np.minimum(lrd, _LRD_CAP)
 
-    def train_scores(self) -> np.ndarray:
+    def train_scores(self, X: np.ndarray) -> np.ndarray:
+        """Leave-self-out LOF of the training rows, found during the fit."""
         return self._train_lof
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
@@ -312,7 +322,7 @@ class _LofModel:
         return out
 
 
-class _IsolationForest:
+class _IsolationForest(_Model):
     """Isolation forest (Liu, Ting & Zhou, ICDM 2008) stored level-major.
 
     Every tree is a complete binary tree of depth ``cap = ceil(log2 psi)``.
@@ -483,11 +493,8 @@ class _IsolationForest:
             out[s : s + rows] = np.power(2.0, -self._path_lengths(Q[s : s + rows]) / c)
         return out
 
-    def train_scores(self) -> np.ndarray:
-        return self.query_scores(self._train_X)
 
-
-class _HbosModel:
+class _HbosModel(_Model):
     def __init__(self, edges: list[np.ndarray | None], masses: list[np.ndarray], ranges: np.ndarray):
         self.edges = edges
         self.masses = masses
@@ -525,20 +532,14 @@ class _HbosModel:
         mass = self.masses[j][pos]
         return np.where((col >= mn) & (col <= mx), mass, 0.0)
 
-    def _score_block(self, Q: np.ndarray) -> np.ndarray:
+    def query_scores(self, Q: np.ndarray) -> np.ndarray:
         s = np.zeros(Q.shape[0])
         for j in range(Q.shape[1]):
             s -= np.log(np.maximum(self._feature_mass(Q[:, j], j), self._EPS))
         return s
 
-    def train_scores(self) -> np.ndarray:
-        return self.query_scores(self._train_X)
 
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        return self._score_block(Q)
-
-
-class _PcaModel:
+class _PcaModel(_Model):
     def __init__(self, mean: np.ndarray, components: np.ndarray):
         self.mean = mean
         self.components = components  # (m, d) orthonormal rows
@@ -561,9 +562,6 @@ class _PcaModel:
             m = min(m, vt.shape[0])
         return cls(mean, vt[:m])
 
-    def train_scores(self) -> np.ndarray:
-        return self.query_scores(self._train_X)
-
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         centered = Q - self.mean
         proj = centered @ self.components.T
@@ -571,7 +569,7 @@ class _PcaModel:
         return np.sum((centered - recon) ** 2, axis=1)
 
 
-class _GaussianModel:
+class _GaussianModel(_Model):
     def __init__(self, mean: np.ndarray, chol: np.ndarray):
         self.mean = mean
         self.chol = chol
@@ -585,16 +583,13 @@ class _GaussianModel:
         cov[np.diag_indices_from(cov)] += ridge
         return cls(mean, np.linalg.cholesky(cov))
 
-    def train_scores(self) -> np.ndarray:
-        return self.query_scores(self._train_X)
-
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         # squared Mahalanobis distance via triangular solve
         z = np.linalg.solve(self.chol, (Q - self.mean).T)
         return np.sum(z * z, axis=0)
 
 
-class _KdeModel:
+class _KdeModel(_Model):
     def __init__(self, X: np.ndarray, bandwidth: float):
         self.X = X
         self.h = bandwidth
@@ -603,7 +598,8 @@ class _KdeModel:
     def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_KdeModel":
         return cls(X, float(params["bandwidth"]))
 
-    def _neg_log_density(self, Q: np.ndarray) -> np.ndarray:
+    def query_scores(self, Q: np.ndarray) -> np.ndarray:
+        """Negative log of the gaussian kernel density estimate."""
         n, d = self.X.shape
         const = -np.log(n) - d * np.log(self.h) - 0.5 * d * np.log(2.0 * np.pi)
         out = np.empty(Q.shape[0])
@@ -615,12 +611,6 @@ class _KdeModel:
             lse = m + np.log(np.sum(np.exp(e - m[:, None]), axis=1))
             out[s : s + block.shape[0]] = -(lse + const)
         return out
-
-    def train_scores(self) -> np.ndarray:
-        return self.query_scores(self._train_X)
-
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        return self._neg_log_density(Q)
 
 
 _FITTERS: dict[str, Callable] = {
@@ -682,8 +672,7 @@ def fit(config: DetectorConfig, train: LabeledDataset) -> TrainedDetector:
         )
     X = canonical_rows(train.features)
     model = _FITTERS[config.algorithm](X, config.params, config.seed)
-    model._train_X = X
-    train_scores = np.asarray(model.train_scores(), dtype=np.float64)
+    train_scores = np.asarray(model.train_scores(X), dtype=np.float64)
     if not np.all(np.isfinite(train_scores)):
         raise FitError(f"{config.algorithm}: non-finite training scores")
     threshold = float(np.quantile(train_scores, 1.0 - config.contamination, method="linear"))

@@ -106,10 +106,6 @@ class MetaDataset:
             config_ids=[self.config_ids[i] for i in rows],
         )
 
-    def for_dataset(self, dataset_id: str) -> "MetaDataset":
-        rows = np.flatnonzero(np.asarray([d == dataset_id for d in self.dataset_ids]))
-        return self.subset(rows)
-
     @staticmethod
     def concat(parts: Sequence["MetaDataset"]) -> "MetaDataset":
         if not parts:
@@ -224,13 +220,64 @@ def _detector_features(
     hv_samples: int,
     mc_cv_test_fraction: float,
     mc_cv_repetitions: int,
-    seed: int,
+    hv_seed: int,
+    fpr_seed: int,
     fitter: Callable,
 ) -> tuple[TrainedDetector, DetectorFeatures]:
     det = fitter(config, train)
-    hv = estimate_hypervolume(det, ball, hv_samples, seed=seed)
-    fpr = mc_cv_fpr(config, train, mc_cv_test_fraction, mc_cv_repetitions, seed=seed, fitter=fitter)
+    hv = estimate_hypervolume(det, ball, hv_samples, seed=hv_seed)
+    fpr = mc_cv_fpr(config, train, mc_cv_test_fraction, mc_cv_repetitions, seed=fpr_seed, fitter=fitter)
     return det, DetectorFeatures(hypervolume=hv.fraction, fpr=fpr, config_id=config.config_id)
+
+
+# event names of each kind of featurization: (fit failed, over budget, retries exhausted)
+_EVENTS = {
+    "landmark": ("landmark_failed", "landmark_timeout", None),
+    "detector": ("detector_replaced", "detector_timeout", "instance_skipped"),
+    "candidate": ("candidate_replaced", "candidate_timeout", "candidate_skipped"),
+}
+
+
+def random_draw(seed: int, dataset_id: str, index: int, config_key: str, hv_key: str, fpr_key: str) -> Callable:
+    """attempt -> (config, hv_seed, fpr_seed) of the index-th random detector of a dataset."""
+    return lambda attempt: (
+        detectors.sample_random_config(rng_from(seed, dataset_id, config_key, index, attempt)),
+        seed_from(seed, dataset_id, hv_key, index, attempt),
+        seed_from(seed, dataset_id, fpr_key, index, attempt),
+    )
+
+
+def featurize(
+    kind: str, draw: Callable[[int], tuple[DetectorConfig, int, int]], train: LabeledDataset,
+    ball: EnclosingBall, hv_samples: int, mc_cv_test_fraction: float, mc_cv_repetitions: int,
+    retries: int, budget_s: float, fitter: Callable, **where,
+) -> tuple[DetectorConfig, TrainedDetector, DetectorFeatures] | None:
+    """Features of the first drawn config that fits and finishes within budget_s.
+
+    Attempt a featurizes ``draw(a)``. A FitError, or a wall time over
+    budget_s (checked once the attempt has finished), logs the kind's
+    failure or timeout event and moves on. After retries + 1 failed attempts
+    the kind's skip event is logged and None returned. The `where` fields
+    (dataset, algorithm or index) go into every event.
+    """
+    failed, timeout, skipped = _EVENTS[kind]
+    for attempt in range(retries + 1):
+        config, hv_seed, fpr_seed = draw(attempt)
+        t0 = time.monotonic()
+        try:
+            det, feats = _detector_features(
+                config, train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions, hv_seed, fpr_seed, fitter
+            )
+        except FitError as exc:
+            log_event(failed, **where, attempt=attempt, config=config.config_id, reason=str(exc))
+            continue
+        if time.monotonic() - t0 > budget_s:
+            log_event(timeout, **where, attempt=attempt, config=config.config_id, budget_s=budget_s)
+            continue
+        return config, det, feats
+    if skipped is not None:
+        log_event(skipped, **where, retries=retries)
+    return None
 
 
 def build_landmarks(
@@ -253,20 +300,12 @@ def build_landmarks(
 
     def one(config: DetectorConfig) -> tuple[str, tuple[float, float] | None]:
         alg = config.algorithm
-        t0 = time.monotonic()
-        try:
-            _, feats = _detector_features(
-                config, train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions,
-                seed=seed_from(seed, dataset_id, "landmark", alg),
-                fitter=fitter,
-            )
-        except FitError as exc:
-            log_event("landmark_failed", dataset=dataset_id, algorithm=alg, reason=str(exc))
-            return alg, None
-        if time.monotonic() - t0 > budget_s:
-            log_event("landmark_timeout", dataset=dataset_id, algorithm=alg, budget_s=budget_s)
-            return alg, None
-        return alg, (feats.hypervolume, feats.fpr)
+        s = seed_from(seed, dataset_id, "landmark", alg)
+        got = featurize(
+            "landmark", lambda attempt: (config, s, s), train, ball, hv_samples, mc_cv_test_fraction,
+            mc_cv_repetitions, retries=0, budget_s=budget_s, fitter=fitter, dataset=dataset_id, algorithm=alg,
+        )
+        return alg, None if got is None else (got[2].hypervolume, got[2].fpr)
 
     results = pmap(one, detectors.default_configs(), jobs)
     return LandmarkVector(dataset_id=dataset_id, entries=dict(results))
@@ -291,40 +330,23 @@ def build_detector_instance(
     the old one, up to `budgets.retries` times; exhaustion skips the
     instance with a logged reason.
     """
-    for attempt in range(budgets.retries + 1):
-        config = detectors.sample_random_config(
-            rng_from(seed, dataset_id, "detector", index, attempt)
-        )
-        t0 = time.monotonic()
-        try:
-            det, feats = _detector_features(
-                config, split.train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions,
-                seed=seed_from(seed, dataset_id, "detector-features", index, attempt),
-                fitter=fitter,
-            )
-        except FitError as exc:
-            log_event(
-                "detector_replaced", dataset=dataset_id, index=index, attempt=attempt,
-                config=config.config_id, reason=str(exc),
-            )
-            continue
-        if time.monotonic() - t0 > budgets.detector_timeout_s:
-            log_event(
-                "detector_timeout", dataset=dataset_id, index=index, attempt=attempt,
-                config=config.config_id, budget_s=budgets.detector_timeout_s,
-            )
-            continue
-        predicted = det.predict_many(split.test.features)
-        target = scaled_mcc(mcc(confusion_counts(predicted, split.test.labels)))
-        return MetaInstance(
-            landmarks=landmarks,
-            detector=feats,
-            target_scaled_mcc=target,
-            dataset_id=dataset_id,
-            config_id=config.config_id,
-        )
-    log_event("instance_skipped", dataset=dataset_id, index=index, retries=budgets.retries)
-    return None
+    got = featurize(
+        "detector",
+        random_draw(seed, dataset_id, index, "detector", "detector-features", "detector-features"),
+        split.train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions,
+        budgets.retries, budgets.detector_timeout_s, fitter, dataset=dataset_id, index=index,
+    )
+    if got is None:
+        return None
+    config, det, feats = got
+    predicted = det.predict_many(split.test.features)
+    return MetaInstance(
+        landmarks=landmarks,
+        detector=feats,
+        target_scaled_mcc=scaled_mcc(mcc(confusion_counts(predicted, split.test.labels))),
+        dataset_id=dataset_id,
+        config_id=config.config_id,
+    )
 
 
 def assemble_meta_dataset(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,12 +24,13 @@ from .features import (
     assemble_meta_dataset,
     build_detector_instance,
     build_landmarks,
-    mc_cv_fpr,
+    featurize,
     meta_columns,
+    random_draw,
 )
-from .hypervolume import estimate_hypervolume, fit_enclosing_ball
+from .hypervolume import fit_enclosing_ball
 from .metamodel import MetaModel, load_model
-from .util import dump_json, fmt_float, load_json, log_event, pmap, rng_from, seed_from
+from .util import dump_json, fmt_float, load_json, log_event, pmap, rng_from
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,14 @@ def _write_detectors_csv(path: str, meta: MetaDataset) -> None:
             )
 
 
+def _landmarks(train: ds.LabeledDataset, ball, dataset_id: str, cfg: RunConfig) -> LandmarkVector:
+    """The dataset's landmark vector under the run's HV, MC-CV and budget settings."""
+    return build_landmarks(
+        train, ball, dataset_id, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
+        cfg.seed, cfg.landmark_budget_s, jobs=cfg.jobs,
+    )
+
+
 def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     """Produce (or reuse) one base dataset's meta-dataset and its artifacts.
 
@@ -167,17 +176,7 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     os.makedirs(out, exist_ok=True)
     split = assimilate_split(data, cfg)
     ball = fit_enclosing_ball(split.train.features)
-    landmarks = build_landmarks(
-        split.train,
-        ball,
-        dataset_id=data.name,
-        hv_samples=cfg.hv_samples,
-        mc_cv_test_fraction=cfg.mc_cv_test_fraction,
-        mc_cv_repetitions=cfg.mc_cv_repetitions,
-        seed=cfg.seed,
-        budget_s=cfg.landmark_budget_s,
-        jobs=cfg.jobs,
-    )
+    landmarks = _landmarks(split.train, ball, data.name, cfg)
 
     def one(i: int):
         return build_detector_instance(
@@ -208,11 +207,7 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
             "fingerprint": fingerprint,
             "seed": cfg.seed,
             "portfolio_version": PORTFOLIO_VERSION,
-            "budgets": {
-                "landmark_timeout_s": cfg.landmark_budget_s,
-                "detector_timeout_s": cfg.detector_budget_s,
-                "retries": cfg.retries,
-            },
+            "budgets": asdict(cfg.budgets()),
             "hv_samples": cfg.hv_samples,
             "n_random_detectors": cfg.n_random_detectors,
             "files": ["split_manifest.json", "landmarks.csv", "detectors.csv", "meta.csv"],
@@ -245,11 +240,7 @@ def assimilate_all(datasets: list[ds.LabeledDataset], cfg: RunConfig) -> list[Me
             "hv_samples": cfg.hv_samples,
             "n_random_detectors": cfg.n_random_detectors,
             "mc_cv": {"test_fraction": cfg.mc_cv_test_fraction, "repetitions": cfg.mc_cv_repetitions},
-            "budgets": {
-                "landmark_timeout_s": cfg.landmark_budget_s,
-                "detector_timeout_s": cfg.detector_budget_s,
-                "retries": cfg.retries,
-            },
+            "budgets": asdict(cfg.budgets()),
         },
         os.path.join(cfg.out_dir, "assimilation_manifest.json"),
     )
@@ -353,36 +344,6 @@ class RecommendationResult:
         }
 
 
-def _candidate_features(
-    train: ds.LabeledDataset,
-    ball,
-    cfg: RunConfig,
-    index: int,
-) -> tuple[DetectorConfig, float, float] | None:
-    for attempt in range(cfg.retries + 1):
-        config = detectors.sample_random_config(
-            rng_from(cfg.seed, train.name, "candidate", index, attempt)
-        )
-        try:
-            det = detectors.fit(config, train)
-            hv = estimate_hypervolume(
-                det, ball, cfg.hv_samples, seed=seed_from(cfg.seed, train.name, "candidate-hv", index, attempt)
-            )
-            fpr = mc_cv_fpr(
-                config,
-                train,
-                cfg.mc_cv_test_fraction,
-                cfg.mc_cv_repetitions,
-                seed=seed_from(cfg.seed, train.name, "candidate-fpr", index, attempt),
-            )
-        except FitError as exc:
-            log_event("candidate_replaced", index=index, attempt=attempt, reason=str(exc))
-            continue
-        return config, hv.fraction, fpr
-    log_event("candidate_skipped", index=index, retries=cfg.retries)
-    return None
-
-
 def rank_candidates(
     data: ds.LabeledDataset,
     cfg: RunConfig,
@@ -393,7 +354,9 @@ def rank_candidates(
     """Sample candidate configs, compute their features, and rank them.
 
     `data` is treated as normal-only: any labeled anomalies are ignored with
-    a warning. method "linear" needs no model file; "meta" loads one.
+    a warning. A candidate that fails to fit or takes over
+    `cfg.detector_budget_s` is replaced, up to `cfg.retries` times. method
+    "linear" needs no model file; "meta" loads one.
     """
     if method not in ("linear", "meta"):
         raise ConfigError(f"unknown ranking method {method!r}; use linear or meta")
@@ -418,13 +381,17 @@ def rank_candidates(
     train = ds.apply_scaler(scaler, normal_only)
     ball = fit_enclosing_ball(train.features)
 
-    feats = [
-        r
-        for r in pmap(
-            lambda i: _candidate_features(train, ball, cfg, i), list(range(n_candidates)), cfg.jobs
+    def candidate(index: int) -> tuple[DetectorConfig, float, float] | None:
+        got = featurize(
+            "candidate",
+            random_draw(cfg.seed, train.name, index, "candidate", "candidate-hv", "candidate-fpr"),
+            train, ball, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
+            cfg.retries, cfg.detector_budget_s, detectors.fit, dataset=train.name, index=index,
         )
-        if r is not None
-    ]
+        # keep the features only: the fitted models of all candidates are never held at once
+        return None if got is None else (got[0], got[2].hypervolume, got[2].fpr)
+
+    feats = [r for r in pmap(candidate, list(range(n_candidates)), cfg.jobs) if r is not None]
     if not feats:
         raise DataError("no candidate detector could be fitted")
 
@@ -432,17 +399,7 @@ def rank_candidates(
     if method == "linear":
         scored = [(config, ranking.lc_score(hv, fpr)) for config, hv, fpr in feats]
     else:
-        landmarks = build_landmarks(
-            train,
-            ball,
-            dataset_id=data.name,
-            hv_samples=cfg.hv_samples,
-            mc_cv_test_fraction=cfg.mc_cv_test_fraction,
-            mc_cv_repetitions=cfg.mc_cv_repetitions,
-            seed=cfg.seed,
-            budget_s=cfg.landmark_budget_s,
-            jobs=cfg.jobs,
-        )
+        landmarks = _landmarks(train, ball, data.name, cfg)
         absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
         lm_row = [np.nan if v is None else v for v in landmarks.as_row()]
         rows = [lm_row + [hv, fpr] for _, hv, fpr in feats]

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -216,6 +217,32 @@ def test_rank_exits_partial_when_a_candidate_is_skipped(tmp_path, corpus_dir, ca
     rc = main(args + ["--seed", "5", "--hv-samples", "1000", "--out", str(tmp_path / "r")])
     payload = json.loads(capsys.readouterr().out)
     assert 0 < len(payload["candidates"]) < 4
+    assert rc == EXIT_PARTIAL
+
+
+def test_rank_replaces_a_candidate_over_its_detector_budget(tmp_path, corpus_dir, capsys, monkeypatch):
+    slow = features.random_draw(5, "halo", 0, "candidate", "candidate-hv", "candidate-fpr")(0)[0]
+    real = detectors._FITTERS[slow.algorithm]
+    slept = []
+
+    def sleepy(X, params, seed):  # the family's first fit, candidate 0's, sleeps past the budget
+        if not slept:
+            slept.append(seed)
+            time.sleep(2.5)
+        return real(X, params, seed)
+
+    monkeypatch.setitem(detectors._FITTERS, slow.algorithm, sleepy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retries": 0, "detector_budget_s": 1.0, "mc_cv_repetitions": 3}))
+    log = tmp_path / "events.jsonl"
+    args = ["rank", "--config", str(cfg), "--dataset", str(corpus_dir / "halo.csv"), "--n-candidates", "4"]
+    rc = main(args + ["--seed", "5", "--hv-samples", "1000", "--out", str(tmp_path / "r"), "--log-file", str(log)])
+    assert len(json.loads(capsys.readouterr().out)["candidates"]) == 3
+    events = [e for e in log_events(log) if e["event"].startswith("candidate_")]
+    assert [{k: e[k] for k in ("event", "index", "attempt", "config", "budget_s")} for e in events[:1]] == [
+        {"event": "candidate_timeout", "index": 0, "attempt": 0, "config": slow.config_id, "budget_s": 1.0}
+    ]
+    assert events[1:] == [{"event": "candidate_skipped", "dataset": "halo", "index": 0, "retries": 0}]
     assert rc == EXIT_PARTIAL
 
 

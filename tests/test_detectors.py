@@ -120,6 +120,24 @@ def test_knn_threshold_equals_brute_force_quantile():
     assert det.threshold == pytest.approx(np.quantile(loo, 0.9, method="linear"), abs=1e-12)
 
 
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_threshold_is_linear_quantile_of_train_scores(algorithm, draw):
+    # training scores: leave-self-out for knn and lof, query scores of the fitted rows otherwise
+    data = normals(90, dim=3, seed=20 + draw)
+    cfg = sample_random_config(np.random.default_rng([draw, ALGORITHMS.index(algorithm)]), algorithm=algorithm)
+    det = fit(cfg, data)
+    X = detectors.canonical_rows(data.features)
+    if algorithm == "knn":
+        s = knn_scores_sorted(X, None, cfg.params["k"], cfg.params["aggregation"])
+    elif algorithm == "lof":
+        s, _ = lof_full_matrix(X, cfg.params["n_neighbors"], X[:1], lrd_cap=detectors._LRD_CAP)
+    else:
+        s = det.model.query_scores(X)
+    want = np.quantile(s, 1.0 - cfg.contamination, method="linear")
+    assert np.float64(det.threshold).tobytes() == want.tobytes()
+
+
 def test_knn_needs_more_rows_than_k():
     one = normals(1, dim=2, seed=2)
     with pytest.raises(FitError, match="knn"):
@@ -465,7 +483,7 @@ def test_knn_scores_match_sorted_oracle(case, aggregation):
     Q = np.vstack([X[:15], rng.integers(-1, 4, (30, 3)).astype(np.float64), rng.standard_normal((30, 3))])
     for k in (1, 2, 59):  # k = n - 1: every other training row is a neighbour
         model = detectors._KnnModel.fit(X, {"k": k, "aggregation": aggregation}, seed=0)
-        assert model.train_scores().tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes(), k
+        assert model.train_scores(X).tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes(), k
         assert model.query_scores(Q).tobytes() == knn_scores_sorted(X, Q, k, aggregation).tobytes(), k
 
 
@@ -481,7 +499,7 @@ def test_lof_scores_match_full_matrix_oracle(case):
     for k in (1, 5, 20, 89):
         model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
         train, query = lof_full_matrix(X, k, Q, lrd_cap=detectors._LRD_CAP)
-        assert model.train_scores().tobytes() == train.tobytes(), k
+        assert model.train_scores(X).tobytes() == train.tobytes(), k
         assert model.query_scores(Q).tobytes() == query.tobytes(), k
 
 

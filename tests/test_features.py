@@ -1,9 +1,10 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adselect import detectors
+from adselect import detectors, features
 from adselect.dataset import LabeledDataset
 from adselect.errors import DataError, FitError
 from adselect.features import (
@@ -17,9 +18,10 @@ from adselect.features import (
     mc_cv_fpr,
     mc_cv_fpr_rates,
     meta_columns,
+    random_draw,
 )
 from adselect.hypervolume import fit_enclosing_ball
-from adselect.pipeline import assimilate_split, RunConfig
+from adselect.pipeline import assimilate_split, rank_candidates, RunConfig
 
 from conftest import make_dataset
 from oracles import ConstantDetector
@@ -254,6 +256,102 @@ def test_instance_skipped_when_retries_exhausted():
         budgets=FeatureBudgets(retries=2), fitter=always_fail,
     )
     assert inst is None
+
+
+# ---------------------------------------------------------------------------
+# the attempt loop's events
+
+
+def recorded_events(monkeypatch):
+    events = []
+    monkeypatch.setattr(features, "log_event", lambda event, **fields: events.append({"event": event, **fields}))
+    return events
+
+
+def scripted_fitter(monkeypatch, fails=(), slow=()):
+    """detectors.fit, but FitError for configs in `fails` and 100 s of a fake clock for `slow`."""
+    clock = [0.0]
+    monkeypatch.setattr(features, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    real_fit = detectors.fit
+
+    def fitter(config, train):
+        if config.config_id in fails:
+            raise FitError("scripted failure")
+        if config.config_id in slow:
+            clock[0] += 100.0
+        return real_fit(config, train)
+
+    return fitter
+
+
+def without_reason(events):
+    return [{k: v for k, v in e.items() if k != "reason"} for e in events]
+
+
+def test_landmark_events_name_the_algorithm(monkeypatch):
+    ids = {c.algorithm: c.config_id for c in detectors.default_configs()}
+    fitter = scripted_fitter(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
+    events = recorded_events(monkeypatch)
+    data = all_normal(60, seed=8)
+    lv = build_landmarks(
+        data, ball_for(data), dataset_id="d", hv_samples=500, seed=1, mc_cv_repetitions=2, budget_s=5.0,
+        fitter=fitter,
+    )
+    assert [alg for alg, v in lv.entries.items() if v is None] == ["lof", "kde"]
+    assert all(e["reason"] == "scripted failure" for e in events if e["event"] == "landmark_failed")
+    assert without_reason(events) == [  # one attempt each, and no skip event
+        {"event": "landmark_failed", "dataset": "d", "algorithm": "lof", "attempt": 0, "config": ids["lof"]},
+        {"event": "landmark_timeout", "dataset": "d", "algorithm": "kde", "attempt": 0, "config": ids["kde"],
+         "budget_s": 5.0},
+    ]
+
+
+@pytest.mark.parametrize("exhausted", (False, True))
+def test_detector_events_name_each_attempt(monkeypatch, exhausted):
+    split = toy_split(3)
+    draw = random_draw(7, "toy", 2, "detector", "detector-features", "detector-features")
+    ids = [draw(a)[0].config_id for a in range(3)]
+    fitter = scripted_fitter(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
+    events = recorded_events(monkeypatch)
+    inst = build_detector_instance(
+        split, fit_enclosing_ball(split.train.features), dummy_landmarks(), dataset_id="toy", index=2,
+        hv_samples=500, mc_cv_repetitions=2, seed=7, budgets=FeatureBudgets(detector_timeout_s=5.0, retries=2),
+        fitter=fitter,
+    )
+    where = {"dataset": "toy", "index": 2}
+    if exhausted:
+        assert inst is None
+        assert without_reason(events) == [
+            {"event": "detector_replaced", **where, "attempt": a, "config": ids[a]} for a in range(3)
+        ] + [{"event": "instance_skipped", **where, "retries": 2}]
+    else:
+        assert inst.config_id == ids[2]
+        assert without_reason(events) == [
+            {"event": "detector_replaced", **where, "attempt": 0, "config": ids[0]},
+            {"event": "detector_timeout", **where, "attempt": 1, "config": ids[1], "budget_s": 5.0},
+        ]
+
+
+def test_candidate_events_name_each_attempt(monkeypatch):
+    cfg = RunConfig(seed=3, hv_samples=500, mc_cv_repetitions=2, retries=2, detector_budget_s=5.0)
+    ids = [
+        [random_draw(3, "cand", i, "candidate", "candidate-hv", "candidate-fpr")(a)[0].config_id for a in range(3)]
+        for i in range(2)
+    ]
+    # candidate 0 fails, then overruns, then fits; candidate 1 fails every attempt
+    monkeypatch.setattr(
+        detectors, "fit", scripted_fitter(monkeypatch, fails={ids[0][0], *ids[1]}, slow={ids[0][1]})
+    )
+    events = recorded_events(monkeypatch)
+    result = rank_candidates(all_normal(100, name="cand"), cfg, "linear", n_candidates=2)
+    assert [c.config_id for c, _ in result.entries] == [ids[0][2]]
+    where = {"dataset": "cand"}
+    assert without_reason(events) == [
+        {"event": "candidate_replaced", **where, "index": 0, "attempt": 0, "config": ids[0][0]},
+        {"event": "candidate_timeout", **where, "index": 0, "attempt": 1, "config": ids[0][1], "budget_s": 5.0},
+    ] + [
+        {"event": "candidate_replaced", **where, "index": 1, "attempt": a, "config": ids[1][a]} for a in range(3)
+    ] + [{"event": "candidate_skipped", **where, "index": 1, "retries": 2}]
 
 
 # ---------------------------------------------------------------------------
