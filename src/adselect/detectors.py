@@ -176,21 +176,78 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ELEMENTS // width)
 
 
-def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, (len(A), len(B)), summed feature by feature.
+def _pairwise_sq_dists(A: np.ndarray, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances of A's rows to n training rows, summed feature by feature.
 
-    Each entry depends on its own pair of rows only, so scores do not change
-    with the query block size. A BLAS product would not do: its kernel and
-    summation order vary with the number of rows.
+    ``cols`` holds the training rows transposed, (d, n) and C-contiguous.
+    The distances are written to ``out[:len(A)]``, which is returned; ``tmp``
+    is scratch of the same shape. Both are caller-owned and reused across
+    blocks. Each entry depends on its own pair of rows only, so scores do not
+    change with the query block size. No score comes from a BLAS product,
+    whose kernel and summation order vary with the number of rows and
+    threads: BLAS only bounds distances, in ``_sq_dist_bounds``.
     """
-    cols = np.ascontiguousarray(B.T)
-    d2 = np.subtract(A[:, :1], cols[0])
+    m = A.shape[0]
+    d2, diff = out[:m], tmp[:m]
+    np.subtract(A[:, :1], cols[0], out=d2)
     d2 *= d2
     for j in range(1, A.shape[1]):
-        diff = np.subtract(A[:, j : j + 1], cols[j])
+        np.subtract(A[:, j : j + 1], cols[j], out=diff)
         diff *= diff
         d2 += diff
     return d2
+
+
+def _by_blocks(Q: np.ndarray, width: int, score_block: Callable) -> np.ndarray:
+    """Scores of Q's rows from ``score_block(block, out, tmp)``, block by block.
+
+    A block holds ``_block_rows(width)`` rows. Every block reuses one pair of
+    (rows x width) buffers, ``out`` and ``tmp``.
+    """
+    rows = min(_block_rows(width), max(Q.shape[0], 1))
+    out, tmp = np.empty((rows, width)), np.empty((rows, width))
+    scores = np.empty(Q.shape[0])
+    for s in range(0, Q.shape[0], rows):
+        scores[s : s + rows] = score_block(Q[s : s + rows], out, tmp)
+    return scores
+
+
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_TINY = np.finfo(np.float64).tiny  # smallest normal: bounds the absolute error of an underflow
+
+
+def _sq_dist_bounds(qc: np.ndarray, w: np.ndarray, radius: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per query row from one BLAS product: lo is at most the row's
+    smallest squared distance as ``_pairwise_sq_dists`` computes it, and hi at
+    least every one of them.
+
+    ``qc`` holds the query rows and ``w`` stacks ``-2 x.T`` over ``|x|^2``, for
+    x the training rows, both centred on the training mean; ``radius`` is the
+    largest ``|x|``. The product ``[q, 1] @ w`` gives ``|x|^2 - 2 q.x``.
+
+    Error bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
+    u the unit roundoff, gamma_n = n u / (1 - n u), S = (|q| + radius)^2):
+      * the length-(d+1) product, ``|x|^2`` and ``|q|^2`` each err by at most
+        gamma_{d+1} times the sum of their terms' magnitudes, together at most
+        2 gamma_{d+2} S for every training row;
+      * centring moves q - x by at most u (|q| + |x|), so |q - x|^2 by 2u S;
+      * adding ``|q|^2`` to the row minimum rounds once more, by u S.
+    So ``err = (2d + 16) u S`` (with room for rounding S itself) plus
+    (4d + 16) underflows makes ``min_j(...) + |q|^2 - err`` a lower bound on the
+    smallest exact squared distance. The feature-by-feature sum of d rounded
+    squares of rounded differences lies within a factor (1 - u)^(d+2) of the
+    exact one, and the final subtraction and product round twice: the factor
+    ``1 - (d + 8) u`` covers all three. Every distance, exact or computed, is
+    at most (1 + d u) S, which hi = 2 S bounds. A NaN or infinite input gives
+    a NaN or infinite bound, which settles nothing.
+    """
+    m, d = qc.shape
+    q2 = np.einsum("ij,ij->i", qc, qc)
+    near = np.matmul(np.hstack([qc, np.ones((m, 1))]), w, out=out[:m]).min(axis=1)
+    scale = (np.sqrt(q2) + radius) ** 2
+    err = (2 * d + 16) * _U * scale + (4 * d + 16) * _TINY
+    lo = np.maximum(near + q2 - err, 0.0) * (1.0 - (d + 8) * _U)
+    return lo, 2.0 * scale
 
 
 class _Model:
@@ -200,10 +257,56 @@ class _Model:
         """Scores of the training rows X, which the model was fitted on."""
         return self.query_scores(X)
 
+    def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
+        """Scores of Q's rows, where a row proven to score above ``above`` may
+        get a lower bound of its score instead, itself above ``above``."""
+        return self.query_scores(Q)
 
-class _KnnModel(_Model):
-    def __init__(self, X: np.ndarray, k: int, aggregation: str):
+
+class _DistanceModel(_Model):
+    """A model scored from each query row's squared distances to its training rows.
+
+    Subclasses give ``_block_scores(block, out, tmp)``, the exact scores of
+    one query block, and ``_score_floor(lo, hi)``, a lower bound on a row's
+    computed score from the bounds of ``_sq_dist_bounds``, or None to score
+    every row exactly.
+    """
+
+    def __init__(self, X: np.ndarray):
         self.X = X
+        self._cols = np.ascontiguousarray(X.T)
+
+    def query_scores(self, Q: np.ndarray) -> np.ndarray:
+        return _by_blocks(Q, self.X.shape[0], self._block_scores)
+
+    def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
+        """Bound and refine: one BLAS product per block bounds every row's
+        score from below; a row whose finite bound exceeds ``above`` keeps it,
+        and the other rows are scored exactly, gathered as a sub-block. An exact
+        score depends on its own row only, so ``decision_scores(Q, t) > t``
+        equals ``query_scores(Q) > t`` bit for bit."""
+        if self._score_floor is None:
+            return self.query_scores(Q)
+        mean = self.X.mean(axis=0)
+        xc = self.X - mean
+        x2 = np.einsum("ij,ij->i", xc, xc)
+        w = np.vstack([-2.0 * xc.T, x2])
+        radius = np.sqrt(x2.max())
+
+        def block(b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite bound settles nothing
+                floor = self._score_floor(*_sq_dist_bounds(b - mean, w, radius, out))
+            refine = ~(np.isfinite(floor) & (floor > above))
+            if refine.any():
+                floor[refine] = self._block_scores(b[refine], out, tmp)
+            return floor
+
+        return _by_blocks(Q, self.X.shape[0], block)
+
+
+class _KnnModel(_DistanceModel):
+    def __init__(self, X: np.ndarray, k: int, aggregation: str):
+        super().__init__(X)
         self.k = k
         self.aggregation = aggregation
 
@@ -214,35 +317,27 @@ class _KnnModel(_Model):
             raise FitError(f"knn with k={k} needs more than {k} training rows, got {X.shape[0]}")
         return cls(X, k, str(params["aggregation"]))
 
-    def _aggregate(self, dists: np.ndarray) -> np.ndarray:
-        # dists: (m, k) ascending k smallest, or (m, 1) holding the k-th for "largest"
-        if self.aggregation == "largest":
-            return dists[:, -1]
-        if self.aggregation == "mean":
-            return dists.mean(axis=1)
-        return np.median(dists, axis=1)
-
-    def _knn_dists(self, Q: np.ndarray, exclude_self: bool) -> np.ndarray:
+    def _block_scores(self, block: np.ndarray, out: np.ndarray, tmp: np.ndarray, exclude_self: bool = False) -> np.ndarray:
         k_eff = self.k + 1 if exclude_self else self.k
-        largest = self.aggregation == "largest"
-        out = np.empty((Q.shape[0], 1 if largest else self.k))
-        rows = _block_rows(self.X.shape[0])
-        for s in range(0, Q.shape[0], rows):
-            block = Q[s : s + rows]
-            d2 = _pairwise_sq_dists(block, self.X)
-            if largest:  # the k_eff-th smallest alone: no sort
-                part = d2.min(axis=1, keepdims=True) if k_eff == 1 else np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
-            else:  # mean and median sum in order: sort the k_eff nearest, drop the self-distance
-                part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)[:, k_eff - self.k :]
-            out[s : s + block.shape[0]] = np.sqrt(part)
-        return out
+        d2 = _pairwise_sq_dists(block, self._cols, out, tmp)
+        if self.aggregation == "largest":  # the k_eff-th smallest alone: no sort
+            if k_eff == 1:
+                return np.sqrt(d2.min(axis=1))
+            d2.partition(k_eff - 1, axis=1)
+            return np.sqrt(d2[:, k_eff - 1])
+        # mean and median sum in order: sort the k_eff nearest, drop the self-distance
+        d2.partition(k_eff - 1, axis=1)
+        dists = np.sqrt(np.sort(d2[:, :k_eff], axis=1)[:, k_eff - self.k :])
+        return dists.mean(axis=1) if self.aggregation == "mean" else np.median(dists, axis=1)
+
+    def _score_floor(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # Every aggregation of k distances, each at least sqrt(lo) as sqrt and
+        # the sum are monotone, is at least sqrt(lo) less k + 1 roundings.
+        return np.sqrt(lo) * (1.0 - (self.k + 4) * _U)
 
     def train_scores(self, X: np.ndarray) -> np.ndarray:
         """Leave-self-out: the k nearest other training rows."""
-        return self._aggregate(self._knn_dists(X, exclude_self=True))
-
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        return self._aggregate(self._knn_dists(Q, exclude_self=False))
+        return _by_blocks(X, X.shape[0], lambda b, out, tmp: self._block_scores(b, out, tmp, exclude_self=True))
 
 
 def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
@@ -271,9 +366,13 @@ def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
 _LRD_CAP = 1e10  # stands in for infinite local reachability density at duplicates
 
 
-class _LofModel(_Model):
+class _LofModel(_DistanceModel):
+    # The cheap bound, min lrd times the nearest distance, settles too few ball
+    # points to pay for the filter: LOF always scores exactly.
+    _score_floor = None
+
     def __init__(self, X: np.ndarray, k: int, kdist: np.ndarray):
-        self.X = X
+        super().__init__(X)
         self.k = k
         self.kdist = kdist
 
@@ -286,8 +385,11 @@ class _LofModel(_Model):
         order = np.empty((n, k), dtype=np.intp)
         ndist = np.empty((n, k))
         rows = _block_rows(n)
+        cols = np.ascontiguousarray(X.T)
+        out, tmp = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
         for s in range(0, n, rows):
-            d = np.sqrt(_pairwise_sq_dists(X[s : s + rows], X))
+            d = _pairwise_sq_dists(X[s : s + rows], cols, out, tmp)
+            np.sqrt(d, out=d)
             m = d.shape[0]
             d[np.arange(m), np.arange(s, s + m)] = np.inf  # a row is not its own neighbour
             order[s : s + m] = _k_nearest(d, k)
@@ -309,17 +411,12 @@ class _LofModel(_Model):
         """Leave-self-out LOF of the training rows, found during the fit."""
         return self._train_lof
 
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(Q.shape[0])
-        rows = _block_rows(self.X.shape[0])
-        for s in range(0, Q.shape[0], rows):
-            block = Q[s : s + rows]
-            d = np.sqrt(_pairwise_sq_dists(block, self.X))
-            order = _k_nearest(d, self.k)
-            ndist = np.take_along_axis(d, order, axis=1)
-            lrd_q = self._lrd_from(ndist, order)
-            out[s : s + block.shape[0]] = self._lrd[order].mean(axis=1) / lrd_q
-        return out
+    def _block_scores(self, block: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        d = _pairwise_sq_dists(block, self._cols, out, tmp)
+        np.sqrt(d, out=d)
+        order = _k_nearest(d, self.k)
+        ndist = np.take_along_axis(d, order, axis=1)
+        return self._lrd[order].mean(axis=1) / self._lrd_from(ndist, order)
 
 
 class _IsolationForest(_Model):
@@ -589,28 +686,47 @@ class _GaussianModel(_Model):
         return np.sum(z * z, axis=0)
 
 
-class _KdeModel(_Model):
+class _KdeModel(_DistanceModel):
     def __init__(self, X: np.ndarray, bandwidth: float):
-        self.X = X
+        super().__init__(X)
         self.h = bandwidth
 
     @classmethod
     def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_KdeModel":
         return cls(X, float(params["bandwidth"]))
 
-    def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        """Negative log of the gaussian kernel density estimate."""
+    def _log_norm(self) -> float:
         n, d = self.X.shape
-        const = -np.log(n) - d * np.log(self.h) - 0.5 * d * np.log(2.0 * np.pi)
-        out = np.empty(Q.shape[0])
-        rows = _block_rows(self.X.shape[0])
-        for s in range(0, Q.shape[0], rows):
-            block = Q[s : s + rows]
-            e = -_pairwise_sq_dists(block, self.X) / (2.0 * self.h**2)
-            m = e.max(axis=1)
-            lse = m + np.log(np.sum(np.exp(e - m[:, None]), axis=1))
-            out[s : s + block.shape[0]] = -(lse + const)
-        return out
+        return -np.log(n) - d * np.log(self.h) - 0.5 * d * np.log(2.0 * np.pi)
+
+    def _block_scores(self, block: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Negative log of the gaussian kernel density estimate."""
+        e = _pairwise_sq_dists(block, self._cols, out, tmp)
+        np.negative(e, out=e)
+        e /= 2.0 * self.h**2
+        m = e.max(axis=1)
+        e -= m[:, None]
+        np.exp(e, out=e)
+        return -(m + np.log(e.sum(axis=1)) + self._log_norm())
+
+    def _score_floor(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # The score is -(m + log(sum_j exp(e_j - m)) + c) with m = max_j e_j =
+        # -min_j(d2_j) / (2 h^2), so -m >= t below, division being monotone.
+        # Each exp(e_j - m <= 0) is at most 1, within numpy's error (64 u
+        # allowed), so the sum of n terms is at most n (1 + (n + 64) u) and its
+        # log at most log n + (n + 128 + 64 log n) u, again allowing 64 u for
+        # numpy's log. The two roundings of the exact sum and the three of the
+        # bound below each move it by at most u (t + log n + |c|), whence 8 u.
+        # If some distance over 2 h^2 could overflow, m may be -inf and the
+        # score NaN: such a row is never settled.
+        n = self.X.shape[0]
+        h2 = 2.0 * self.h**2
+        log_n, c = np.log(n), self._log_norm()
+        t = lo / h2
+        slack = (n + 128 + 64 * log_n) * _U + 8 * _U * (t + log_n + abs(c))
+        floor = t - log_n - c - slack
+        floor[~np.isfinite(hi / h2)] = np.nan
+        return floor
 
 
 _FITTERS: dict[str, Callable] = {
@@ -638,15 +754,24 @@ class TrainedDetector:
     trained_on: str
     dim: int
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
+    def scores(self, X: np.ndarray, above: float | None = None) -> np.ndarray:
+        """Anomaly scores of the rows of X.
+
+        With ``above``, a row proven to score above it may get a lower bound
+        of its score, itself above ``above``, in place of the score. So
+        ``scores(X, above=t) > t`` equals ``scores(X) > t`` bit for bit, and
+        knn and KDE settle clear anomalies without scoring them.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional inputs, got {X.shape[1]}")
-        return self.model.query_scores(X)
+        if above is None:
+            return self.model.query_scores(X)
+        return self.model.decision_scores(X, above)
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """1 where score exceeds the threshold (anomaly), else 0."""
-        return (self.scores(X) > self.threshold).astype(np.int8)
+        return (self.scores(X, above=self.threshold) > self.threshold).astype(np.int8)
 
 
 def canonical_rows(X: np.ndarray) -> np.ndarray:
@@ -681,17 +806,21 @@ def fit(config: DetectorConfig, train: LabeledDataset) -> TrainedDetector:
     )
 
 
-def score(detector: TrainedDetector, x: np.ndarray) -> float:
-    """Anomaly score of a single feature vector (higher = more anomalous)."""
+def _one_row(detector: TrainedDetector, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != detector.dim:
         raise ValueError(f"expected a {detector.dim}-vector, got shape {x.shape}")
-    return float(detector.scores(x[None, :])[0])
+    return x[None, :]
+
+
+def score(detector: TrainedDetector, x: np.ndarray) -> float:
+    """Anomaly score of a single feature vector (higher = more anomalous)."""
+    return float(detector.scores(_one_row(detector, x))[0])
 
 
 def predict(detector: TrainedDetector, x: np.ndarray) -> int:
     """1 if x scores above the calibrated threshold (anomaly), else 0."""
-    return int(score(detector, x) > detector.threshold)
+    return int(detector.predict_many(_one_row(detector, x))[0])
 
 
 def describe_portfolio() -> list[dict]:

@@ -360,6 +360,8 @@ def rank_candidates(
     """
     if method not in ("linear", "meta"):
         raise ConfigError(f"unknown ranking method {method!r}; use linear or meta")
+    if n_candidates < 1:
+        raise ConfigError(f"n_candidates must be at least 1, got {n_candidates}")
     model: MetaModel | None = None
     provenance = "linear"
     if method == "meta":

@@ -265,6 +265,22 @@ def rf_fit_nodewise(
     return trees
 
 
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances, (len(A), len(B)), summed feature by feature.
+
+    The detectors' kernel before it wrote into reused buffers: every call
+    allocates its result and one temporary per feature.
+    """
+    cols = np.ascontiguousarray(B.T)
+    d2 = np.subtract(A[:, :1], cols[0])
+    d2 *= d2
+    for j in range(1, A.shape[1]):
+        diff = np.subtract(A[:, j : j + 1], cols[j])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def knn_scores_sorted(X: np.ndarray, Q: np.ndarray | None, k: int, aggregation: str) -> np.ndarray:
     """knn scores from the sorted k nearest distances of each row, whole matrix at once.
 
@@ -274,10 +290,7 @@ def knn_scores_sorted(X: np.ndarray, Q: np.ndarray | None, k: int, aggregation: 
     """
     A = X if Q is None else Q
     k_eff = k + 1 if Q is None else k
-    d2 = np.zeros((len(A), len(X)))
-    for j in range(X.shape[1]):
-        diff = A[:, j : j + 1] - X[:, j]
-        d2 += diff * diff
+    d2 = pairwise_sq_dists(A, X)
     part = np.sort(np.partition(d2, k_eff - 1, axis=1)[:, :k_eff], axis=1)
     dists = np.sqrt(part[:, k_eff - k :])
     if aggregation == "largest":
@@ -285,6 +298,15 @@ def knn_scores_sorted(X: np.ndarray, Q: np.ndarray | None, k: int, aggregation: 
     if aggregation == "mean":
         return dists.mean(axis=1)
     return np.median(dists, axis=1)
+
+
+def kde_scores_full(X: np.ndarray, Q: np.ndarray, h: float) -> np.ndarray:
+    """Negative log gaussian KDE of Q's rows from one whole distance matrix."""
+    n, d = X.shape
+    const = -np.log(n) - d * np.log(h) - 0.5 * d * np.log(2.0 * np.pi)
+    e = -pairwise_sq_dists(Q, X) / (2.0 * h**2)
+    m = e.max(axis=1)
+    return -(m + np.log(np.sum(np.exp(e - m[:, None]), axis=1)) + const)
 
 
 def lof_full_matrix(X: np.ndarray, k: int, Q: np.ndarray, lrd_cap: float = 1e10) -> tuple[np.ndarray, np.ndarray]:
@@ -295,13 +317,6 @@ def lof_full_matrix(X: np.ndarray, k: int, Q: np.ndarray, lrd_cap: float = 1e10)
     neighbour. Distances are summed feature by feature, as in the detector.
     """
 
-    def dists(A, B):
-        d2 = np.zeros((len(A), len(B)))
-        for j in range(A.shape[1]):
-            diff = A[:, j : j + 1] - B[:, j]
-            d2 += diff * diff
-        return np.sqrt(d2)
-
     def lrd(ndist, neighbors, kdist):
         mean_reach = np.maximum(kdist[neighbors], ndist).mean(axis=1)
         out = np.full_like(mean_reach, lrd_cap)
@@ -309,13 +324,13 @@ def lof_full_matrix(X: np.ndarray, k: int, Q: np.ndarray, lrd_cap: float = 1e10)
         out[pos] = 1.0 / mean_reach[pos]
         return np.minimum(out, lrd_cap)
 
-    d = dists(X, X)
+    d = np.sqrt(pairwise_sq_dists(X, X))
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     ndist = np.take_along_axis(d, order, axis=1)
     kdist = ndist[:, -1]
     train_lrd = lrd(ndist, order, kdist)
-    dq = dists(Q, X)
+    dq = np.sqrt(pairwise_sq_dists(Q, X))
     qorder = np.argsort(dq, axis=1, kind="stable")[:, :k]
     query_lrd = lrd(np.take_along_axis(dq, qorder, axis=1), qorder, kdist)
     return train_lrd[order].mean(axis=1) / train_lrd, train_lrd[qorder].mean(axis=1) / query_lrd

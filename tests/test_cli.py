@@ -246,6 +246,12 @@ def test_rank_replaces_a_candidate_over_its_detector_budget(tmp_path, corpus_dir
     assert rc == EXIT_PARTIAL
 
 
+@pytest.mark.parametrize("count", ("0", "-3"))
+def test_rank_rejects_fewer_than_one_candidate(tmp_path, corpus_dir, count):
+    rc = main(["rank", "--dataset", str(corpus_dir / "halo.csv"), "--n-candidates", count, "--out", str(tmp_path / "r")])
+    assert rc == EXIT_CONFIG
+
+
 def test_rank_meta_requires_model(tmp_path, corpus_dir):
     rc = main(
         ["rank", "--dataset", str(corpus_dir / "halo.csv"), "--method", "meta", "--out", str(tmp_path / "r")]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -19,7 +20,14 @@ from adselect.detectors import (
 from adselect.errors import ConfigError, FitError
 
 from conftest import make_dataset
-from oracles import iforest_leaves, iforest_mean_path, knn_scores_sorted, lof_full_matrix
+from oracles import (
+    iforest_leaves,
+    iforest_mean_path,
+    kde_scores_full,
+    knn_scores_sorted,
+    lof_full_matrix,
+    pairwise_sq_dists,
+)
 
 
 def normals(n, dim=2, seed=0, name="train"):
@@ -513,3 +521,133 @@ def test_lof_fit_never_holds_a_full_distance_matrix():
         tracemalloc.stop()
     full = 4000 * 4000 * 8  # one n x n float64 matrix: 128 MB
     assert peak < full / 16, peak
+
+
+@pytest.mark.parametrize("budget", (1, 1000, 1 << 30))  # one row per block, uneven blocks, one block
+@pytest.mark.parametrize("dim", (1, 20))
+def test_buffered_distances_match_allocating_oracle(budget, dim, monkeypatch):
+    monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(42 + dim)
+    X = rng.standard_normal((53, dim))
+    X = np.vstack([X, X[:7]])  # 60 rows, 7 of them duplicated
+    Q = np.vstack([X[:5], rng.standard_normal((97, dim)) * 3])
+    n = X.shape[0]
+    rows = detectors._block_rows(n)
+    out, tmp = np.empty((min(rows, len(Q)), n)), np.empty((min(rows, len(Q)), n))
+    cols = np.ascontiguousarray(X.T)
+    got = np.vstack(
+        [detectors._pairwise_sq_dists(Q[s : s + rows], cols, out, tmp).copy() for s in range(0, len(Q), rows)]
+    )
+    assert got.tobytes() == pairwise_sq_dists(Q, X).tobytes()
+    for k in (1, 2, n - 1):
+        for aggregation in ("largest", "mean", "median"):
+            knn = detectors._KnnModel.fit(X, {"k": k, "aggregation": aggregation}, seed=0)
+            assert knn.train_scores(X).tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes()
+            assert knn.query_scores(Q).tobytes() == knn_scores_sorted(X, Q, k, aggregation).tobytes()
+        lof = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        train, query = lof_full_matrix(X, k, Q, lrd_cap=detectors._LRD_CAP)
+        assert lof.train_scores(X).tobytes() == train.tobytes()
+        assert lof.query_scores(Q).tobytes() == query.tobytes()
+    for h in (1e-2, 1.0, 1e1):
+        kde = detectors._KdeModel.fit(X, {"bandwidth": h}, seed=0)
+        assert kde.query_scores(Q).tobytes() == kde_scores_full(X, Q, h).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bound-and-refine decisions: predict_many must equal scores(X) > threshold
+
+
+_DECISION_N = 40
+
+DECISION_CONFIGS = (
+    [("knn", {"k": k, "aggregation": a}) for k in (1, 2, _DECISION_N - 1) for a in ("largest", "mean", "median")]
+    + [("kde", {"bandwidth": h}) for h in (1e-2, 1.0, 1e1)]
+    + [("lof", {"n_neighbors": 5})]
+)
+
+
+def _decision_data(dim, scale):
+    """Training rows with duplicates, and queries: training rows, a duplicate,
+    uniform points in a ball twice the data's radius, and far points."""
+    rng = np.random.default_rng(60 + dim)
+    base = rng.standard_normal((_DECISION_N - 8, dim))
+    X = np.vstack([base, base[:8]])
+    radius = 2.0 * np.linalg.norm(X - X.mean(axis=0), axis=1).max()
+    g = rng.standard_normal((300, dim))
+    ball = X.mean(axis=0) + g / np.linalg.norm(g, axis=1)[:, None] * radius * rng.random((300, 1)) ** (1.0 / dim)
+    far = X.mean(axis=0) + np.outer([10.0, 100.0, 1e4], np.ones(dim))
+    Q = np.vstack([X[:10], base[:1], ball, far])
+    return X * scale, Q * scale
+
+
+def _settled(det, Q, threshold):
+    """Rows whose decision came from the bound: their value is not the exact score."""
+    bounded, exact = det.scores(Q, above=threshold), det.scores(Q)
+    return bounded, exact, bounded.view(np.int64) != exact.view(np.int64)
+
+
+@pytest.mark.parametrize("scale", (1e-150, 1.0, 1e150))
+@pytest.mark.parametrize("dim", (1, 20))
+@pytest.mark.parametrize("algorithm,params", DECISION_CONFIGS, ids=lambda v: str(v))
+def test_decisions_equal_exact_scores(algorithm, params, dim, scale):
+    X, Q = _decision_data(dim, scale)
+    train = LabeledDataset(features=X, labels=np.zeros(len(X), dtype=np.int8), name="decide")
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), train)
+    exact = det.scores(Q)
+    picks = exact[np.isfinite(exact)][::7]  # thresholds on queries' exact scores, and a float below
+    for t in [det.threshold, *picks, *np.nextafter(picks, -np.inf)]:
+        moved = dataclasses.replace(det, threshold=float(t))
+        assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+        bounded, _, settled = _settled(moved, Q, float(t))
+        assert np.all(bounded[settled] > t) and np.all(bounded[settled] <= exact[settled]), t
+
+
+@pytest.mark.parametrize("dim", (1, 20))
+def test_decisions_equal_exact_scores_on_identical_training_rows(dim):
+    # every training row at one point: the bounds meet the exact scores most closely
+    X = np.full((_DECISION_N, dim), 0.75)
+    train = LabeledDataset(features=X, labels=np.zeros(_DECISION_N, dtype=np.int8), name="one-point")
+    offsets = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 60)])
+    Q = 0.75 + np.outer(offsets, np.linspace(1.0, -1.0, dim))
+    for algorithm, params in DECISION_CONFIGS:
+        det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), train)
+        exact = det.scores(Q)
+        for t in [det.threshold, *exact, *np.nextafter(exact, -np.inf)]:
+            moved = dataclasses.replace(det, threshold=float(t))
+            assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), (algorithm, params, t)
+
+
+@pytest.mark.parametrize("algorithm,params,least", [
+    ("knn", {"k": 10, "aggregation": "largest"}, 0.8),
+    ("knn", {"k": 10, "aggregation": "mean"}, 0.8),
+    ("knn", {"k": 10, "aggregation": "median"}, 0.8),
+    ("kde", {"bandwidth": 0.3}, 0.5),
+    ("lof", {"n_neighbors": 20}, 0.0),
+])
+def test_decision_bound_settles_clear_anomalies(algorithm, params, least):
+    data = normals(600, dim=4, seed=43)
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), data)
+    g = np.random.default_rng(44).standard_normal((4000, 4))
+    ball = g / np.linalg.norm(g, axis=1)[:, None] * 6.0 * np.random.default_rng(45).random((4000, 1)) ** 0.25
+    _, exact, settled = _settled(det, ball, det.threshold)
+    assert det.predict_many(ball).tobytes() == (exact > det.threshold).astype(np.int8).tobytes()
+    if least:
+        assert settled.mean() >= least, settled.mean()
+    else:  # LOF has no filter: every row is scored exactly
+        assert not settled.any()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_predict_decision_agrees_with_predict_many(algorithm):
+    data = normals(80, dim=3, seed=46)
+    det = fit(config_for(algorithm), data)
+    rng = np.random.default_rng(47)
+    probes = np.vstack([data.features[:10], rng.standard_normal((20, 3)) * 3, rng.standard_normal((10, 3)) * 20])
+    many = det.predict_many(probes)
+    _, _, settled = _settled(det, probes, det.threshold)
+    if algorithm in ("knn", "kde"):  # both settled and refined points
+        assert settled.any() and not settled.all()
+    for x, want in zip(probes, many):
+        assert predict(det, x) == det.predict_many(x[None])[0] == int(score(det, x) > det.threshold)
+        if algorithm not in ("pca", "gaussian"):  # their BLAS and LAPACK products round by block shape
+            assert predict(det, x) == want
