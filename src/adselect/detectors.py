@@ -14,6 +14,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -185,7 +186,7 @@ def _pairwise_sq_dists(A: np.ndarray, cols: np.ndarray, out: np.ndarray, tmp: np
     blocks. Each entry depends on its own pair of rows only, so scores do not
     change with the query block size. No score comes from a BLAS product,
     whose kernel and summation order vary with the number of rows and
-    threads: BLAS only bounds distances, in ``_sq_dist_bounds``.
+    threads: BLAS only bounds distances, in ``_SqDistBounds``.
     """
     m = A.shape[0]
     d2, diff = out[:m], tmp[:m]
@@ -216,14 +217,14 @@ _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _TINY = np.finfo(np.float64).tiny  # smallest normal: bounds the absolute error of an underflow
 
 
-def _sq_dist_bounds(qc: np.ndarray, w: np.ndarray, radius: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) per query row from one BLAS product: lo is at most the row's
-    smallest squared distance as ``_pairwise_sq_dists`` computes it, and hi at
-    least every one of them.
+class _SqDistBounds:
+    """Two-sided bounds on every squared distance of a query block, as
+    ``_pairwise_sq_dists`` computes it, from one BLAS product.
 
     ``qc`` holds the query rows and ``w`` stacks ``-2 x.T`` over ``|x|^2``, for
     x the training rows, both centred on the training mean; ``radius`` is the
-    largest ``|x|``. The product ``[q, 1] @ w`` gives ``|x|^2 - 2 q.x``.
+    largest ``|x|``. The product ``p = [q, 1] @ w``, written to ``out``, gives
+    ``|x_j|^2 - 2 q.x_j`` per row, and ``v = p + |q|^2`` the squared distance.
 
     Error bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
     u the unit roundoff, gamma_n = n u / (1 - n u), S = (|q| + radius)^2):
@@ -231,23 +232,38 @@ def _sq_dist_bounds(qc: np.ndarray, w: np.ndarray, radius: float, out: np.ndarra
         gamma_{d+1} times the sum of their terms' magnitudes, together at most
         2 gamma_{d+2} S for every training row;
       * centring moves q - x by at most u (|q| + |x|), so |q - x|^2 by 2u S;
-      * adding ``|q|^2`` to the row minimum rounds once more, by u S.
-    So ``err = (2d + 16) u S`` (with room for rounding S itself) plus
-    (4d + 16) underflows makes ``min_j(...) + |q|^2 - err`` a lower bound on the
-    smallest exact squared distance. The feature-by-feature sum of d rounded
-    squares of rounded differences lies within a factor (1 - u)^(d+2) of the
-    exact one, and the final subtraction and product round twice: the factor
-    ``1 - (d + 8) u`` covers all three. Every distance, exact or computed, is
-    at most (1 + d u) S, which hi = 2 S bounds. A NaN or infinite input gives
-    a NaN or infinite bound, which settles nothing.
+      * adding ``|q|^2`` rounds once more, by u S.
+    So the computed v lies within ``err = (2d + 16) u S`` (with room for
+    rounding S itself) plus (4d + 16) underflows of the exact squared distance
+    D, on either side. The feature-by-feature sum of d rounded squares of
+    rounded differences lies within a factor (1 +- u)^(d+2) of D, and each
+    bound below rounds three times more (add, subtract, product): the factor
+    ``1 -+ (d + 8) u`` covers all of them, so ``lo(p) <= computed <= hi(p)``
+    for every entry. Both are monotone in p, so the k-th smallest p of a row
+    bounds its k-th smallest distance. Every distance, exact or computed, is
+    at most (1 + d u) S, which ``2 S`` bounds. A NaN or infinite input gives a
+    NaN or infinite bound, which settles nothing.
     """
-    m, d = qc.shape
-    q2 = np.einsum("ij,ij->i", qc, qc)
-    near = np.matmul(np.hstack([qc, np.ones((m, 1))]), w, out=out[:m]).min(axis=1)
-    scale = (np.sqrt(q2) + radius) ** 2
-    err = (2 * d + 16) * _U * scale + (4 * d + 16) * _TINY
-    lo = np.maximum(near + q2 - err, 0.0) * (1.0 - (d + 8) * _U)
-    return lo, 2.0 * scale
+
+    def __init__(self, qc: np.ndarray, w: np.ndarray, radius: float, out: np.ndarray):
+        m, d = qc.shape
+        self.q2 = np.einsum("ij,ij->i", qc, qc)[:, None]
+        self.p = np.matmul(np.hstack([qc, np.ones((m, 1))]), w, out=out[:m])
+        self.scale = ((np.sqrt(self.q2) + radius) ** 2)[:, 0]
+        self.err = (2 * d + 16) * _U * self.scale[:, None] + (4 * d + 16) * _TINY
+        self.rel = (d + 8) * _U
+
+    def lo(self, p: np.ndarray, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """Lower bounds on the computed squared distances whose products are p (2-d), of ``rows``."""
+        lo = np.add(p, self.q2[rows], out=out)
+        lo -= self.err[rows]
+        np.maximum(lo, 0.0, out=lo)
+        lo *= 1.0 - self.rel
+        return lo
+
+    def hi(self, p: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Upper bounds, likewise."""
+        return (p + self.q2[rows] + self.err[rows]) * (1.0 + self.rel)
 
 
 class _Model:
@@ -267,41 +283,47 @@ class _DistanceModel(_Model):
     """A model scored from each query row's squared distances to its training rows.
 
     Subclasses give ``_block_scores(block, out, tmp)``, the exact scores of
-    one query block, and ``_score_floor(lo, hi)``, a lower bound on a row's
-    computed score from the bounds of ``_sq_dist_bounds``, or None to score
-    every row exactly.
+    one query block, and ``_score_floor(bounds, above)``, a lower bound on each
+    row's computed score from a block's ``_SqDistBounds``, or override
+    ``_decide``.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
         self._cols = np.ascontiguousarray(X.T)
 
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The training mean, ``[-2 x.T; |x|^2]`` and the radius of the centred rows x."""
+        mean = self.X.mean(axis=0)
+        xc = self.X - mean
+        x2 = np.einsum("ij,ij->i", xc, xc)
+        return mean, np.vstack([-2.0 * xc.T, x2]), np.sqrt(x2.max())
+
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         return _by_blocks(Q, self.X.shape[0], self._block_scores)
 
     def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
-        """Bound and refine: one BLAS product per block bounds every row's
-        score from below; a row whose finite bound exceeds ``above`` keeps it,
-        and the other rows are scored exactly, gathered as a sub-block. An exact
-        score depends on its own row only, so ``decision_scores(Q, t) > t``
-        equals ``query_scores(Q) > t`` bit for bit."""
-        if self._score_floor is None:
-            return self.query_scores(Q)
-        mean = self.X.mean(axis=0)
-        xc = self.X - mean
-        x2 = np.einsum("ij,ij->i", xc, xc)
-        w = np.vstack([-2.0 * xc.T, x2])
-        radius = np.sqrt(x2.max())
+        """Bound and refine: one BLAS product per block bounds every distance;
+        ``_decide`` settles the rows it can and scores the others exactly. An
+        exact score depends on its own row only, so ``decision_scores(Q, t) >
+        t`` equals ``query_scores(Q) > t`` bit for bit."""
+        mean, w, radius = self._operands
 
         def block(b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite bound settles nothing
-                floor = self._score_floor(*_sq_dist_bounds(b - mean, w, radius, out))
-            refine = ~(np.isfinite(floor) & (floor > above))
-            if refine.any():
-                floor[refine] = self._block_scores(b[refine], out, tmp)
-            return floor
+                return self._decide(b, _SqDistBounds(b - mean, w, radius, out), above, out, tmp)
 
         return _by_blocks(Q, self.X.shape[0], block)
+
+    def _decide(self, b: np.ndarray, bounds: _SqDistBounds, above: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """A row whose finite floor exceeds ``above`` keeps it; the other rows
+        are scored exactly, gathered as a sub-block."""
+        floor = self._score_floor(bounds, above)
+        refine = ~(np.isfinite(floor) & (floor > above))
+        if refine.any():
+            floor[refine] = self._block_scores(b[refine], out, tmp)
+        return floor
 
 
 class _KnnModel(_DistanceModel):
@@ -330,10 +352,10 @@ class _KnnModel(_DistanceModel):
         dists = np.sqrt(np.sort(d2[:, :k_eff], axis=1)[:, k_eff - self.k :])
         return dists.mean(axis=1) if self.aggregation == "mean" else np.median(dists, axis=1)
 
-    def _score_floor(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # Every aggregation of k distances, each at least sqrt(lo) as sqrt and
-        # the sum are monotone, is at least sqrt(lo) less k + 1 roundings.
-        return np.sqrt(lo) * (1.0 - (self.k + 4) * _U)
+    def _score_floor(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+        # Every aggregation of k distances, each at least sqrt(lo) of the row's
+        # smallest as sqrt and the sum are monotone, is at least that less k + 1 roundings.
+        return np.sqrt(bounds.lo(bounds.p.min(axis=1, keepdims=True)))[:, 0] * (1.0 - (self.k + 4) * _U)
 
     def train_scores(self, X: np.ndarray) -> np.ndarray:
         """Leave-self-out: the k nearest other training rows."""
@@ -367,10 +389,6 @@ _LRD_CAP = 1e10  # stands in for infinite local reachability density at duplicat
 
 
 class _LofModel(_DistanceModel):
-    # The cheap bound, min lrd times the nearest distance, settles too few ball
-    # points to pay for the filter: LOF always scores exactly.
-    _score_floor = None
-
     def __init__(self, X: np.ndarray, k: int, kdist: np.ndarray):
         super().__init__(X)
         self.k = k
@@ -411,12 +429,57 @@ class _LofModel(_DistanceModel):
         """Leave-self-out LOF of the training rows, found during the fit."""
         return self._train_lof
 
+    def _lof(self, order: np.ndarray, ndist: np.ndarray) -> np.ndarray:
+        """LOF of query rows from their k nearest, ``order``, and distances, ``ndist``."""
+        return self._lrd[order].mean(axis=1) / self._lrd_from(ndist, order)
+
     def _block_scores(self, block: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         d = _pairwise_sq_dists(block, self._cols, out, tmp)
         np.sqrt(d, out=d)
         order = _k_nearest(d, self.k)
-        ndist = np.take_along_axis(d, order, axis=1)
-        return self._lrd[order].mean(axis=1) / self._lrd_from(ndist, order)
+        return self._lof(order, np.take_along_axis(d, order, axis=1))
+
+    def _decide(self, b: np.ndarray, bounds: _SqDistBounds, above: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Certified neighbour sets. One partition of the product finds each
+        row's k smallest entries, N. When ``sqrt(hi)`` of the k-th stays below
+        ``sqrt(lo)`` of the (k+1)-th, every computed distance in N is below
+        every other one after the rounded ``sqrt`` too (both monotone), so N
+        is exactly the set ``_k_nearest`` picks, with no tie at the k-th.
+
+        On a certified row the floor is mean(lrd[N]) * mean(max(kdist[N],
+        sqrt(lo_N))): each reach is at most the computed one, so each real
+        mean is too; each computed mean (of k terms) is within gamma_k of its
+        real mean, ``1 / mean_reach`` and the division (or the lrd cap, which
+        only raises the score) round twice, and the floor's product and
+        slack round twice, so ``1 - (4k + 16) u`` covers them all; underflows
+        cost less than ``_TINY`` as every lrd is at most ``_LRD_CAP``. A
+        certified row left open is scored from N alone, its distances summed
+        feature by feature and sorted stably by (distance, index) as in
+        ``_k_nearest``, so bit for bit; any other row is scored in full.
+        """
+        k, (m, n), p = self.k, bounds.p.shape, bounds.p
+        part = tmp[:m]
+        np.copyto(part, p)
+        part.partition(k, axis=1)
+        kth = part[:, :k].max(axis=1, keepdims=True)
+        cert = (np.sqrt(bounds.hi(kth)) < np.sqrt(bounds.lo(part[:, k : k + 1])))[:, 0]
+        within = p <= kth
+        within[~cert] = False
+        flat = np.flatnonzero(within).reshape(-1, k)  # exactly k per certified row, by ascending index
+        nbr = flat % n
+        reach = np.maximum(self.kdist[nbr], np.sqrt(bounds.lo(p.ravel()[flat], cert)))
+        floor = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1) * (1.0 - (4 * k + 16) * _U) - _TINY
+        scores = np.empty(m)
+        settled = np.isfinite(floor) & (floor > above)
+        scores[cert] = floor
+        if not settled.all():
+            idx, rows = nbr[~settled], np.flatnonzero(cert)[~settled]
+            d = np.sqrt(_pairwise_sq_dists(b[rows], self._cols[:, idx], np.empty(idx.shape), np.empty(idx.shape)))
+            order = d.argsort(axis=1, kind="stable")
+            scores[rows] = self._lof(np.take_along_axis(idx, order, axis=1), np.take_along_axis(d, order, axis=1))
+        if not cert.all():
+            scores[~cert] = self._block_scores(b[~cert], out, tmp)
+        return scores
 
 
 class _IsolationForest(_Model):
@@ -709,23 +772,45 @@ class _KdeModel(_DistanceModel):
         np.exp(e, out=e)
         return -(m + np.log(e.sum(axis=1)) + self._log_norm())
 
-    def _score_floor(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # The score is -(m + log(sum_j exp(e_j - m)) + c) with m = max_j e_j =
-        # -min_j(d2_j) / (2 h^2), so -m >= t below, division being monotone.
-        # Each exp(e_j - m <= 0) is at most 1, within numpy's error (64 u
-        # allowed), so the sum of n terms is at most n (1 + (n + 64) u) and its
-        # log at most log n + (n + 128 + 64 log n) u, again allowing 64 u for
-        # numpy's log. The two roundings of the exact sum and the three of the
-        # bound below each move it by at most u (t + log n + |c|), whence 8 u.
-        # If some distance over 2 h^2 could overflow, m may be -inf and the
-        # score NaN: such a row is never settled.
+    def _score_floor(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+        """The score is -(m + log(sum_j exp(e_j - m)) + c), e_j = -a_j with a_j
+        = d2_j / (2 h^2) rounded and m = -min_j a_j; with b_j = lo_j / (2 h^2)
+        rounded, b_j <= a_j as division is monotone. First floor, from the row
+        minimum: -m >= t = min_j b_j, and each exp(e_j - m <= 0) is at most 1
+        within numpy's error (64 u allowed), so the sum of n terms is at most
+        n (1 + (n + 64) u) and its log at most log n + (n + 128 + 64 log n) u,
+        again allowing 64 u for numpy's log; the two roundings of the exact sum
+        and the three of the bound each move it by at most u (t + log n + |c|).
+
+        Rows it leaves open get a second floor, the same log-sum-exp over b,
+        as -log sum_j exp(-a_j) rises with every a_j. On either side, rounding
+        x_j = a_j - min a >= 0 moves exp(-x_j) by at most x_j e^-x_j u <= u / e,
+        and numpy's exp by 64 u e^-x_j more; the sum holds exp(0) = 1, so with
+        its own roundings it is within a factor 1 +- (2n + 66) u of the real
+        one, and its log within (2n + 131 + 64 log n) u. The floor allows that
+        twice, once per side, and 8 u (|lse| + log n + |c|) for the roundings
+        of the two sums.
+
+        If some distance over 2 h^2 could overflow, m may be -inf and the score
+        NaN: such a row is never settled.
+        """
         n = self.X.shape[0]
         h2 = 2.0 * self.h**2
         log_n, c = np.log(n), self._log_norm()
-        t = lo / h2
+        t = bounds.lo(bounds.p.min(axis=1, keepdims=True))[:, 0] / h2
         slack = (n + 128 + 64 * log_n) * _U + 8 * _U * (t + log_n + abs(c))
         floor = t - log_n - c - slack
-        floor[~np.isfinite(hi / h2)] = np.nan
+        floor[~np.isfinite(2.0 * bounds.scale / h2)] = np.nan
+        left = np.isfinite(floor) & ~(floor > above)
+        if left.any():
+            b = np.compress(left, bounds.p, axis=0)
+            bounds.lo(b, left, out=b)
+            b /= h2
+            t = b.min(axis=1, keepdims=True)
+            np.exp(np.subtract(t, b, out=b), out=b)
+            lse = t[:, 0] - np.log(b.sum(axis=1))
+            slack = (4 * n + 512 + 128 * log_n) * _U + 8 * _U * (np.abs(lse) + log_n + abs(c))
+            floor[left] = lse - c - slack
         return floor
 
 
@@ -760,7 +845,7 @@ class TrainedDetector:
         With ``above``, a row proven to score above it may get a lower bound
         of its score, itself above ``above``, in place of the score. So
         ``scores(X, above=t) > t`` equals ``scores(X) > t`` bit for bit, and
-        knn and KDE settle clear anomalies without scoring them.
+        knn, LOF and KDE settle clear anomalies without scoring them.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:

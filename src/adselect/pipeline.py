@@ -101,7 +101,8 @@ class RunConfig:
         relevant = (
             self.label_column, self.seed, self.split_fractions, self.outlier_lo, self.outlier_hi,
             self.hv_samples, self.mc_cv_test_fraction, self.mc_cv_repetitions,
-            self.n_random_detectors, PORTFOLIO_VERSION,
+            self.n_random_detectors, self.retries, self.landmark_budget_s, self.detector_budget_s,
+            PORTFOLIO_VERSION,
         )
         return hashlib.sha256(repr(relevant).encode()).hexdigest()[:16]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -90,6 +91,35 @@ def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monke
     assert main(args + ["--log-file", str(log)]) == EXIT_OK
     events = [json.loads(line) for line in open(log) if line.strip()]
     assert not any(e["event"] == "assimilate_skipped" for e in events)
+
+
+def test_retries_and_budgets_change_invalidates_resume(tmp_path, corpus_dir, monkeypatch):
+    base = pipeline.RunConfig(seed=11)
+    for change in ({"retries": 5}, {"landmark_budget_s": 1.5}, {"detector_budget_s": 1.5}):
+        assert dataclasses.replace(base, **change).fingerprint() != base.fingerprint(), change
+    real = features._detector_features
+    default_ids = {c.config_id for c in detectors.default_configs()}
+    injected = []
+
+    def fail_first_random_detector(config, *args, **kwargs):
+        if not injected and config.config_id not in default_ids:
+            injected.append(config.config_id)
+            raise FitError("injected failure")
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(features, "_detector_features", fail_first_random_detector)
+    args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv")] + fast_flags(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"retries": 0}))
+    assert main(args + ["--config", str(cfg)]) == EXIT_PARTIAL
+    # more retries replace the failed config: the rerun must redo the dataset, not reuse it
+    cfg.write_text(json.dumps({"retries": 1}))
+    log = tmp_path / "events.log"
+    assert main(args + ["--config", str(cfg), "--log-file", str(log)]) == EXIT_OK
+    events = [json.loads(line) for line in open(log) if line.strip()]
+    assert not any(e["event"] == "assimilate_skipped" for e in events)
+    with open(tmp_path / "run" / "halo" / "meta.csv") as fh:
+        assert len(fh.read().strip().splitlines()) == 1 + 3
 
 
 def test_assimilate_with_skipped_instance_is_partial(tmp_path, corpus_dir, monkeypatch):

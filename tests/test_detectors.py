@@ -562,7 +562,7 @@ _DECISION_N = 40
 DECISION_CONFIGS = (
     [("knn", {"k": k, "aggregation": a}) for k in (1, 2, _DECISION_N - 1) for a in ("largest", "mean", "median")]
     + [("kde", {"bandwidth": h}) for h in (1e-2, 1.0, 1e1)]
-    + [("lof", {"n_neighbors": 5})]
+    + [("lof", {"n_neighbors": k}) for k in (2, 5, _DECISION_N - 1)]
 )
 
 
@@ -622,7 +622,8 @@ def test_decisions_equal_exact_scores_on_identical_training_rows(dim):
     ("knn", {"k": 10, "aggregation": "mean"}, 0.8),
     ("knn", {"k": 10, "aggregation": "median"}, 0.8),
     ("kde", {"bandwidth": 0.3}, 0.5),
-    ("lof", {"n_neighbors": 20}, 0.0),
+    ("kde", {"bandwidth": 1.0}, 0.9),  # the whole-row floor: the row minimum alone settled 0.40
+    ("lof", {"n_neighbors": 20}, 0.9),  # certified neighbour sets: 0.948, every anomaly
 ])
 def test_decision_bound_settles_clear_anomalies(algorithm, params, least):
     data = normals(600, dim=4, seed=43)
@@ -631,10 +632,7 @@ def test_decision_bound_settles_clear_anomalies(algorithm, params, least):
     ball = g / np.linalg.norm(g, axis=1)[:, None] * 6.0 * np.random.default_rng(45).random((4000, 1)) ** 0.25
     _, exact, settled = _settled(det, ball, det.threshold)
     assert det.predict_many(ball).tobytes() == (exact > det.threshold).astype(np.int8).tobytes()
-    if least:
-        assert settled.mean() >= least, settled.mean()
-    else:  # LOF has no filter: every row is scored exactly
-        assert not settled.any()
+    assert settled.mean() >= least, settled.mean()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -645,9 +643,107 @@ def test_predict_decision_agrees_with_predict_many(algorithm):
     probes = np.vstack([data.features[:10], rng.standard_normal((20, 3)) * 3, rng.standard_normal((10, 3)) * 20])
     many = det.predict_many(probes)
     _, _, settled = _settled(det, probes, det.threshold)
-    if algorithm in ("knn", "kde"):  # both settled and refined points
+    if algorithm in ("knn", "kde", "lof"):  # both settled and refined points
         assert settled.any() and not settled.all()
     for x, want in zip(probes, many):
         assert predict(det, x) == det.predict_many(x[None])[0] == int(score(det, x) > det.threshold)
         if algorithm not in ("pca", "gaussian"):  # their BLAS and LAPACK products round by block shape
             assert predict(det, x) == want
+
+
+def _lof_paths(model, Q, above, monkeypatch):
+    """LOF decision scores of Q, and the rows that ``_decide`` sent to the full
+    ``_block_scores``, that is, whose neighbour set it could not certify."""
+    full = []
+    real = model._block_scores
+
+    def block_scores(block, out, tmp):
+        full.extend(map(tuple, block))
+        return real(block, out, tmp)
+
+    monkeypatch.setattr(model, "_block_scores", block_scores)
+    got = model.decision_scores(Q, above)
+    monkeypatch.undo()
+    full = set(full)
+    return got, np.asarray([tuple(q) in full for q in Q])
+
+
+@pytest.mark.parametrize("case", ("normal", "duplicates", "integer-grid"))
+def test_lof_decision_scores_certified_rows_from_their_neighbours_bit_for_bit(case, monkeypatch):
+    rng = np.random.default_rng(48)
+    X = rng.standard_normal((90, 3))
+    if case == "duplicates":
+        X = np.repeat(X[:30], 3, axis=0)
+    elif case == "integer-grid":
+        X = rng.integers(0, 4, (90, 3)).astype(np.float64)
+    Q = np.vstack([X[:20], rng.integers(-1, 5, (40, 3)).astype(np.float64), rng.standard_normal((40, 3)) * 2])
+    for k in (1, 2, 20, 89):
+        model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        exact = model.query_scores(Q)
+        # above = inf settles nothing: every certified row is scored from its k neighbours alone
+        got, full = _lof_paths(model, Q, np.inf, monkeypatch)
+        assert got.tobytes() == exact.tobytes(), k
+        if case == "normal":
+            assert not full[40:].any(), k  # distinct real distances: every neighbour set certified
+        for t in (model._train_lof.max(), *exact[::9], *np.nextafter(exact[::9], -np.inf)):
+            got = model.decision_scores(Q, float(t))
+            assert np.array_equal(got > t, exact > t), (k, t)
+            assert np.all(got[got != exact] > t) and np.all(got <= exact), (k, t)
+
+
+def _adjacent_squares(sqrt_equal):
+    """Training rows a = (x, 0) and b = (x, y) whose squared distances to the
+    origin, as ``_pairwise_sq_dists`` sums them, are adjacent floats, with
+    equal rounded square roots or not, as asked."""
+    for x in np.random.default_rng(49).uniform(2.2, 2.8, 10000):
+        s = x * x
+        y = np.sqrt(np.nextafter(s, np.inf) - s)
+        if s + y * y == np.nextafter(s, np.inf) and (np.sqrt(s) == np.sqrt(s + y * y)) == sqrt_equal:
+            return [x, 0.0], [x, y]
+    raise AssertionError("no pair found")
+
+
+@pytest.mark.parametrize("case", ("one-ulp", "equal-sqrt", "duplicate-rows"))
+@pytest.mark.parametrize("k", (2, 3))
+def test_lof_decision_refuses_uncertain_kth_neighbours(case, k, monkeypatch):
+    """The k-th and (k+1)-th nearest training rows of the origin are a and b:
+    squared distances one ulp apart, squared distances apart with equal square
+    roots, or one training row twice. No BLAS bound tells them apart, so the
+    origin must be scored in full, where the tie goes to the lower index."""
+    a, b = ([1.5, 0.5], [1.5, 0.5]) if case == "duplicate-rows" else _adjacent_squares(case == "equal-sqrt")
+    near = [[0.05 * (i + 1), 0.0] for i in range(k - 1)]  # the k - 1 nearest
+    far = [[3.0, 1.0], [3.5, -1.0], [-2.5, 2.0], [-3.0, -3.0], [5.0, 0.0], [0.0, 6.0], [4.25, 4.0]]
+    X = np.asarray([b, *near, a, *far])  # b precedes a
+    model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+    Q = np.asarray([[0.0, 0.0], [1e-300, 0.0], [2.75, 0.5], [-10.0, 3.0]])
+    exact = model.query_scores(Q)
+    got, full = _lof_paths(model, Q, np.inf, monkeypatch)
+    assert got.tobytes() == exact.tobytes()
+    assert full[0]
+    for t in (*exact, *np.nextafter(exact, -np.inf), model._train_lof.max()):
+        assert np.array_equal(model.decision_scores(Q, float(t)) > t, exact > t), t
+
+
+@pytest.mark.parametrize("budget", (1, 1000, 1 << 30))  # one row per block, uneven blocks, one block
+@pytest.mark.parametrize("algorithm,params", [("lof", {"n_neighbors": 2}), ("lof", {"n_neighbors": 20}), ("kde", {"bandwidth": 1.0})])
+def test_decision_scores_independent_of_block_budget(algorithm, params, budget, monkeypatch):
+    monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+    data = normals(157, dim=5, seed=35)
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=2), data)
+    probes = np.random.default_rng(36).standard_normal((400, 5)) * 2
+    exact = det.scores(probes)
+    for t in (det.threshold, *exact[::11], *np.nextafter(exact[::11], -np.inf)):
+        moved = dataclasses.replace(det, threshold=float(t))
+        assert moved.predict_many(probes).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+    bounded, _, settled = _settled(det, probes, det.threshold)
+    assert settled.any() and not settled.all()
+    assert np.all(bounded[settled] > det.threshold) and np.all(bounded[settled] <= exact[settled])
+
+
+@pytest.mark.xfail(strict=True, reason="pca residuals of pure rounding noise round by BLAS block shape; fixed with the next portfolio version")
+def test_pca_one_row_predict_matches_predict_many_on_rounding_noise():
+    # retained_variance 0.99 keeps all 4 components: threshold and scores are rounding noise
+    det = fit(config_for("pca", retained_variance=0.99), normals(600, dim=4, seed=50))
+    probes = np.random.default_rng(51).standard_normal((2000, 4)) * 3
+    many = det.predict_many(probes)
+    assert [predict(det, x) for x in probes] == many.tolist()
