@@ -15,7 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -218,13 +218,16 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal: bounds the absolute error 
 
 
 class _SqDistBounds:
-    """Two-sided bounds on every squared distance of a query block, as
-    ``_pairwise_sq_dists`` computes it, from one BLAS product.
+    """Two-sided bounds on the squared distances of query rows Q to the
+    training rows, as ``_pairwise_sq_dists`` computes them, from BLAS products.
 
-    ``qc`` holds the query rows and ``w`` stacks ``-2 x.T`` over ``|x|^2``, for
-    x the training rows, both centred on the training mean; ``radius`` is the
-    largest ``|x|``. The product ``p = [q, 1] @ w``, written to ``out``, gives
-    ``|x_j|^2 - 2 q.x_j`` per row, and ``v = p + |q|^2`` the squared distance.
+    ``w`` stacks ``-2 x.T`` over ``|x|^2``, for x the training rows centred on
+    the training mean, and ``radius`` is the largest ``|x|``. The per-row
+    terms are computed once for all of Q: ``q2 = |q|^2`` and the error bound
+    ``err``, for q the row centred on the training mean.
+    ``products`` yields, block by block, the product ``p = [q, 1] @ w``, which
+    gives ``|x_j|^2 - 2 q.x_j`` per row, and ``v = p + |q|^2`` the squared
+    distance.
 
     Error bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3;
     u the unit roundoff, gamma_n = n u / (1 - n u), S = (|q| + radius)^2):
@@ -235,35 +238,83 @@ class _SqDistBounds:
       * adding ``|q|^2`` rounds once more, by u S.
     So the computed v lies within ``err = (2d + 16) u S`` (with room for
     rounding S itself) plus (4d + 16) underflows of the exact squared distance
-    D, on either side. The feature-by-feature sum of d rounded squares of
-    rounded differences lies within a factor (1 +- u)^(d+2) of D, and each
-    bound below rounds three times more (add, subtract, product): the factor
-    ``1 -+ (d + 8) u`` covers all of them, so ``lo(p) <= computed <= hi(p)``
-    for every entry. Both are monotone in p, so the k-th smallest p of a row
-    bounds its k-th smallest distance. Every distance, exact or computed, is
-    at most (1 + d u) S, which ``2 S`` bounds. A NaN or infinite input gives a
-    NaN or infinite bound, which settles nothing.
+    D, on either side, whatever the summation order of any of these sums. The
+    feature-by-feature sum of d rounded squares of rounded differences lies
+    within a factor (1 +- u)^(d+2) of D, and each bound below rounds three
+    times more (add, subtract, product): the factor ``1 -+ (d + 8) u`` covers
+    all of them, so ``lo(p) <= computed <= hi(p)`` for every entry of every
+    product, whichever block computed it. Both are monotone in p, so the k-th
+    smallest p of a row bounds its k-th smallest distance. Every distance,
+    exact or computed, is at most (1 + d u) S, which ``2 S`` bounds. A NaN or
+    infinite input gives a NaN or infinite bound, which settles nothing.
     """
 
-    def __init__(self, qc: np.ndarray, w: np.ndarray, radius: float, out: np.ndarray):
-        m, d = qc.shape
-        self.q2 = np.einsum("ij,ij->i", qc, qc)[:, None]
-        self.p = np.matmul(np.hstack([qc, np.ones((m, 1))]), w, out=out[:m])
-        self.scale = ((np.sqrt(self.q2) + radius) ** 2)[:, 0]
-        self.err = (2 * d + 16) * _U * self.scale[:, None] + (4 * d + 16) * _TINY
+    def __init__(self, Q: np.ndarray, mean: np.ndarray, w: np.ndarray, radius: float):
+        (m, d), n = Q.shape, w.shape[1]
+        self.Q, self.mean, self.w, self.radius = Q, mean, w, radius
+        self.q2, col = np.zeros(m), np.empty(m)
+        for j in range(d):  # column by column: no (m x d) copy of Q
+            np.subtract(Q[:, j], mean[j], out=col)
+            col *= col
+            self.q2 += col
+        self.err = self.scale(out=col)
+        self.err *= (2 * d + 16) * _U
+        self.err += (4 * d + 16) * _TINY
         self.rel = (d + 8) * _U
+        self.buffer_shape = (min(_block_rows(n), max(m, 1)), n)  # one block's (rows x n) products
+        self._qa = np.ones((self.buffer_shape[0], d + 1))
+        self._p = np.empty(self.buffer_shape)
+
+    def products(self, rows: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        """``(s, p)`` per block of the query rows ``rows`` (all of Q by
+        default): p holds the products of rows ``s`` to ``s + len(p)`` of them,
+        in one buffer reused by every block."""
+        m = self.Q.shape[0] if rows is None else rows.size
+        step = self.buffer_shape[0]
+        for s in range(0, m, step):
+            e = min(s + step, m)
+            qa = self._qa[: e - s]
+            np.subtract(self.Q[s:e] if rows is None else self.Q[rows[s:e]], self.mean, out=qa[:, :-1])
+            yield s, np.matmul(qa, self.w, out=self._p[: e - s])
+
+    def scale(self, out: np.ndarray | None = None) -> np.ndarray:
+        """S = (|q| + radius)^2 of every query row."""
+        S = np.sqrt(self.q2, out=out)
+        S += self.radius
+        S *= S
+        return S
+
+    def row_min(self) -> np.ndarray:
+        """Each query row's smallest product."""
+        least = np.empty(self.Q.shape[0])
+        for s, p in self.products():
+            np.minimum.reduce(p, axis=1, out=least[s : s + len(p)])
+        return least
+
+    def _terms(self, p: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        q2, err = self.q2[rows], self.err[rows]
+        return (q2[:, None], err[:, None]) if p.ndim == 2 else (q2, err)
 
     def lo(self, p: np.ndarray, rows=slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Lower bounds on the computed squared distances whose products are p (2-d), of ``rows``."""
-        lo = np.add(p, self.q2[rows], out=out)
-        lo -= self.err[rows]
+        """Lower bounds on the computed squared distances whose products are
+        p, of query rows ``rows``: one per row, or a (rows x columns) block."""
+        q2, err = self._terms(p, rows)
+        lo = np.add(p, q2, out=out)
+        lo -= err
         np.maximum(lo, 0.0, out=lo)
         lo *= 1.0 - self.rel
         return lo
 
     def hi(self, p: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Upper bounds, likewise."""
-        return (p + self.q2[rows] + self.err[rows]) * (1.0 + self.rel)
+        q2, err = self._terms(p, rows)
+        return (p + q2 + err) * (1.0 + self.rel)
+
+
+def _only_settled(floor: np.ndarray, above: float) -> np.ndarray:
+    """``floor`` where it is finite and above ``above``, NaN elsewhere."""
+    floor[~(np.isfinite(floor) & (floor > above))] = np.nan
+    return floor
 
 
 class _Model:
@@ -283,9 +334,9 @@ class _DistanceModel(_Model):
     """A model scored from each query row's squared distances to its training rows.
 
     Subclasses give ``_block_scores(block, out, tmp)``, the exact scores of
-    one query block, and ``_score_floor(bounds, above)``, a lower bound on each
-    row's computed score from a block's ``_SqDistBounds``, or override
-    ``_decide``.
+    one query block, and ``_decide(bounds, above)``, which returns per query
+    row a floor of its score above ``above``, an exact score, or NaN for a
+    row to be scored by ``_block_scores``.
     """
 
     def __init__(self, X: np.ndarray):
@@ -304,26 +355,17 @@ class _DistanceModel(_Model):
         return _by_blocks(Q, self.X.shape[0], self._block_scores)
 
     def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
-        """Bound and refine: one BLAS product per block bounds every distance;
-        ``_decide`` settles the rows it can and scores the others exactly. An
-        exact score depends on its own row only, so ``decision_scores(Q, t) >
-        t`` equals ``query_scores(Q) > t`` bit for bit."""
-        mean, w, radius = self._operands
-
-        def block(b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite bound settles nothing
-                return self._decide(b, _SqDistBounds(b - mean, w, radius, out), above, out, tmp)
-
-        return _by_blocks(Q, self.X.shape[0], block)
-
-    def _decide(self, b: np.ndarray, bounds: _SqDistBounds, above: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """A row whose finite floor exceeds ``above`` keeps it; the other rows
-        are scored exactly, gathered as a sub-block."""
-        floor = self._score_floor(bounds, above)
-        refine = ~(np.isfinite(floor) & (floor > above))
-        if refine.any():
-            floor[refine] = self._block_scores(b[refine], out, tmp)
-        return floor
+        """Bound and refine. ``_decide`` bounds every distance from BLAS
+        products, block by block, and runs each per-row stage once over all
+        of Q; the rows it leaves NaN are scored exactly, gathered. An exact
+        score depends on its own row only, so ``decision_scores(Q, t) > t``
+        equals ``query_scores(Q) > t`` bit for bit."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite bound settles nothing
+            scores = self._decide(_SqDistBounds(Q, *self._operands), above)
+            full = np.flatnonzero(np.isnan(scores))
+            if full.size:
+                scores[full] = self.query_scores(Q[full])
+        return scores
 
 
 class _KnnModel(_DistanceModel):
@@ -352,10 +394,13 @@ class _KnnModel(_DistanceModel):
         dists = np.sqrt(np.sort(d2[:, :k_eff], axis=1)[:, k_eff - self.k :])
         return dists.mean(axis=1) if self.aggregation == "mean" else np.median(dists, axis=1)
 
-    def _score_floor(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
         # Every aggregation of k distances, each at least sqrt(lo) of the row's
         # smallest as sqrt and the sum are monotone, is at least that less k + 1 roundings.
-        return np.sqrt(bounds.lo(bounds.p.min(axis=1, keepdims=True)))[:, 0] * (1.0 - (self.k + 4) * _U)
+        floor = bounds.row_min()
+        np.sqrt(bounds.lo(floor, out=floor), out=floor)
+        floor *= 1.0 - (self.k + 4) * _U
+        return _only_settled(floor, above)
 
     def train_scores(self, X: np.ndarray) -> np.ndarray:
         """Leave-self-out: the k nearest other training rows."""
@@ -439,46 +484,71 @@ class _LofModel(_DistanceModel):
         order = _k_nearest(d, self.k)
         return self._lof(order, np.take_along_axis(d, order, axis=1))
 
-    def _decide(self, b: np.ndarray, bounds: _SqDistBounds, above: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-        """Certified neighbour sets. One partition of the product finds each
-        row's k smallest entries, N. When ``sqrt(hi)`` of the k-th stays below
+    def _certified(self, bounds: _SqDistBounds, rows: np.ndarray | None = None) -> Iterator:
+        """Certified neighbour sets, ``(s, p, cert, flat)`` per block of the
+        query rows ``rows`` (all by default), as ``products`` yields them.
+
+        One partition of a copy of the product finds each row's k smallest
+        entries, N. When ``sqrt(hi)`` of the k-th stays below
         ``sqrt(lo)`` of the (k+1)-th, every computed distance in N is below
         every other one after the rounded ``sqrt`` too (both monotone), so N
         is exactly the set ``_k_nearest`` picks, with no tie at the k-th.
+        ``cert`` marks those rows of the block, and ``flat`` holds the flat
+        indices into p of their N, k per row in ascending column order.
+        """
+        k = self.k
+        part, mask = np.empty(bounds.buffer_shape), np.empty(bounds.buffer_shape, dtype=bool)
+        for s, p in bounds.products(rows):
+            block = slice(s, s + len(p)) if rows is None else rows[s : s + len(p)]
+            part_b = part[: len(p)]
+            np.copyto(part_b, p)
+            part_b.partition(k, axis=1)
+            kth = part_b[:, :k].max(axis=1)
+            cert = np.sqrt(bounds.hi(kth, block)) < np.sqrt(bounds.lo(part_b[:, k], block))
+            within = np.less_equal(p, kth[:, None], out=mask[: len(p)])
+            within[~cert] = False
+            yield s, p, cert, np.flatnonzero(within).reshape(-1, k)
 
-        On a certified row the floor is mean(lrd[N]) * mean(max(kdist[N],
+    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+        """On a certified row the floor is mean(lrd[N]) * mean(max(kdist[N],
         sqrt(lo_N))): each reach is at most the computed one, so each real
         mean is too; each computed mean (of k terms) is within gamma_k of its
         real mean, ``1 / mean_reach`` and the division (or the lrd cap, which
         only raises the score) round twice, and the floor's product and
         slack round twice, so ``1 - (4k + 16) u`` covers them all; underflows
         cost less than ``_TINY`` as every lrd is at most ``_LRD_CAP``. A
-        certified row left open is scored from N alone, its distances summed
-        feature by feature and sorted stably by (distance, index) as in
-        ``_k_nearest``, so bit for bit; any other row is scored in full.
+        certified row left open is scored from N alone, in
+        ``_from_neighbours``; any other row is NaN, to be scored in full.
         """
-        k, (m, n), p = self.k, bounds.p.shape, bounds.p
-        part = tmp[:m]
-        np.copyto(part, p)
-        part.partition(k, axis=1)
-        kth = part[:, :k].max(axis=1, keepdims=True)
-        cert = (np.sqrt(bounds.hi(kth)) < np.sqrt(bounds.lo(part[:, k : k + 1])))[:, 0]
-        within = p <= kth
-        within[~cert] = False
-        flat = np.flatnonzero(within).reshape(-1, k)  # exactly k per certified row, by ascending index
-        nbr = flat % n
-        reach = np.maximum(self.kdist[nbr], np.sqrt(bounds.lo(p.ravel()[flat], cert)))
-        floor = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1) * (1.0 - (4 * k + 16) * _U) - _TINY
-        scores = np.empty(m)
-        settled = np.isfinite(floor) & (floor > above)
-        scores[cert] = floor
-        if not settled.all():
-            idx, rows = nbr[~settled], np.flatnonzero(cert)[~settled]
-            d = np.sqrt(_pairwise_sq_dists(b[rows], self._cols[:, idx], np.empty(idx.shape), np.empty(idx.shape)))
+        n, m = self.X.shape[0], bounds.Q.shape[0]
+        floor, cert = np.full(m, np.nan), np.empty(m, dtype=bool)
+        for s, p, ok, flat in self._certified(bounds):
+            cert[s : s + len(p)] = ok
+            rows = s + np.flatnonzero(ok)
+            nbr = flat % n
+            reach = np.sqrt(bounds.lo(p.ravel()[flat], rows))
+            np.maximum(self.kdist[nbr], reach, out=reach)
+            floor[rows] = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1)
+        floor *= 1.0 - (4 * self.k + 16) * _U
+        floor -= _TINY
+        left = np.flatnonzero(cert & ~(np.isfinite(floor) & (floor > above)))
+        if left.size:
+            floor[left] = self._from_neighbours(bounds, left)
+        return floor
+
+    def _from_neighbours(self, bounds: _SqDistBounds, rows: np.ndarray) -> np.ndarray:
+        """Exact scores of the query ``rows`` from their certified k nearest
+        alone, which a fresh product certifies again; a row it does not, as
+        its rounding may differ, is NaN. The k distances are summed feature
+        by feature and sorted stably by (distance, index) as in
+        ``_k_nearest``, so bit for bit."""
+        n = self.X.shape[0]
+        scores = np.full(rows.size, np.nan)
+        for s, _, ok, flat in self._certified(bounds, rows):
+            got, nbr = s + np.flatnonzero(ok), flat % n
+            d = np.sqrt(_pairwise_sq_dists(bounds.Q[rows[got]], self._cols[:, nbr], np.empty(nbr.shape), np.empty(nbr.shape)))
             order = d.argsort(axis=1, kind="stable")
-            scores[rows] = self._lof(np.take_along_axis(idx, order, axis=1), np.take_along_axis(d, order, axis=1))
-        if not cert.all():
-            scores[~cert] = self._block_scores(b[~cert], out, tmp)
+            scores[got] = self._lof(np.take_along_axis(nbr, order, axis=1), np.take_along_axis(d, order, axis=1))
         return scores
 
 
@@ -640,10 +710,8 @@ class _IsolationForest(_Model):
             node *= 2
             node += go_right
         lengths = self._path[self._level(self.cap)].take(node)
-        total = lengths[0].copy()
-        for row in lengths[1:]:
-            total += row
-        return total / self.n_trees
+        # sequential along the trees; np.add.reduce would sum a one-row block pairwise
+        return np.add.accumulate(lengths, axis=0, out=lengths)[-1] / self.n_trees
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         c = max(float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0]), 1.0)
@@ -772,7 +840,7 @@ class _KdeModel(_DistanceModel):
         np.exp(e, out=e)
         return -(m + np.log(e.sum(axis=1)) + self._log_norm())
 
-    def _score_floor(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
         """The score is -(m + log(sum_j exp(e_j - m)) + c), e_j = -a_j with a_j
         = d2_j / (2 h^2) rounded and m = -min_j a_j; with b_j = lo_j / (2 h^2)
         rounded, b_j <= a_j as division is monotone. First floor, from the row
@@ -789,7 +857,10 @@ class _KdeModel(_DistanceModel):
         its own roundings it is within a factor 1 +- (2n + 66) u of the real
         one, and its log within (2n + 131 + 64 log n) u. The floor allows that
         twice, once per side, and 8 u (|lse| + log n + |c|) for the roundings
-        of the two sums.
+        of the two sums. As that sum is at least 1 within numpy's error, lse
+        is at most t, and the second floor at most t - c, which the first
+        floor plus log n and twice its slack exceeds: a row below the
+        threshold there is scored exactly without the second floor.
 
         If some distance over 2 h^2 could overflow, m may be -inf and the score
         NaN: such a row is never settled.
@@ -797,21 +868,35 @@ class _KdeModel(_DistanceModel):
         n = self.X.shape[0]
         h2 = 2.0 * self.h**2
         log_n, c = np.log(n), self._log_norm()
-        t = bounds.lo(bounds.p.min(axis=1, keepdims=True))[:, 0] / h2
-        slack = (n + 128 + 64 * log_n) * _U + 8 * _U * (t + log_n + abs(c))
-        floor = t - log_n - c - slack
-        floor[~np.isfinite(2.0 * bounds.scale / h2)] = np.nan
-        left = np.isfinite(floor) & ~(floor > above)
-        if left.any():
-            b = np.compress(left, bounds.p, axis=0)
-            bounds.lo(b, left, out=b)
-            b /= h2
-            t = b.min(axis=1, keepdims=True)
-            np.exp(np.subtract(t, b, out=b), out=b)
-            lse = t[:, 0] - np.log(b.sum(axis=1))
+        t = bounds.row_min()
+        bounds.lo(t, out=t)
+        t /= h2
+        t[~np.isfinite(2.0 * bounds.scale() / h2)] = np.nan
+        slack = t + log_n  # (n + 128 + 64 log n) u + 8 u (t + log n + |c|), in place
+        slack += abs(c)
+        slack *= 8 * _U
+        slack += (n + 128 + 64 * log_n) * _U
+        floor = t  # t - log n - c - slack, in place
+        floor -= log_n
+        floor -= c
+        floor -= slack
+        ceiling = slack  # floor + log n + 2 slack, at least any second floor
+        ceiling *= 2.0
+        ceiling += log_n
+        ceiling += floor
+        rows = np.flatnonzero(np.isfinite(floor) & ~(floor > above) & (ceiling > above))
+        del slack, ceiling
+        if rows.size:
+            lse = np.empty(rows.size)
+            for s, p in bounds.products(rows):
+                b = bounds.lo(p, rows[s : s + len(p)], out=p)
+                b /= h2
+                least = b.min(axis=1, keepdims=True)
+                np.exp(np.subtract(least, b, out=b), out=b)
+                lse[s : s + len(p)] = least[:, 0] - np.log(b.sum(axis=1))
             slack = (4 * n + 512 + 128 * log_n) * _U + 8 * _U * (np.abs(lse) + log_n + abs(c))
-            floor[left] = lse - c - slack
-        return floor
+            floor[rows] = lse - c - slack
+        return _only_settled(floor, above)
 
 
 _FITTERS: dict[str, Callable] = {

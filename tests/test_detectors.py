@@ -740,6 +740,72 @@ def test_decision_scores_independent_of_block_budget(algorithm, params, budget, 
     assert np.all(bounded[settled] > det.threshold) and np.all(bounded[settled] <= exact[settled])
 
 
+BOUNDARY_CONFIGS = [
+    ("knn", {"k": 3, "aggregation": "mean"}),
+    ("kde", {"bandwidth": 0.5}),
+    ("kde", {"bandwidth": 2.0}),  # rows open after the row minimum get the whole-row floor
+    ("lof", {"n_neighbors": 5}),
+]
+
+
+def _boundary_queries(rows, seed):
+    """Alternately a point among the training rows and a clear anomaly."""
+    g = np.random.default_rng(seed).standard_normal((rows, 3))
+    g[1::2] *= 8.0 / np.linalg.norm(g[1::2], axis=1)[:, None]
+    return g
+
+
+@pytest.mark.parametrize("budget", (None, 8 * 40))  # 1638 and 8 query rows per block
+@pytest.mark.parametrize("where", ("none", "one-row", "one-block", "one-block-plus-one", "two-blocks-plus-one"))
+@pytest.mark.parametrize("algorithm,params", BOUNDARY_CONFIGS, ids=lambda v: str(v))
+def test_decisions_at_sample_and_block_boundaries(algorithm, params, where, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+    block = detectors._block_rows(40)
+    rows = {"none": 0, "one-row": 1, "one-block": block, "one-block-plus-one": block + 1, "two-blocks-plus-one": 2 * block + 1}[where]
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), normals(40, dim=3, seed=71))
+    Q = _boundary_queries(rows, seed=72)
+    exact = det.scores(Q)
+    assert exact.shape == (rows,)
+    for t in (det.threshold, *exact[:: max(1, rows // 5)], -np.inf, np.inf):
+        moved = dataclasses.replace(det, threshold=float(t))
+        assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+        bounded, _, settled = _settled(moved, Q, float(t))
+        assert np.all(bounded[settled] > t) and np.all(bounded[settled] <= exact[settled]), t
+
+
+@pytest.mark.parametrize("budget", (None, 8 * 40))
+@pytest.mark.parametrize("algorithm,params", BOUNDARY_CONFIGS, ids=lambda v: str(v))
+def test_decisions_when_every_row_or_no_row_settles(algorithm, params, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), normals(40, dim=3, seed=71))
+    far = _boundary_queries(2 * detectors._block_rows(40) + 1, seed=73)
+    far *= 30.0 / np.linalg.norm(far, axis=1)[:, None]
+    bounded, exact, settled = _settled(det, far, det.threshold)
+    assert settled.all() and det.predict_many(far).all()
+    assert np.all(bounded > det.threshold) and np.all(bounded <= exact)
+    # just above every exact score: no floor can clear it, so every row is scored exactly
+    top = dataclasses.replace(det, threshold=float(np.nextafter(exact.max(), np.inf)))
+    bounded, exact, settled = _settled(top, far, top.threshold)
+    assert not settled.any() and not top.predict_many(far).any()
+
+
+@pytest.mark.parametrize("case", ("one-ulp", "equal-sqrt", "duplicate-rows"))
+def test_lof_decision_refinement_refuses_rows_it_cannot_certify_again(case):
+    """``_from_neighbours`` certifies each row's k nearest again from a fresh
+    product: the origin, whose 2nd and 3rd nearest no bound tells apart, is
+    left NaN, to be scored in full; every other row gets its exact score."""
+    a, b = ([1.5, 0.5], [1.5, 0.5]) if case == "duplicate-rows" else _adjacent_squares(case == "equal-sqrt")
+    far = [[3.0, 1.0], [3.5, -1.0], [-2.5, 2.0], [-3.0, -3.0], [5.0, 0.0], [0.0, 6.0], [4.25, 4.0]]
+    X = np.asarray([b, [0.05, 0.0], a, *far])
+    model = detectors._LofModel.fit(X, {"n_neighbors": 2}, seed=0)
+    Q = np.asarray([[0.0, 0.0], [-10.0, 3.0], [0.5, -4.0], [6.0, 5.0]])
+    got = model._from_neighbours(detectors._SqDistBounds(Q, *model._operands), np.arange(len(Q)))
+    assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
+    assert got[1:].tobytes() == model.query_scores(Q[1:]).tobytes()
+
+
 @pytest.mark.xfail(strict=True, reason="pca residuals of pure rounding noise round by BLAS block shape; fixed with the next portfolio version")
 def test_pca_one_row_predict_matches_predict_many_on_rounding_noise():
     # retained_variance 0.99 keeps all 4 components: threshold and scores are rounding noise

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from adselect.dataset import LabeledDataset
+from adselect.detectors import DetectorConfig, fit
 from adselect.hypervolume import (
     SAMPLE_CHUNK,
     EnclosingBall,
@@ -138,6 +140,26 @@ def test_estimate_jobs_do_not_change_counts():
     a = estimate_hypervolume(det, ball, n, seed=9, jobs=1)
     b = estimate_hypervolume(det, ball, n, seed=9, jobs=4)
     assert a.fraction == b.fraction
+
+
+@pytest.mark.parametrize("algorithm,params", [
+    ("knn", {"k": 3, "aggregation": "mean"}),
+    ("lof", {"n_neighbors": 10}),
+    ("kde", {"bandwidth": 0.5}),
+    ("iforest", {"n_trees": 50, "subsample": 64}),
+])
+def test_estimate_jobs_do_not_change_detector_counts(algorithm, params):
+    # two sample chunks, decided on one worker and on two; both count what the exact scores say
+    X = np.random.default_rng(10).standard_normal((300, 3))
+    det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=1),
+              LabeledDataset(features=X, labels=np.zeros(300, dtype=np.int8), name="hv"))
+    ball = fit_enclosing_ball(X)
+    n = SAMPLE_CHUNK + 4321
+    a = estimate_hypervolume(det, ball, n, seed=11, jobs=1)
+    b = estimate_hypervolume(det, ball, n, seed=11, jobs=2)
+    anomalies = int((det.scores(sample_uniform_in_ball(ball, n, seed=11)) > det.threshold).sum())
+    assert a.fraction == b.fraction == (n - anomalies) / n
+    assert 0.0 < a.fraction < 1.0
 
 
 def test_estimate_dimension_mismatch():
