@@ -93,14 +93,6 @@ class ScalingParams:
             "fitted_on": self.fitted_on,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalingParams":
-        return cls(
-            means=np.asarray(d["means"], dtype=np.float64),
-            iqrs=np.asarray(d["iqrs"], dtype=np.float64),
-            fitted_on=d["fitted_on"],
-        )
-
 
 @dataclass(frozen=True)
 class SemiSupervisedSplit:

@@ -484,9 +484,9 @@ class _LofModel(_DistanceModel):
         order = _k_nearest(d, self.k)
         return self._lof(order, np.take_along_axis(d, order, axis=1))
 
-    def _certified(self, bounds: _SqDistBounds, rows: np.ndarray | None = None) -> Iterator:
+    def _certified(self, bounds: _SqDistBounds) -> Iterator:
         """Certified neighbour sets, ``(s, p, cert, flat)`` per block of the
-        query rows ``rows`` (all by default), as ``products`` yields them.
+        query rows, as ``products`` yields them.
 
         One partition of a copy of the product finds each row's k smallest
         entries, N. When ``sqrt(hi)`` of the k-th stays below
@@ -498,8 +498,8 @@ class _LofModel(_DistanceModel):
         """
         k = self.k
         part, mask = np.empty(bounds.buffer_shape), np.empty(bounds.buffer_shape, dtype=bool)
-        for s, p in bounds.products(rows):
-            block = slice(s, s + len(p)) if rows is None else rows[s : s + len(p)]
+        for s, p in bounds.products():
+            block = slice(s, s + len(p))
             part_b = part[: len(p)]
             np.copyto(part_b, p)
             part_b.partition(k, axis=1)
@@ -517,39 +517,41 @@ class _LofModel(_DistanceModel):
         only raises the score) round twice, and the floor's product and
         slack round twice, so ``1 - (4k + 16) u`` covers them all; underflows
         cost less than ``_TINY`` as every lrd is at most ``_LRD_CAP``. A
-        certified row left open is scored from N alone, in
-        ``_from_neighbours``; any other row is NaN, to be scored in full.
+        certified row left open keeps its N, and is scored from N alone in
+        batches of at most ``_BLOCK_ELEMENTS`` neighbour indices; any other
+        row is NaN, to be scored in full.
         """
-        n, m = self.X.shape[0], bounds.Q.shape[0]
-        floor, cert = np.full(m, np.nan), np.empty(m, dtype=bool)
+        m, n, k = bounds.Q.shape[0], self.X.shape[0], self.k
+        floor = np.full(m, np.nan)
+        # each block adds at most buffer_shape[0] open rows, and k < n, so a block always fits the batch
+        kept = np.empty((min(max(1, _BLOCK_ELEMENTS // k), m), k), dtype=np.intp)
+        kept_rows = np.empty(len(kept), dtype=np.intp)
+        held = 0
         for s, p, ok, flat in self._certified(bounds):
-            cert[s : s + len(p)] = ok
-            rows = s + np.flatnonzero(ok)
-            nbr = flat % n
+            rows, nbr = s + np.flatnonzero(ok), flat % n
             reach = np.sqrt(bounds.lo(p.ravel()[flat], rows))
             np.maximum(self.kdist[nbr], reach, out=reach)
-            floor[rows] = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1)
-        floor *= 1.0 - (4 * self.k + 16) * _U
-        floor -= _TINY
-        left = np.flatnonzero(cert & ~(np.isfinite(floor) & (floor > above)))
-        if left.size:
-            floor[left] = self._from_neighbours(bounds, left)
+            got = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1)
+            got *= 1.0 - (4 * k + 16) * _U
+            got -= _TINY
+            floor[rows] = got
+            left = ~(np.isfinite(got) & (got > above))
+            opened = np.count_nonzero(left)
+            kept[held : held + opened], kept_rows[held : held + opened] = nbr[left], rows[left]
+            held += opened
+            if held and (held + bounds.buffer_shape[0] > len(kept) or s + len(p) == m):
+                floor[kept_rows[:held]] = self._from_neighbours(bounds.Q[kept_rows[:held]], kept[:held])
+                held = 0
         return floor
 
-    def _from_neighbours(self, bounds: _SqDistBounds, rows: np.ndarray) -> np.ndarray:
-        """Exact scores of the query ``rows`` from their certified k nearest
-        alone, which a fresh product certifies again; a row it does not, as
-        its rounding may differ, is NaN. The k distances are summed feature
+    def _from_neighbours(self, Q: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+        """Exact scores of Q's rows from their certified k nearest ``nbr``
+        alone, in ascending index per row. The k distances are summed feature
         by feature and sorted stably by (distance, index) as in
         ``_k_nearest``, so bit for bit."""
-        n = self.X.shape[0]
-        scores = np.full(rows.size, np.nan)
-        for s, _, ok, flat in self._certified(bounds, rows):
-            got, nbr = s + np.flatnonzero(ok), flat % n
-            d = np.sqrt(_pairwise_sq_dists(bounds.Q[rows[got]], self._cols[:, nbr], np.empty(nbr.shape), np.empty(nbr.shape)))
-            order = d.argsort(axis=1, kind="stable")
-            scores[got] = self._lof(np.take_along_axis(nbr, order, axis=1), np.take_along_axis(d, order, axis=1))
-        return scores
+        d = np.sqrt(_pairwise_sq_dists(Q, self._cols[:, nbr], np.empty(nbr.shape), np.empty(nbr.shape)))
+        order = d.argsort(axis=1, kind="stable")
+        return self._lof(np.take_along_axis(nbr, order, axis=1), np.take_along_axis(d, order, axis=1))
 
 
 class _IsolationForest(_Model):
@@ -710,8 +712,10 @@ class _IsolationForest(_Model):
             node *= 2
             node += go_right
         lengths = self._path[self._level(self.cap)].take(node)
-        # sequential along the trees; np.add.reduce would sum a one-row block pairwise
-        return np.add.accumulate(lengths, axis=0, out=lengths)[-1] / self.n_trees
+        total = lengths[0].copy()  # tree by tree: np.add.reduce would sum a one-row block pairwise
+        for row in lengths[1:]:
+            total += row
+        return total / self.n_trees
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         c = max(float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0]), 1.0)

@@ -204,15 +204,6 @@ def mc_cv_fpr(
     return float(np.mean(rates))
 
 
-@dataclass(frozen=True)
-class FeatureBudgets:
-    """Wall-clock limits; overruns mark landmarks absent / replace detectors."""
-
-    landmark_timeout_s: float = 300.0
-    detector_timeout_s: float = 300.0
-    retries: int = 10
-
-
 def _detector_features(
     config: DetectorConfig,
     train: LabeledDataset,
@@ -321,20 +312,21 @@ def build_detector_instance(
     mc_cv_test_fraction: float = 0.3,
     mc_cv_repetitions: int = 10,
     seed: int = 0,
-    budgets: FeatureBudgets = FeatureBudgets(),
+    retries: int = 10,
+    budget_s: float = 300.0,
     fitter: Callable = detectors.fit,
 ) -> MetaInstance | None:
     """One meta-instance from one randomly configured detector.
 
-    On fit failure or budget overrun a freshly configured detector replaces
-    the old one, up to `budgets.retries` times; exhaustion skips the
+    On fit failure or an overrun of budget_s a freshly configured detector
+    replaces the old one, up to `retries` times; exhaustion skips the
     instance with a logged reason.
     """
     got = featurize(
         "detector",
         random_draw(seed, dataset_id, index, "detector", "detector-features", "detector-features"),
         split.train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions,
-        budgets.retries, budgets.detector_timeout_s, fitter, dataset=dataset_id, index=index,
+        retries, budget_s, fitter, dataset=dataset_id, index=index,
     )
     if got is None:
         return None

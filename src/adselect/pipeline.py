@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import detectors, ranking
 from .detectors import PORTFOLIO_VERSION, DetectorConfig
 from .errors import ConfigError, DataError, FitError
 from .features import (
-    FeatureBudgets,
     LandmarkVector,
     MetaDataset,
     assemble_meta_dataset,
@@ -90,13 +89,6 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def budgets(self) -> FeatureBudgets:
-        return FeatureBudgets(
-            landmark_timeout_s=self.landmark_budget_s,
-            detector_timeout_s=self.detector_budget_s,
-            retries=self.retries,
-        )
-
     def fingerprint(self) -> str:
         relevant = (
             self.label_column, self.seed, self.split_fractions, self.outlier_lo, self.outlier_hi,
@@ -105,6 +97,13 @@ class RunConfig:
             PORTFOLIO_VERSION,
         )
         return hashlib.sha256(repr(relevant).encode()).hexdigest()[:16]
+
+
+def _budgets(cfg: RunConfig) -> dict:
+    """The featurization budgets, as both manifests record them."""
+    return {
+        "landmark_timeout_s": cfg.landmark_budget_s, "detector_timeout_s": cfg.detector_budget_s, "retries": cfg.retries,
+    }
 
 
 def _data_fingerprint(data: ds.LabeledDataset) -> str:
@@ -190,7 +189,8 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
             mc_cv_test_fraction=cfg.mc_cv_test_fraction,
             mc_cv_repetitions=cfg.mc_cv_repetitions,
             seed=cfg.seed,
-            budgets=cfg.budgets(),
+            retries=cfg.retries,
+            budget_s=cfg.detector_budget_s,
         )
 
     instances = [r for r in pmap(one, list(range(cfg.n_random_detectors)), cfg.jobs) if r is not None]
@@ -208,7 +208,7 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
             "fingerprint": fingerprint,
             "seed": cfg.seed,
             "portfolio_version": PORTFOLIO_VERSION,
-            "budgets": asdict(cfg.budgets()),
+            "budgets": _budgets(cfg),
             "hv_samples": cfg.hv_samples,
             "n_random_detectors": cfg.n_random_detectors,
             "files": ["split_manifest.json", "landmarks.csv", "detectors.csv", "meta.csv"],
@@ -241,7 +241,7 @@ def assimilate_all(datasets: list[ds.LabeledDataset], cfg: RunConfig) -> list[Me
             "hv_samples": cfg.hv_samples,
             "n_random_detectors": cfg.n_random_detectors,
             "mc_cv": {"test_fraction": cfg.mc_cv_test_fraction, "repetitions": cfg.mc_cv_repetitions},
-            "budgets": asdict(cfg.budgets()),
+            "budgets": _budgets(cfg),
         },
         os.path.join(cfg.out_dir, "assimilation_manifest.json"),
     )

@@ -330,10 +330,13 @@ def fit_forest(name, seed=0):
     return fit(config_for("iforest", n_trees=n_trees, subsample=subsample, seed=seed), data), X
 
 
+@pytest.mark.parametrize("rows", (None, 1, 8))  # query rows per block: all 40 probes, one, eight
 @pytest.mark.parametrize("case", FOREST_CASES)
-def test_iforest_scorer_matches_naive_walk(case):
+def test_iforest_scorer_matches_naive_walk(case, rows, monkeypatch):
     det, X = fit_forest(case)
     model = det.model
+    if rows is not None:
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", rows * model.n_trees)
     assert not np.isnan(model.path[:, 2**model.cap - 1 :]).any()
     probes = np.concatenate(
         [X[:10], np.random.default_rng(34).standard_normal((30, X.shape[1])) * 3]
@@ -791,19 +794,27 @@ def test_decisions_when_every_row_or_no_row_settles(algorithm, params, budget, m
     assert not settled.any() and not top.predict_many(far).any()
 
 
-@pytest.mark.parametrize("case", ("one-ulp", "equal-sqrt", "duplicate-rows"))
-def test_lof_decision_refinement_refuses_rows_it_cannot_certify_again(case):
-    """``_from_neighbours`` certifies each row's k nearest again from a fresh
-    product: the origin, whose 2nd and 3rd nearest no bound tells apart, is
-    left NaN, to be scored in full; every other row gets its exact score."""
-    a, b = ([1.5, 0.5], [1.5, 0.5]) if case == "duplicate-rows" else _adjacent_squares(case == "equal-sqrt")
-    far = [[3.0, 1.0], [3.5, -1.0], [-2.5, 2.0], [-3.0, -3.0], [5.0, 0.0], [0.0, 6.0], [4.25, 4.0]]
-    X = np.asarray([b, [0.05, 0.0], a, *far])
-    model = detectors._LofModel.fit(X, {"n_neighbors": 2}, seed=0)
-    Q = np.asarray([[0.0, 0.0], [-10.0, 3.0], [0.5, -4.0], [6.0, 5.0]])
-    got = model._from_neighbours(detectors._SqDistBounds(Q, *model._operands), np.arange(len(Q)))
-    assert np.isnan(got[0]) and not np.isnan(got[1:]).any()
-    assert got[1:].tobytes() == model.query_scores(Q[1:]).tobytes()
+@pytest.mark.parametrize("budget", (None, 8 * 200, 1))  # 327, 8 and 1 query rows per block
+def test_lof_decision_certifies_each_neighbour_set_once(budget, monkeypatch):
+    """Held-out normal rows, as MC-CV predicts them: most neighbour sets are
+    certified but the floor leaves the row open, and such a row is scored
+    from the set its one pass of products certified."""
+    if budget is not None:
+        monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
+    data = normals(240, dim=4, seed=74)
+    det = fit(config_for("lof", n_neighbors=20), data.take(np.arange(200)))
+    held = data.features[200:]
+    exact = det.scores(held)
+    passes = []
+    products = detectors._SqDistBounds.products
+    monkeypatch.setattr(detectors._SqDistBounds, "products", lambda self, *rows: passes.append(1) or products(self, *rows))
+    thresholds = (det.threshold, *exact[::5], *np.nextafter(exact[::5], -np.inf))
+    for t in thresholds:
+        moved = dataclasses.replace(det, threshold=float(t))
+        assert moved.predict_many(held).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+    assert len(passes) == len(thresholds)
+    got, full = _lof_paths(det.model, held, det.threshold, monkeypatch)
+    assert np.count_nonzero(~full & (got == exact)) > len(held) // 2  # certified, open, scored from the set
 
 
 @pytest.mark.xfail(strict=True, reason="pca residuals of pure rounding noise round by BLAS block shape; fixed with the next portfolio version")

@@ -8,7 +8,6 @@ from adselect import detectors, features
 from adselect.dataset import LabeledDataset
 from adselect.errors import DataError, FitError
 from adselect.features import (
-    FeatureBudgets,
     DetectorFeatures,
     LandmarkVector,
     MetaDataset,
@@ -236,7 +235,7 @@ def test_instance_timeout_triggers_replacement():
     inst = build_detector_instance(
         split, ball, dummy_landmarks(), dataset_id="toy", index=0,
         hv_samples=300, mc_cv_repetitions=2, seed=6,
-        budgets=FeatureBudgets(detector_timeout_s=1.0, retries=3), fitter=slow_once,
+        retries=3, budget_s=1.0, fitter=slow_once,
     )
     # exactly one instance comes out of the timeout-then-replacement path
     assert inst is not None
@@ -253,7 +252,7 @@ def test_instance_skipped_when_retries_exhausted():
     inst = build_detector_instance(
         split, ball, dummy_landmarks(), dataset_id="toy", index=0,
         hv_samples=500, mc_cv_repetitions=2, seed=5,
-        budgets=FeatureBudgets(retries=2), fitter=always_fail,
+        retries=2, fitter=always_fail,
     )
     assert inst is None
 
@@ -315,7 +314,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
     events = recorded_events(monkeypatch)
     inst = build_detector_instance(
         split, fit_enclosing_ball(split.train.features), dummy_landmarks(), dataset_id="toy", index=2,
-        hv_samples=500, mc_cv_repetitions=2, seed=7, budgets=FeatureBudgets(detector_timeout_s=5.0, retries=2),
+        hv_samples=500, mc_cv_repetitions=2, seed=7, retries=2, budget_s=5.0,
         fitter=fitter,
     )
     where = {"dataset": "toy", "index": 2}
