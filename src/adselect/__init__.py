@@ -31,6 +31,7 @@ from .detectors import (
 )
 from .errors import AdSelectError, ConfigError, DataError, FitError, ModelFormatError
 from .features import (
+    DatasetSamples,
     DetectorFeatures,
     LandmarkVector,
     MetaDataset,
@@ -41,6 +42,7 @@ from .features import (
     mc_cv_fpr,
 )
 from .hypervolume import (
+    BallSample,
     EnclosingBall,
     HypervolumeEstimate,
     estimate_hypervolume,

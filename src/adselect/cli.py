@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus, dataset, detectors, pipeline
 from .errors import ConfigError, DataError, FitError, ModelFormatError
 from .features import MetaDataset
-from .hypervolume import estimate_hypervolume, fit_enclosing_ball
+from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
 from .metamodel import fit_meta_model, load_model, save_model
 from .pipeline import RunConfig
 from .util import fmt_float, log_event, logger
@@ -270,7 +270,7 @@ def cmd_hv_estimate(args: argparse.Namespace) -> int:
     train = dataset.apply_scaler(scaler, normals)
     ball = fit_enclosing_ball(train.features)
     det = detectors.fit(config, train)
-    est = estimate_hypervolume(det, ball, samples, seed=cfg.seed, jobs=cfg.jobs)
+    est = estimate_hypervolume(det, BallSample(ball, cfg.seed), samples, jobs=cfg.jobs)
     print(
         json.dumps(
             {

@@ -23,7 +23,7 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, FitError
 from .util import rng_from
 
-PORTFOLIO_VERSION = "native-7/2"
+PORTFOLIO_VERSION = "native-8/1"
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +284,13 @@ class _SqDistBounds:
         S *= S
         return S
 
-    def row_min(self) -> np.ndarray:
-        """Each query row's smallest product."""
+    def nearest(self) -> np.ndarray:
+        """Each query row's lower bound on its smallest computed squared
+        distance: ``lo`` of its smallest product, as ``lo`` is monotone."""
         least = np.empty(self.Q.shape[0])
         for s, p in self.products():
             np.minimum.reduce(p, axis=1, out=least[s : s + len(p)])
-        return least
+        return self.lo(least, out=least)
 
     def _terms(self, p: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         q2, err = self.q2[rows], self.err[rows]
@@ -317,6 +318,39 @@ def _only_settled(floor: np.ndarray, above: float) -> np.ndarray:
     return floor
 
 
+class TrainingRows:
+    """Training rows X, as a model is fitted on them, shared by every model
+    fitted on one training matrix: the transposed columns that the exact
+    distance kernel reads, and the operands of ``_SqDistBounds``."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.cols = np.ascontiguousarray(X.T)
+
+    @classmethod
+    def of(cls, train: LabeledDataset) -> "TrainingRows":
+        """The canonical rows of ``train``, made once per dataset object and
+        kept on it, so that every fit on one dataset object shares them."""
+        rows = train.__dict__.get("_training_rows")
+        if rows is None:  # two threads may both build it; setdefault keeps the first
+            rows = train.__dict__.setdefault("_training_rows", cls(canonical_rows(train.features)))
+        return rows
+
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The training mean, ``[-2 x.T; |x|^2]`` and the radius of the centred rows x."""
+        mean = self.X.mean(axis=0)
+        xc = self.X - mean
+        x2 = np.einsum("ij,ij->i", xc, xc)
+        return mean, np.vstack([-2.0 * xc.T, x2]), np.sqrt(x2.max())
+
+    def nearest(self, Q: np.ndarray) -> np.ndarray:
+        """``_SqDistBounds.nearest`` of Q's rows against these rows: the bound
+        that a distance model fitted on them computes for Q itself."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _SqDistBounds(Q, *self.operands).nearest()
+
+
 class _Model:
     """A portfolio model; ``train_scores`` gives the scores that set its threshold."""
 
@@ -324,7 +358,7 @@ class _Model:
         """Scores of the training rows X, which the model was fitted on."""
         return self.query_scores(X)
 
-    def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
+    def decision_scores(self, Q: np.ndarray, above: float, nearest: Callable | None = None) -> np.ndarray:
         """Scores of Q's rows, where a row proven to score above ``above`` may
         get a lower bound of its score instead, itself above ``above``."""
         return self.query_scores(Q)
@@ -334,34 +368,31 @@ class _DistanceModel(_Model):
     """A model scored from each query row's squared distances to its training rows.
 
     Subclasses give ``_block_scores(block, out, tmp)``, the exact scores of
-    one query block, and ``_decide(bounds, above)``, which returns per query
-    row a floor of its score above ``above``, an exact score, or NaN for a
-    row to be scored by ``_block_scores``.
+    one query block, and ``_decide(bounds, above, nearest)``, which returns
+    per query row a floor of its score above ``above``, an exact score, or
+    NaN for a row to be scored by ``_block_scores``. ``nearest`` is the
+    rows' ``TrainingRows.nearest`` bound when the caller shares one, else None.
     """
 
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self._cols = np.ascontiguousarray(X.T)
-
-    @cached_property
-    def _operands(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The training mean, ``[-2 x.T; |x|^2]`` and the radius of the centred rows x."""
-        mean = self.X.mean(axis=0)
-        xc = self.X - mean
-        x2 = np.einsum("ij,ij->i", xc, xc)
-        return mean, np.vstack([-2.0 * xc.T, x2]), np.sqrt(x2.max())
+    def __init__(self, rows: TrainingRows):
+        self.rows = rows
+        self.X = rows.X
+        self._cols = rows.cols
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         return _by_blocks(Q, self.X.shape[0], self._block_scores)
 
-    def decision_scores(self, Q: np.ndarray, above: float) -> np.ndarray:
+    def decision_scores(self, Q: np.ndarray, above: float, nearest: Callable | None = None) -> np.ndarray:
         """Bound and refine. ``_decide`` bounds every distance from BLAS
         products, block by block, and runs each per-row stage once over all
         of Q; the rows it leaves NaN are scored exactly, gathered. An exact
         score depends on its own row only, so ``decision_scores(Q, t) > t``
-        equals ``query_scores(Q) > t`` bit for bit."""
+        equals ``query_scores(Q) > t`` bit for bit. ``nearest(rows)``, if
+        given, returns ``rows.nearest(Q)``, computed once for every model
+        fitted on the same rows."""
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite bound settles nothing
-            scores = self._decide(_SqDistBounds(Q, *self._operands), above)
+            shared = None if nearest is None else nearest(self.rows)
+            scores = self._decide(_SqDistBounds(Q, *self.rows.operands), above, shared)
             full = np.flatnonzero(np.isnan(scores))
             if full.size:
                 scores[full] = self.query_scores(Q[full])
@@ -369,17 +400,17 @@ class _DistanceModel(_Model):
 
 
 class _KnnModel(_DistanceModel):
-    def __init__(self, X: np.ndarray, k: int, aggregation: str):
-        super().__init__(X)
+    def __init__(self, rows: TrainingRows, k: int, aggregation: str):
+        super().__init__(rows)
         self.k = k
         self.aggregation = aggregation
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_KnnModel":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_KnnModel":
         k = int(params["k"])
-        if X.shape[0] <= k:
-            raise FitError(f"knn with k={k} needs more than {k} training rows, got {X.shape[0]}")
-        return cls(X, k, str(params["aggregation"]))
+        if rows.X.shape[0] <= k:
+            raise FitError(f"knn with k={k} needs more than {k} training rows, got {rows.X.shape[0]}")
+        return cls(rows, k, str(params["aggregation"]))
 
     def _block_scores(self, block: np.ndarray, out: np.ndarray, tmp: np.ndarray, exclude_self: bool = False) -> np.ndarray:
         k_eff = self.k + 1 if exclude_self else self.k
@@ -394,11 +425,10 @@ class _KnnModel(_DistanceModel):
         dists = np.sqrt(np.sort(d2[:, :k_eff], axis=1)[:, k_eff - self.k :])
         return dists.mean(axis=1) if self.aggregation == "mean" else np.median(dists, axis=1)
 
-    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
-        # Every aggregation of k distances, each at least sqrt(lo) of the row's
-        # smallest as sqrt and the sum are monotone, is at least that less k + 1 roundings.
-        floor = bounds.row_min()
-        np.sqrt(bounds.lo(floor, out=floor), out=floor)
+    def _decide(self, bounds: _SqDistBounds, above: float, nearest: np.ndarray | None) -> np.ndarray:
+        # Every aggregation of k distances, each at least sqrt(nearest) as sqrt
+        # and the sum are monotone, is at least that less k + 1 roundings.
+        floor = np.sqrt(bounds.nearest() if nearest is None else nearest)
         floor *= 1.0 - (self.k + 4) * _U
         return _only_settled(floor, above)
 
@@ -434,32 +464,34 @@ _LRD_CAP = 1e10  # stands in for infinite local reachability density at duplicat
 
 
 class _LofModel(_DistanceModel):
-    def __init__(self, X: np.ndarray, k: int, kdist: np.ndarray):
-        super().__init__(X)
+    def __init__(self, rows: TrainingRows, k: int, kdist: np.ndarray):
+        super().__init__(rows)
         self.k = k
         self.kdist = kdist
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_LofModel":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_LofModel":
         k = int(params["n_neighbors"])
+        X = rows.X
         n = X.shape[0]
         if n <= k:
             raise FitError(f"lof with n_neighbors={k} needs more than {k} training rows, got {n}")
         order = np.empty((n, k), dtype=np.intp)
         ndist = np.empty((n, k))
-        rows = _block_rows(n)
-        cols = np.ascontiguousarray(X.T)
-        out, tmp = np.empty((min(rows, n), n)), np.empty((min(rows, n), n))
-        for s in range(0, n, rows):
-            d = _pairwise_sq_dists(X[s : s + rows], cols, out, tmp)
+        step = _block_rows(n)
+        out, tmp = np.empty((min(step, n), n)), np.empty((min(step, n), n))
+        for s in range(0, n, step):
+            d = _pairwise_sq_dists(X[s : s + step], rows.cols, out, tmp)
             np.sqrt(d, out=d)
             m = d.shape[0]
             d[np.arange(m), np.arange(s, s + m)] = np.inf  # a row is not its own neighbour
             order[s : s + m] = _k_nearest(d, k)
             ndist[s : s + m] = np.take_along_axis(d, order[s : s + m], axis=1)
-        model = cls(X, k, kdist=ndist[:, -1])
+        model = cls(rows, k, kdist=ndist[:, -1])
         model._lrd = model._lrd_from(ndist, order)
         model._train_lof = model._lrd[order].mean(axis=1) / model._lrd
+        model._least_lrd = np.sort(model._lrd)[:k].mean()  # the first floor's terms
+        model._least_kdist = model.kdist.min()
         return model
 
     def _lrd_from(self, ndist: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -484,9 +516,10 @@ class _LofModel(_DistanceModel):
         order = _k_nearest(d, self.k)
         return self._lof(order, np.take_along_axis(d, order, axis=1))
 
-    def _certified(self, bounds: _SqDistBounds) -> Iterator:
-        """Certified neighbour sets, ``(s, p, cert, flat)`` per block of the
-        query rows, as ``products`` yields them.
+    def _certified(self, bounds: _SqDistBounds, rows: np.ndarray | None) -> Iterator:
+        """Certified neighbour sets of the query rows ``rows`` (all of Q if
+        None), ``(q, p, cert, flat)`` per block of them as ``products`` yields
+        them, q holding the block's query row indices.
 
         One partition of a copy of the product finds each row's k smallest
         entries, N. When ``sqrt(hi)`` of the k-th stays below
@@ -497,19 +530,20 @@ class _LofModel(_DistanceModel):
         indices into p of their N, k per row in ascending column order.
         """
         k = self.k
+        index = np.arange(bounds.Q.shape[0]) if rows is None else rows
         part, mask = np.empty(bounds.buffer_shape), np.empty(bounds.buffer_shape, dtype=bool)
-        for s, p in bounds.products():
-            block = slice(s, s + len(p))
+        for s, p in bounds.products(rows):
+            q = index[s : s + len(p)]
             part_b = part[: len(p)]
             np.copyto(part_b, p)
             part_b.partition(k, axis=1)
             kth = part_b[:, :k].max(axis=1)
-            cert = np.sqrt(bounds.hi(kth, block)) < np.sqrt(bounds.lo(part_b[:, k], block))
+            cert = np.sqrt(bounds.hi(kth, q)) < np.sqrt(bounds.lo(part_b[:, k], q))
             within = np.less_equal(p, kth[:, None], out=mask[: len(p)])
             within[~cert] = False
-            yield s, p, cert, np.flatnonzero(within).reshape(-1, k)
+            yield q, p, cert, np.flatnonzero(within).reshape(-1, k)
 
-    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+    def _decide(self, bounds: _SqDistBounds, above: float, nearest: np.ndarray | None) -> np.ndarray:
         """On a certified row the floor is mean(lrd[N]) * mean(max(kdist[N],
         sqrt(lo_N))): each reach is at most the computed one, so each real
         mean is too; each computed mean (of k terms) is within gamma_k of its
@@ -520,26 +554,54 @@ class _LofModel(_DistanceModel):
         certified row left open keeps its N, and is scored from N alone in
         batches of at most ``_BLOCK_ELEMENTS`` neighbour indices; any other
         row is NaN, to be scored in full.
+
+        A shared ``nearest`` bound gives every row a first floor, before any
+        product: L * max(sqrt(nearest), min kdist), L the computed mean of
+        the k smallest training lrds. Every computed distance is at least
+        the rounded sqrt(nearest) (sqrt is monotone), so every reach of N is
+        at least r = max(sqrt(nearest), min kdist), exactly. The computed
+        mean_reach is at least r (1 - gamma_(k-1)) (1 - u); the computed
+        mean(lrd[N]) is at least (1 - gamma_(k-1)) (1 - u) times the real
+        mean of the k smallest lrds, which is at least L / (1 + gamma_(k-1))
+        / (1 + u); 1 / mean_reach and the division round once each, and the
+        floor's product and slack once each: about 3k + 9 roundings in all,
+        which ``1 - (4k + 16) u`` covers with room for the second-order
+        terms, and ``_TINY`` covers the underflows as above. Only the rows
+        it leaves open reach the partition. Without a shared bound the
+        certified floor alone is used: up to rounding it is never below the
+        first floor, and every row pays for its product anyway.
         """
         m, n, k = bounds.Q.shape[0], self.X.shape[0], self.k
         floor = np.full(m, np.nan)
+        rows = None
+        if nearest is not None:
+            first = np.sqrt(nearest)
+            np.maximum(first, self._least_kdist, out=first)
+            first *= self._least_lrd
+            first *= 1.0 - (4 * k + 16) * _U
+            first -= _TINY
+            settled = np.isfinite(first) & (first > above)
+            floor[settled] = first[settled]
+            rows = np.flatnonzero(~settled)
+        total = m if rows is None else rows.size
         # each block adds at most buffer_shape[0] open rows, and k < n, so a block always fits the batch
-        kept = np.empty((min(max(1, _BLOCK_ELEMENTS // k), m), k), dtype=np.intp)
+        kept = np.empty((min(max(1, _BLOCK_ELEMENTS // k), total), k), dtype=np.intp)
         kept_rows = np.empty(len(kept), dtype=np.intp)
-        held = 0
-        for s, p, ok, flat in self._certified(bounds):
-            rows, nbr = s + np.flatnonzero(ok), flat % n
-            reach = np.sqrt(bounds.lo(p.ravel()[flat], rows))
+        held = done = 0
+        for q, p, ok, flat in self._certified(bounds, rows):
+            done += len(p)
+            got_rows, nbr = q[ok], flat % n
+            reach = np.sqrt(bounds.lo(p.ravel()[flat], got_rows))
             np.maximum(self.kdist[nbr], reach, out=reach)
             got = self._lrd[nbr].mean(axis=1) * reach.mean(axis=1)
             got *= 1.0 - (4 * k + 16) * _U
             got -= _TINY
-            floor[rows] = got
+            floor[got_rows] = got
             left = ~(np.isfinite(got) & (got > above))
             opened = np.count_nonzero(left)
-            kept[held : held + opened], kept_rows[held : held + opened] = nbr[left], rows[left]
+            kept[held : held + opened], kept_rows[held : held + opened] = nbr[left], got_rows[left]
             held += opened
-            if held and (held + bounds.buffer_shape[0] > len(kept) or s + len(p) == m):
+            if held and (held + bounds.buffer_shape[0] > len(kept) or done == total):
                 floor[kept_rows[:held]] = self._from_neighbours(bounds.Q[kept_rows[:held]], kept[:held])
                 held = 0
         return floor
@@ -601,7 +663,8 @@ class _IsolationForest(_Model):
         return out
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_IsolationForest":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_IsolationForest":
+        X = rows.X
         n = X.shape[0]
         if n < 2:
             raise FitError(f"iforest needs at least 2 training rows, got {n}")
@@ -735,7 +798,8 @@ class _HbosModel(_Model):
     _EPS = 1e-12
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_HbosModel":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_HbosModel":
+        X = rows.X
         n, d = X.shape
         bins = int(params["n_bins"])
         edges: list[np.ndarray | None] = []
@@ -772,18 +836,31 @@ class _HbosModel(_Model):
 
 
 class _PcaModel(_Model):
-    def __init__(self, mean: np.ndarray, components: np.ndarray):
+    """Reconstruction error of principal components keeping ``retained_variance``.
+
+    The residual of q is its squared length in the discarded directions,
+    ``|(q - mean) V_rest.T|^2``, with V_rest the right singular vectors that
+    the kept components leave out, of which there are d - m. Mathematically
+    that is ``|centred - reconstruction|^2``; computed this way, a model that
+    keeps every component has no discarded direction and scores exactly 0,
+    whatever BLAS kernel or block shape, where the difference of the
+    centred row and its reconstruction would be rounding noise.
+    """
+
+    def __init__(self, mean: np.ndarray, rest: np.ndarray):
         self.mean = mean
-        self.components = components  # (m, d) orthonormal rows
+        self.rest = rest  # (d - m, d) orthonormal rows: the discarded directions
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_PcaModel":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_PcaModel":
+        X = rows.X
         n, d = X.shape
         if n < 2:
             raise FitError(f"pca needs at least 2 training rows, got {n}")
         retained = float(params["retained_variance"])
         mean = X.mean(axis=0)
-        _, s, vt = np.linalg.svd(X - mean, full_matrices=False)
+        # zero rows pad n < d up to d, so that vt spans all d directions; they change no singular vector
+        _, s, vt = np.linalg.svd(np.vstack([X - mean, np.zeros((max(0, d - n), d))]), full_matrices=False)
         var = s**2
         total = var.sum()
         if total <= 0:
@@ -791,14 +868,12 @@ class _PcaModel(_Model):
         else:
             ratio = np.cumsum(var) / total
             m = int(np.searchsorted(ratio, retained - 1e-12) + 1)
-            m = min(m, vt.shape[0])
-        return cls(mean, vt[:m])
+            m = min(m, d)
+        return cls(mean, np.ascontiguousarray(vt[m:]))
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
-        centered = Q - self.mean
-        proj = centered @ self.components.T
-        recon = proj @ self.components
-        return np.sum((centered - recon) ** 2, axis=1)
+        proj = (Q - self.mean) @ self.rest.T
+        return np.einsum("ij,ij->i", proj, proj)
 
 
 class _GaussianModel(_Model):
@@ -807,7 +882,8 @@ class _GaussianModel(_Model):
         self.chol = chol
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_GaussianModel":
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_GaussianModel":
+        X = rows.X
         ridge = float(params["ridge"])
         mean = X.mean(axis=0)
         centered = X - mean
@@ -822,13 +898,13 @@ class _GaussianModel(_Model):
 
 
 class _KdeModel(_DistanceModel):
-    def __init__(self, X: np.ndarray, bandwidth: float):
-        super().__init__(X)
+    def __init__(self, rows: TrainingRows, bandwidth: float):
+        super().__init__(rows)
         self.h = bandwidth
 
     @classmethod
-    def fit(cls, X: np.ndarray, params: Mapping, seed: int) -> "_KdeModel":
-        return cls(X, float(params["bandwidth"]))
+    def fit(cls, rows: TrainingRows, params: Mapping, seed: int) -> "_KdeModel":
+        return cls(rows, float(params["bandwidth"]))
 
     def _log_norm(self) -> float:
         n, d = self.X.shape
@@ -844,11 +920,11 @@ class _KdeModel(_DistanceModel):
         np.exp(e, out=e)
         return -(m + np.log(e.sum(axis=1)) + self._log_norm())
 
-    def _decide(self, bounds: _SqDistBounds, above: float) -> np.ndarray:
+    def _decide(self, bounds: _SqDistBounds, above: float, nearest: np.ndarray | None) -> np.ndarray:
         """The score is -(m + log(sum_j exp(e_j - m)) + c), e_j = -a_j with a_j
         = d2_j / (2 h^2) rounded and m = -min_j a_j; with b_j = lo_j / (2 h^2)
-        rounded, b_j <= a_j as division is monotone. First floor, from the row
-        minimum: -m >= t = min_j b_j, and each exp(e_j - m <= 0) is at most 1
+        rounded, b_j <= a_j as division is monotone. First floor, from the
+        nearest bound: -m >= t = nearest / (2 h^2) = min_j b_j, and each exp(e_j - m <= 0) is at most 1
         within numpy's error (64 u allowed), so the sum of n terms is at most
         n (1 + (n + 64) u) and its log at most log n + (n + 128 + 64 log n) u,
         again allowing 64 u for numpy's log; the two roundings of the exact sum
@@ -872,9 +948,7 @@ class _KdeModel(_DistanceModel):
         n = self.X.shape[0]
         h2 = 2.0 * self.h**2
         log_n, c = np.log(n), self._log_norm()
-        t = bounds.row_min()
-        bounds.lo(t, out=t)
-        t /= h2
+        t = (bounds.nearest() if nearest is None else nearest) / h2
         t[~np.isfinite(2.0 * bounds.scale() / h2)] = np.nan
         slack = t + log_n  # (n + 128 + 64 log n) u + 8 u (t + log n + |c|), in place
         slack += abs(c)
@@ -928,24 +1002,26 @@ class TrainedDetector:
     trained_on: str
     dim: int
 
-    def scores(self, X: np.ndarray, above: float | None = None) -> np.ndarray:
+    def scores(self, X: np.ndarray, above: float | None = None, nearest: Callable | None = None) -> np.ndarray:
         """Anomaly scores of the rows of X.
 
         With ``above``, a row proven to score above it may get a lower bound
         of its score, itself above ``above``, in place of the score. So
         ``scores(X, above=t) > t`` equals ``scores(X) > t`` bit for bit, and
         knn, LOF and KDE settle clear anomalies without scoring them.
+        ``nearest(rows)``, if given, returns ``rows.nearest(X)`` for the
+        model's ``TrainingRows``, shared by every model fitted on them.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim}-dimensional inputs, got {X.shape[1]}")
         if above is None:
             return self.model.query_scores(X)
-        return self.model.decision_scores(X, above)
+        return self.model.decision_scores(X, above, nearest)
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
+    def predict_many(self, X: np.ndarray, nearest: Callable | None = None) -> np.ndarray:
         """1 where score exceeds the threshold (anomaly), else 0."""
-        return (self.scores(X, above=self.threshold) > self.threshold).astype(np.int8)
+        return (self.scores(X, above=self.threshold, nearest=nearest) > self.threshold).astype(np.int8)
 
 
 def canonical_rows(X: np.ndarray) -> np.ndarray:
@@ -969,9 +1045,9 @@ def fit(config: DetectorConfig, train: LabeledDataset) -> TrainedDetector:
             f"{train.name}: training data contains {train.n_anomalies} labeled anomalies",
             stacklevel=2,
         )
-    X = canonical_rows(train.features)
-    model = _FITTERS[config.algorithm](X, config.params, config.seed)
-    train_scores = np.asarray(model.train_scores(X), dtype=np.float64)
+    rows = TrainingRows.of(train)
+    model = _FITTERS[config.algorithm](rows, config.params, config.seed)
+    train_scores = np.asarray(model.train_scores(rows.X), dtype=np.float64)
     if not np.all(np.isfinite(train_scores)):
         raise FitError(f"{config.algorithm}: non-finite training scores")
     threshold = float(np.quantile(train_scores, 1.0 - config.contamination, method="linear"))

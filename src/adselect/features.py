@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import detectors
-from .dataset import LabeledDataset, SemiSupervisedSplit
+from .dataset import LabeledDataset
 from .detectors import ALGORITHMS, DetectorConfig, TrainedDetector
 from .errors import DataError, FitError
-from .hypervolume import EnclosingBall, estimate_hypervolume
+from .hypervolume import BallSample, EnclosingBall, estimate_hypervolume
 from .ranking import confusion_counts, mcc, scaled_mcc
 from .util import fmt_float, log_event, pmap, rng_from, seed_from
 
@@ -163,61 +163,71 @@ class MetaDataset:
 # feature computation
 
 
+class DatasetSamples:
+    """The common random numbers of one dataset under one master seed.
+
+    Every featurization on the dataset (its landmarks, its random detectors,
+    its rank candidates) scores the same hypervolume points, ``ball``, a
+    ``BallSample`` of ``hv_samples`` points under the seed ``(seed,
+    dataset_id, "hv")``, and refits on the same MC-CV splits, repetition r
+    drawn under ``(seed, dataset_id, "mccv", r)``. Shared samples lower the
+    variance of every difference between two detectors' features, and let
+    per-point work run once per dataset. The splits are drawn here and never
+    change, and ``BallSample`` is thread-safe, so one object serves every
+    worker. Besides the ball sample (see ``BallSample``) it holds each
+    split's held-out and fit rows, repetitions x n x d x 8 bytes.
+    """
+
+    def __init__(
+        self, train: LabeledDataset, ball: EnclosingBall, dataset_id: str, seed: int = 0,
+        hv_samples: int = 200_000, mc_cv_test_fraction: float = 0.3, mc_cv_repetitions: int = 10,
+    ):
+        self.train, self.dataset_id, self.seed, self.hv_samples = train, dataset_id, seed, hv_samples
+        self.ball = BallSample(ball, seed_from(seed, dataset_id, "hv"))
+        self.mc_cv_test_fraction = mc_cv_test_fraction
+        n, held = train.n, int(np.floor(train.n * mc_cv_test_fraction))
+        self.splits: tuple[tuple[np.ndarray, LabeledDataset], ...] = ()  # (held-out rows, fit set) per repetition
+        if 1 <= held < n:
+            perms = [rng_from(seed, dataset_id, "mccv", rep).permutation(n) for rep in range(mc_cv_repetitions)]
+            self.splits = tuple(
+                (train.features[perm[:held]], train.take(perm[held:], name=f"{train.name}/mccv{rep}"))
+                for rep, perm in enumerate(perms)
+            )
+
+
 def mc_cv_fpr_rates(
     config: DetectorConfig,
-    train: LabeledDataset,
-    test_fraction: float = 0.3,
-    repetitions: int = 10,
-    seed: int = 0,
+    samples: DatasetSamples,
     fitter: Callable[[DetectorConfig, LabeledDataset], TrainedDetector] = detectors.fit,
 ) -> list[float]:
-    """Per-repetition held-out false-positive rates on all-normal train data.
+    """Per-repetition held-out false-positive rates on the dataset's MC-CV splits.
 
-    Each repetition redraws a uniform split; fit failures propagate so the
-    caller can mark the feature absent or replace the config.
+    Fit failures propagate so the caller can mark the feature absent or
+    replace the config.
     """
-    n = train.n
-    held = int(np.floor(n * test_fraction))
-    if held < 1 or n - held < 1:
-        raise FitError(f"MC-CV needs at least one row on each side, n={n}, test_fraction={test_fraction}")
-    rates = []
-    for rep in range(repetitions):
-        rng = rng_from(seed, "mccv", rep)
-        perm = rng.permutation(n)
-        held_idx, fit_idx = perm[:held], perm[held:]
-        det = fitter(config, train.take(fit_idx, name=f"{train.name}/mccv{rep}"))
-        flagged = int(det.predict_many(train.features[held_idx]).sum())
-        rates.append(flagged / held)
-    return rates
+    if not samples.splits:
+        raise FitError(
+            f"MC-CV needs at least one row on each side, n={samples.train.n}, "
+            f"test_fraction={samples.mc_cv_test_fraction}"
+        )
+    return [int(fitter(config, fit_set).predict_many(held).sum()) / len(held) for held, fit_set in samples.splits]
 
 
 def mc_cv_fpr(
     config: DetectorConfig,
-    train: LabeledDataset,
-    test_fraction: float = 0.3,
-    repetitions: int = 10,
-    seed: int = 0,
+    samples: DatasetSamples,
     fitter: Callable[[DetectorConfig, LabeledDataset], TrainedDetector] = detectors.fit,
 ) -> float:
     """Mean held-out FPR over the Monte-Carlo cross-validation repetitions."""
-    rates = mc_cv_fpr_rates(config, train, test_fraction, repetitions, seed, fitter)
-    return float(np.mean(rates))
+    return float(np.mean(mc_cv_fpr_rates(config, samples, fitter)))
 
 
 def _detector_features(
-    config: DetectorConfig,
-    train: LabeledDataset,
-    ball: EnclosingBall,
-    hv_samples: int,
-    mc_cv_test_fraction: float,
-    mc_cv_repetitions: int,
-    hv_seed: int,
-    fpr_seed: int,
-    fitter: Callable,
+    config: DetectorConfig, samples: DatasetSamples, fitter: Callable
 ) -> tuple[TrainedDetector, DetectorFeatures]:
-    det = fitter(config, train)
-    hv = estimate_hypervolume(det, ball, hv_samples, seed=hv_seed)
-    fpr = mc_cv_fpr(config, train, mc_cv_test_fraction, mc_cv_repetitions, seed=fpr_seed, fitter=fitter)
+    det = fitter(config, samples.train)
+    hv = estimate_hypervolume(det, samples.ball, samples.hv_samples)
+    fpr = mc_cv_fpr(config, samples, fitter=fitter)
     return det, DetectorFeatures(hypervolume=hv.fraction, fpr=fpr, config_id=config.config_id)
 
 
@@ -229,36 +239,30 @@ _EVENTS = {
 }
 
 
-def random_draw(seed: int, dataset_id: str, index: int, config_key: str, hv_key: str, fpr_key: str) -> Callable:
-    """attempt -> (config, hv_seed, fpr_seed) of the index-th random detector of a dataset."""
-    return lambda attempt: (
-        detectors.sample_random_config(rng_from(seed, dataset_id, config_key, index, attempt)),
-        seed_from(seed, dataset_id, hv_key, index, attempt),
-        seed_from(seed, dataset_id, fpr_key, index, attempt),
-    )
+def random_draw(seed: int, dataset_id: str, index: int, config_key: str) -> Callable[[int], DetectorConfig]:
+    """attempt -> config of the index-th random detector of a dataset."""
+    return lambda attempt: detectors.sample_random_config(rng_from(seed, dataset_id, config_key, index, attempt))
 
 
 def featurize(
-    kind: str, draw: Callable[[int], tuple[DetectorConfig, int, int]], train: LabeledDataset,
-    ball: EnclosingBall, hv_samples: int, mc_cv_test_fraction: float, mc_cv_repetitions: int,
+    kind: str, draw: Callable[[int], DetectorConfig], samples: DatasetSamples,
     retries: int, budget_s: float, fitter: Callable, **where,
 ) -> tuple[DetectorConfig, TrainedDetector, DetectorFeatures] | None:
     """Features of the first drawn config that fits and finishes within budget_s.
 
-    Attempt a featurizes ``draw(a)``. A FitError, or a wall time over
-    budget_s (checked once the attempt has finished), logs the kind's
-    failure or timeout event and moves on. After retries + 1 failed attempts
-    the kind's skip event is logged and None returned. The `where` fields
-    (dataset, algorithm or index) go into every event.
+    Attempt a featurizes ``draw(a)`` on the dataset's shared ``samples``. A
+    FitError, or a wall time over budget_s (checked once the attempt has
+    finished), logs the kind's failure or timeout event and moves on. After
+    retries + 1 failed attempts the kind's skip event is logged and None
+    returned. The `where` fields (dataset, algorithm or index) go into every
+    event.
     """
     failed, timeout, skipped = _EVENTS[kind]
     for attempt in range(retries + 1):
-        config, hv_seed, fpr_seed = draw(attempt)
+        config = draw(attempt)
         t0 = time.monotonic()
         try:
-            det, feats = _detector_features(
-                config, train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions, hv_seed, fpr_seed, fitter
-            )
+            det, feats = _detector_features(config, samples, fitter)
         except FitError as exc:
             log_event(failed, **where, attempt=attempt, config=config.config_id, reason=str(exc))
             continue
@@ -272,13 +276,7 @@ def featurize(
 
 
 def build_landmarks(
-    train: LabeledDataset,
-    ball: EnclosingBall,
-    dataset_id: str,
-    hv_samples: int = 200_000,
-    mc_cv_test_fraction: float = 0.3,
-    mc_cv_repetitions: int = 10,
-    seed: int = 0,
+    samples: DatasetSamples,
     budget_s: float = 300.0,
     fitter: Callable = detectors.fit,
     jobs: int = 1,
@@ -291,52 +289,45 @@ def build_landmarks(
 
     def one(config: DetectorConfig) -> tuple[str, tuple[float, float] | None]:
         alg = config.algorithm
-        s = seed_from(seed, dataset_id, "landmark", alg)
         got = featurize(
-            "landmark", lambda attempt: (config, s, s), train, ball, hv_samples, mc_cv_test_fraction,
-            mc_cv_repetitions, retries=0, budget_s=budget_s, fitter=fitter, dataset=dataset_id, algorithm=alg,
+            "landmark", lambda attempt: config, samples, retries=0, budget_s=budget_s, fitter=fitter,
+            dataset=samples.dataset_id, algorithm=alg,
         )
         return alg, None if got is None else (got[2].hypervolume, got[2].fpr)
 
     results = pmap(one, detectors.default_configs(), jobs)
-    return LandmarkVector(dataset_id=dataset_id, entries=dict(results))
+    return LandmarkVector(dataset_id=samples.dataset_id, entries=dict(results))
 
 
 def build_detector_instance(
-    split: SemiSupervisedSplit,
-    ball: EnclosingBall,
+    samples: DatasetSamples,
+    test: LabeledDataset,
     landmarks: LandmarkVector,
-    dataset_id: str,
     index: int,
-    hv_samples: int = 200_000,
-    mc_cv_test_fraction: float = 0.3,
-    mc_cv_repetitions: int = 10,
-    seed: int = 0,
     retries: int = 10,
     budget_s: float = 300.0,
     fitter: Callable = detectors.fit,
 ) -> MetaInstance | None:
-    """One meta-instance from one randomly configured detector.
+    """One meta-instance from one randomly configured detector, its target
+    measured on the labeled ``test`` partition.
 
     On fit failure or an overrun of budget_s a freshly configured detector
     replaces the old one, up to `retries` times; exhaustion skips the
     instance with a logged reason.
     """
     got = featurize(
-        "detector",
-        random_draw(seed, dataset_id, index, "detector", "detector-features", "detector-features"),
-        split.train, ball, hv_samples, mc_cv_test_fraction, mc_cv_repetitions,
-        retries, budget_s, fitter, dataset=dataset_id, index=index,
+        "detector", random_draw(samples.seed, samples.dataset_id, index, "detector"), samples,
+        retries, budget_s, fitter, dataset=samples.dataset_id, index=index,
     )
     if got is None:
         return None
     config, det, feats = got
-    predicted = det.predict_many(split.test.features)
+    predicted = det.predict_many(test.features)
     return MetaInstance(
         landmarks=landmarks,
         detector=feats,
-        target_scaled_mcc=scaled_mcc(mcc(confusion_counts(predicted, split.test.labels))),
-        dataset_id=dataset_id,
+        target_scaled_mcc=scaled_mcc(mcc(confusion_counts(predicted, test.labels))),
+        dataset_id=samples.dataset_id,
         config_id=config.config_id,
     )
 

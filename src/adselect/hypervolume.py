@@ -4,17 +4,20 @@ A detector's hypervolume is the fraction of the smallest hypersphere around
 the (scaled) training data that it classifies as normal. The ball is fitted
 with Badoiu-Clarkson core-set iterations; points are sampled uniformly in
 fixed-size chunks with per-chunk derived seeds so aggregate counts are
-identical for any parallel schedule.
+identical for any parallel schedule. A ``BallSample`` draws each chunk once,
+so every detector estimated on it scores the same points.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .detectors import TrainedDetector, canonical_rows
+from .detectors import TrainedDetector, TrainingRows, canonical_rows
 from .util import chunk_ranges, pmap, rng_from
 
 SAMPLE_CHUNK = 65536  # fixed: part of the determinism contract
@@ -119,14 +122,47 @@ def sample_uniform_in_ball(ball: EnclosingBall, n: int, seed: int) -> np.ndarray
     return np.concatenate(parts, axis=0)
 
 
-def estimate_hypervolume(
-    detector: TrainedDetector,
-    ball: EnclosingBall,
-    n: int,
-    seed: int,
-    jobs: int = 1,
-) -> HypervolumeEstimate:
-    """Fraction of n uniform ball samples the detector predicts as normal."""
+class BallSample:
+    """Uniform points in a ball under one seed, drawn chunk by chunk, each
+    chunk once however many detectors score it: common random numbers.
+
+    Chunk ``ci`` of ``size`` points is ``_chunk_points(ball, size, seed,
+    ci)``, so a sample of n points is ``sample_uniform_in_ball(ball, n,
+    seed)``. For each chunk and ``TrainingRows`` it also keeps, computed
+    once, the chunk's ``TrainingRows.nearest`` bound, which every distance
+    model fitted on those rows reads. It holds n x d x 8 bytes of points and
+    n x 8 bytes per training matrix. It is safe to share between threads: a
+    thread that asks for a chunk or bound under way waits for it.
+    """
+
+    def __init__(self, ball: EnclosingBall, seed: int):
+        self.ball = ball
+        self.seed = seed
+        self._lock = threading.Lock()
+        self._cells: dict[tuple, list] = {}
+
+    def _once(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            cell = self._cells.setdefault(key, [threading.Lock(), None])
+        with cell[0]:
+            if cell[1] is None:
+                cell[1] = make()
+                cell[1].setflags(write=False)
+        return cell[1]
+
+    def chunk(self, index: int, size: int) -> np.ndarray:
+        """The points of chunk ``index``, read-only."""
+        return self._once(("chunk", index, size), lambda: _chunk_points(self.ball, size, self.seed, index))
+
+    def nearest(self, index: int, size: int) -> Callable[[TrainingRows], np.ndarray]:
+        """``rows -> rows.nearest(chunk)`` for chunk ``index``, computed once per rows."""
+        return lambda rows: self._once(("nearest", index, size, rows), lambda: rows.nearest(self.chunk(index, size)))
+
+
+def estimate_hypervolume(detector: TrainedDetector, sample: BallSample, n: int, jobs: int = 1) -> HypervolumeEstimate:
+    """Fraction of n points of ``sample``, ``sample_uniform_in_ball(ball, n,
+    sample.seed)``, that the detector predicts as normal."""
+    ball = sample.ball
     if n < 1:
         raise ValueError("n must be >= 1")
     if detector.dim != ball.dim:
@@ -140,8 +176,8 @@ def estimate_hypervolume(
 
     def count_normal(task: tuple[int, int]) -> int:
         ci, size = task
-        pts = _chunk_points(ball, size, seed, ci)
-        return int(size - detector.predict_many(pts).sum())
+        flagged = detector.predict_many(sample.chunk(ci, size), nearest=sample.nearest(ci, size))
+        return int(size - flagged.sum())
 
     counts = pmap(count_normal, list(chunk_ranges(n, SAMPLE_CHUNK)), jobs)
     fraction = sum(counts) / n
@@ -149,5 +185,5 @@ def estimate_hypervolume(
         fraction=fraction,
         n_samples=n,
         std_error=float(np.sqrt(fraction * (1.0 - fraction) / n)),
-        seed=seed,
+        seed=sample.seed,
     )

@@ -353,7 +353,8 @@ def rf_fit(
     min_samples_split: int = 2,
     jobs: int = 1,
 ) -> ForestModel:
-    """Fit the forest; each tree owns a seed derived from (seed, tree index).
+    """Fit the forest; tree t is grown on row t of the bootstraps, all drawn
+    from one stream under (seed, "forest") before any tree grows.
 
     Trees grow in groups of about ``_FOREST_ELEMENTS`` values, on ``jobs``
     workers. Trees are independent, so the grouping never changes a tree.
@@ -366,7 +367,7 @@ def rf_fit(
         raise ValueError("cannot fit on an empty training set or without features")
     n = X.shape[0]
     if bootstrap:
-        rows = np.asarray([rng_from(seed, "tree", t).integers(0, n, size=n) for t in range(n_trees)])
+        rows = rng_from(seed, "forest").integers(0, n, size=(n_trees, n))
     else:
         rows = np.broadcast_to(np.arange(n), (n_trees, n))
     per_group = max(1, _FOREST_ELEMENTS // (n * X.shape[1]))

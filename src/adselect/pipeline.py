@@ -18,6 +18,7 @@ from . import detectors, ranking
 from .detectors import PORTFOLIO_VERSION, DetectorConfig
 from .errors import ConfigError, DataError, FitError
 from .features import (
+    DatasetSamples,
     LandmarkVector,
     MetaDataset,
     assemble_meta_dataset,
@@ -148,11 +149,12 @@ def _write_detectors_csv(path: str, meta: MetaDataset) -> None:
             )
 
 
-def _landmarks(train: ds.LabeledDataset, ball, dataset_id: str, cfg: RunConfig) -> LandmarkVector:
-    """The dataset's landmark vector under the run's HV, MC-CV and budget settings."""
-    return build_landmarks(
-        train, ball, dataset_id, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
-        cfg.seed, cfg.landmark_budget_s, jobs=cfg.jobs,
+def _samples(train: ds.LabeledDataset, dataset_id: str, cfg: RunConfig) -> DatasetSamples:
+    """The dataset's shared HV points and MC-CV splits under the run's settings,
+    inside the minimal enclosing ball of its training rows."""
+    return DatasetSamples(
+        train, fit_enclosing_ball(train.features), dataset_id, cfg.seed, cfg.hv_samples,
+        cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
     )
 
 
@@ -175,22 +177,12 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
 
     os.makedirs(out, exist_ok=True)
     split = assimilate_split(data, cfg)
-    ball = fit_enclosing_ball(split.train.features)
-    landmarks = _landmarks(split.train, ball, data.name, cfg)
+    samples = _samples(split.train, data.name, cfg)
+    landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
 
     def one(i: int):
         return build_detector_instance(
-            split,
-            ball,
-            landmarks,
-            dataset_id=data.name,
-            index=i,
-            hv_samples=cfg.hv_samples,
-            mc_cv_test_fraction=cfg.mc_cv_test_fraction,
-            mc_cv_repetitions=cfg.mc_cv_repetitions,
-            seed=cfg.seed,
-            retries=cfg.retries,
-            budget_s=cfg.detector_budget_s,
+            samples, split.test, landmarks, index=i, retries=cfg.retries, budget_s=cfg.detector_budget_s
         )
 
     instances = [r for r in pmap(one, list(range(cfg.n_random_detectors)), cfg.jobs) if r is not None]
@@ -381,15 +373,12 @@ def rank_candidates(
         feature_names=data.feature_names,
     )
     scaler = ds.fit_robust_scaler(normal_only)
-    train = ds.apply_scaler(scaler, normal_only)
-    ball = fit_enclosing_ball(train.features)
+    samples = _samples(ds.apply_scaler(scaler, normal_only), data.name, cfg)
 
     def candidate(index: int) -> tuple[DetectorConfig, float, float] | None:
         got = featurize(
-            "candidate",
-            random_draw(cfg.seed, train.name, index, "candidate", "candidate-hv", "candidate-fpr"),
-            train, ball, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
-            cfg.retries, cfg.detector_budget_s, detectors.fit, dataset=train.name, index=index,
+            "candidate", random_draw(cfg.seed, data.name, index, "candidate"), samples,
+            cfg.retries, cfg.detector_budget_s, detectors.fit, dataset=data.name, index=index,
         )
         # keep the features only: the fitted models of all candidates are never held at once
         return None if got is None else (got[0], got[2].hypervolume, got[2].fpr)
@@ -402,7 +391,7 @@ def rank_candidates(
     if method == "linear":
         scored = [(config, ranking.lc_score(hv, fpr)) for config, hv, fpr in feats]
     else:
-        landmarks = _landmarks(train, ball, data.name, cfg)
+        landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
         absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
         lm_row = [np.nan if v is None else v for v in landmarks.as_row()]
         rows = [lm_row + [hv, fpr] for _, hv, fpr in feats]

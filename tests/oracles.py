@@ -119,7 +119,7 @@ class BallDetector:
         self.radius = float(radius)
         self.dim = self.center.shape[0]
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
+    def predict_many(self, X: np.ndarray, nearest=None) -> np.ndarray:
         d = np.linalg.norm(X - self.center, axis=1)
         return (d > self.radius).astype(np.int8)
 
@@ -131,7 +131,7 @@ class ConstantDetector:
         self.dim = dim
         self.flag = flag_everything
 
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
+    def predict_many(self, X: np.ndarray, nearest=None) -> np.ndarray:
         return np.full(X.shape[0], 1 if self.flag else 0, dtype=np.int8)
 
 
@@ -254,13 +254,15 @@ def rf_fit_nodewise(
 ) -> list[dict]:
     """Forest of node arrays, each tree grown alone by ``grow_tree_nodewise``.
 
-    Tree t is fit on the rows drawn by ``rng_from(seed, "tree", t)``, n with
-    replacement, or on every row in order without bootstrap.
+    Tree t is fit on row t of the (n_trees, n) bootstrap draws of
+    ``rng_from(seed, "forest")``, with replacement, or on every row in order
+    without bootstrap.
     """
     n = X.shape[0]
+    boot = rng_from(seed, "forest").integers(0, n, size=(n_trees, n))
     trees = []
     for t in range(n_trees):
-        rows = rng_from(seed, "tree", t).integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = boot[t] if bootstrap else np.arange(n)
         trees.append(grow_tree_nodewise(X[rows], y[rows], min_samples_split, split))
     return trees
 

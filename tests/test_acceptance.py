@@ -15,7 +15,7 @@ import pytest
 
 from adselect.cli import EXIT_OK, main
 from adselect.corpus import toy_corpus
-from adselect.hypervolume import EnclosingBall, estimate_hypervolume, fit_enclosing_ball, sample_uniform_in_ball
+from adselect.hypervolume import BallSample, EnclosingBall, estimate_hypervolume, fit_enclosing_ball, sample_uniform_in_ball
 from adselect.metamodel import fit_meta_model, load_model, rf_fit, save_model
 from adselect.pipeline import RunConfig, assimilate_dataset
 from adselect.ranking import ConfusionCounts, kendall_tau_b, mcc, ndcg, rank_by, regret_at_k, leave_one_out_evaluate
@@ -103,7 +103,7 @@ def test_hypervolume_nested_ball_oracle():
     details = []
     for rho in (0.25, 0.5, 0.75):
         det = BallDetector(np.zeros(2), rho * ball.radius)
-        est = estimate_hypervolume(det, ball, n, seed=int(rho * 1000))
+        est = estimate_hypervolume(det, BallSample(ball, int(rho * 1000)), n)
         p = rho**2
         tol = 3.0 * math.sqrt(p * (1.0 - p) / n)
         ok = ok and abs(est.fraction - p) <= tol

@@ -251,7 +251,7 @@ def test_rank_exits_partial_when_a_candidate_is_skipped(tmp_path, corpus_dir, ca
 
 
 def test_rank_replaces_a_candidate_over_its_detector_budget(tmp_path, corpus_dir, capsys, monkeypatch):
-    slow = features.random_draw(5, "halo", 0, "candidate", "candidate-hv", "candidate-fpr")(0)[0]
+    slow = features.random_draw(5, "halo", 0, "candidate")(0)
     real = detectors._FITTERS[slow.algorithm]
     slept = []
 

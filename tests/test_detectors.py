@@ -493,7 +493,7 @@ def test_knn_scores_match_sorted_oracle(case, aggregation):
         X = rng.integers(0, 3, (60, 3)).astype(np.float64)
     Q = np.vstack([X[:15], rng.integers(-1, 4, (30, 3)).astype(np.float64), rng.standard_normal((30, 3))])
     for k in (1, 2, 59):  # k = n - 1: every other training row is a neighbour
-        model = detectors._KnnModel.fit(X, {"k": k, "aggregation": aggregation}, seed=0)
+        model = detectors._KnnModel.fit(detectors.TrainingRows(X), {"k": k, "aggregation": aggregation}, seed=0)
         assert model.train_scores(X).tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes(), k
         assert model.query_scores(Q).tobytes() == knn_scores_sorted(X, Q, k, aggregation).tobytes(), k
 
@@ -508,7 +508,7 @@ def test_lof_scores_match_full_matrix_oracle(case):
         X = rng.integers(0, 4, (90, 3)).astype(np.float64)
     Q = np.vstack([X[:20], rng.integers(-1, 5, (40, 3)).astype(np.float64), rng.standard_normal((40, 3))])
     for k in (1, 5, 20, 89):
-        model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        model = detectors._LofModel.fit(detectors.TrainingRows(X), {"n_neighbors": k}, seed=0)
         train, query = lof_full_matrix(X, k, Q, lrd_cap=detectors._LRD_CAP)
         assert model.train_scores(X).tobytes() == train.tobytes(), k
         assert model.query_scores(Q).tobytes() == query.tobytes(), k
@@ -518,7 +518,7 @@ def test_lof_fit_never_holds_a_full_distance_matrix():
     X = np.random.default_rng(39).standard_normal((4000, 2))
     tracemalloc.start()
     try:
-        detectors._LofModel.fit(X, {"n_neighbors": 20}, seed=0)
+        detectors._LofModel.fit(detectors.TrainingRows(X), {"n_neighbors": 20}, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -544,15 +544,15 @@ def test_buffered_distances_match_allocating_oracle(budget, dim, monkeypatch):
     assert got.tobytes() == pairwise_sq_dists(Q, X).tobytes()
     for k in (1, 2, n - 1):
         for aggregation in ("largest", "mean", "median"):
-            knn = detectors._KnnModel.fit(X, {"k": k, "aggregation": aggregation}, seed=0)
+            knn = detectors._KnnModel.fit(detectors.TrainingRows(X), {"k": k, "aggregation": aggregation}, seed=0)
             assert knn.train_scores(X).tobytes() == knn_scores_sorted(X, None, k, aggregation).tobytes()
             assert knn.query_scores(Q).tobytes() == knn_scores_sorted(X, Q, k, aggregation).tobytes()
-        lof = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        lof = detectors._LofModel.fit(detectors.TrainingRows(X), {"n_neighbors": k}, seed=0)
         train, query = lof_full_matrix(X, k, Q, lrd_cap=detectors._LRD_CAP)
         assert lof.train_scores(X).tobytes() == train.tobytes()
         assert lof.query_scores(Q).tobytes() == query.tobytes()
     for h in (1e-2, 1.0, 1e1):
-        kde = detectors._KdeModel.fit(X, {"bandwidth": h}, seed=0)
+        kde = detectors._KdeModel.fit(detectors.TrainingRows(X), {"bandwidth": h}, seed=0)
         assert kde.query_scores(Q).tobytes() == kde_scores_full(X, Q, h).tobytes()
 
 
@@ -583,41 +583,52 @@ def _decision_data(dim, scale):
     return X * scale, Q * scale
 
 
-def _settled(det, Q, threshold):
+def _shared(bound, Q):
+    """The ``nearest`` argument of a decision on Q: None for a model that bounds
+    Q alone, or the shared bound, as a ``BallSample`` hands it to every model."""
+    return None if bound == "alone" else (lambda rows: rows.nearest(Q))
+
+
+def _settled(det, Q, threshold, nearest=None):
     """Rows whose decision came from the bound: their value is not the exact score."""
-    bounded, exact = det.scores(Q, above=threshold), det.scores(Q)
+    bounded, exact = det.scores(Q, above=threshold, nearest=nearest), det.scores(Q)
     return bounded, exact, bounded.view(np.int64) != exact.view(np.int64)
 
 
+@pytest.mark.parametrize("bound", ("alone", "shared"))  # shared: knn's and KDE's floors from it, LOF's first floor
 @pytest.mark.parametrize("scale", (1e-150, 1.0, 1e150))
 @pytest.mark.parametrize("dim", (1, 20))
 @pytest.mark.parametrize("algorithm,params", DECISION_CONFIGS, ids=lambda v: str(v))
-def test_decisions_equal_exact_scores(algorithm, params, dim, scale):
+def test_decisions_equal_exact_scores(algorithm, params, dim, scale, bound):
     X, Q = _decision_data(dim, scale)
     train = LabeledDataset(features=X, labels=np.zeros(len(X), dtype=np.int8), name="decide")
     det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), train)
     exact = det.scores(Q)
+    nearest = _shared(bound, Q)
     picks = exact[np.isfinite(exact)][::7]  # thresholds on queries' exact scores, and a float below
     for t in [det.threshold, *picks, *np.nextafter(picks, -np.inf)]:
         moved = dataclasses.replace(det, threshold=float(t))
-        assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), t
-        bounded, _, settled = _settled(moved, Q, float(t))
+        assert moved.predict_many(Q, nearest=nearest).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+        bounded, _, settled = _settled(moved, Q, float(t), nearest)
         assert np.all(bounded[settled] > t) and np.all(bounded[settled] <= exact[settled]), t
 
 
+@pytest.mark.parametrize("bound", ("alone", "shared"))
 @pytest.mark.parametrize("dim", (1, 20))
-def test_decisions_equal_exact_scores_on_identical_training_rows(dim):
+def test_decisions_equal_exact_scores_on_identical_training_rows(dim, bound):
     # every training row at one point: the bounds meet the exact scores most closely
     X = np.full((_DECISION_N, dim), 0.75)
     train = LabeledDataset(features=X, labels=np.zeros(_DECISION_N, dtype=np.int8), name="one-point")
     offsets = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 60)])
     Q = 0.75 + np.outer(offsets, np.linspace(1.0, -1.0, dim))
+    nearest = _shared(bound, Q)
     for algorithm, params in DECISION_CONFIGS:
         det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), train)
         exact = det.scores(Q)
         for t in [det.threshold, *exact, *np.nextafter(exact, -np.inf)]:
             moved = dataclasses.replace(det, threshold=float(t))
-            assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), (algorithm, params, t)
+            got = moved.predict_many(Q, nearest=nearest)
+            assert got.tobytes() == (exact > t).astype(np.int8).tobytes(), (algorithm, params, t)
 
 
 @pytest.mark.parametrize("algorithm,params,least", [
@@ -681,7 +692,7 @@ def test_lof_decision_scores_certified_rows_from_their_neighbours_bit_for_bit(ca
         X = rng.integers(0, 4, (90, 3)).astype(np.float64)
     Q = np.vstack([X[:20], rng.integers(-1, 5, (40, 3)).astype(np.float64), rng.standard_normal((40, 3)) * 2])
     for k in (1, 2, 20, 89):
-        model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+        model = detectors._LofModel.fit(detectors.TrainingRows(X), {"n_neighbors": k}, seed=0)
         exact = model.query_scores(Q)
         # above = inf settles nothing: every certified row is scored from its k neighbours alone
         got, full = _lof_paths(model, Q, np.inf, monkeypatch)
@@ -717,7 +728,7 @@ def test_lof_decision_refuses_uncertain_kth_neighbours(case, k, monkeypatch):
     near = [[0.05 * (i + 1), 0.0] for i in range(k - 1)]  # the k - 1 nearest
     far = [[3.0, 1.0], [3.5, -1.0], [-2.5, 2.0], [-3.0, -3.0], [5.0, 0.0], [0.0, 6.0], [4.25, 4.0]]
     X = np.asarray([b, *near, a, *far])  # b precedes a
-    model = detectors._LofModel.fit(X, {"n_neighbors": k}, seed=0)
+    model = detectors._LofModel.fit(detectors.TrainingRows(X), {"n_neighbors": k}, seed=0)
     Q = np.asarray([[0.0, 0.0], [1e-300, 0.0], [2.75, 0.5], [-10.0, 3.0]])
     exact = model.query_scores(Q)
     got, full = _lof_paths(model, Q, np.inf, monkeypatch)
@@ -727,18 +738,20 @@ def test_lof_decision_refuses_uncertain_kth_neighbours(case, k, monkeypatch):
         assert np.array_equal(model.decision_scores(Q, float(t)) > t, exact > t), t
 
 
+@pytest.mark.parametrize("bound", ("alone", "shared"))
 @pytest.mark.parametrize("budget", (1, 1000, 1 << 30))  # one row per block, uneven blocks, one block
 @pytest.mark.parametrize("algorithm,params", [("lof", {"n_neighbors": 2}), ("lof", {"n_neighbors": 20}), ("kde", {"bandwidth": 1.0})])
-def test_decision_scores_independent_of_block_budget(algorithm, params, budget, monkeypatch):
+def test_decision_scores_independent_of_block_budget(algorithm, params, budget, bound, monkeypatch):
     monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
     data = normals(157, dim=5, seed=35)
     det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=2), data)
     probes = np.random.default_rng(36).standard_normal((400, 5)) * 2
     exact = det.scores(probes)
+    nearest = _shared(bound, probes)
     for t in (det.threshold, *exact[::11], *np.nextafter(exact[::11], -np.inf)):
         moved = dataclasses.replace(det, threshold=float(t))
-        assert moved.predict_many(probes).tobytes() == (exact > t).astype(np.int8).tobytes(), t
-    bounded, _, settled = _settled(det, probes, det.threshold)
+        assert moved.predict_many(probes, nearest=nearest).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+    bounded, _, settled = _settled(det, probes, det.threshold, nearest)
     assert settled.any() and not settled.all()
     assert np.all(bounded[settled] > det.threshold) and np.all(bounded[settled] <= exact[settled])
 
@@ -758,10 +771,11 @@ def _boundary_queries(rows, seed):
     return g
 
 
+@pytest.mark.parametrize("bound", ("alone", "shared"))
 @pytest.mark.parametrize("budget", (None, 8 * 40))  # 1638 and 8 query rows per block
 @pytest.mark.parametrize("where", ("none", "one-row", "one-block", "one-block-plus-one", "two-blocks-plus-one"))
 @pytest.mark.parametrize("algorithm,params", BOUNDARY_CONFIGS, ids=lambda v: str(v))
-def test_decisions_at_sample_and_block_boundaries(algorithm, params, where, budget, monkeypatch):
+def test_decisions_at_sample_and_block_boundaries(algorithm, params, where, budget, bound, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
     block = detectors._block_rows(40)
@@ -770,28 +784,31 @@ def test_decisions_at_sample_and_block_boundaries(algorithm, params, where, budg
     Q = _boundary_queries(rows, seed=72)
     exact = det.scores(Q)
     assert exact.shape == (rows,)
+    nearest = _shared(bound, Q)
     for t in (det.threshold, *exact[:: max(1, rows // 5)], -np.inf, np.inf):
         moved = dataclasses.replace(det, threshold=float(t))
-        assert moved.predict_many(Q).tobytes() == (exact > t).astype(np.int8).tobytes(), t
-        bounded, _, settled = _settled(moved, Q, float(t))
+        assert moved.predict_many(Q, nearest=nearest).tobytes() == (exact > t).astype(np.int8).tobytes(), t
+        bounded, _, settled = _settled(moved, Q, float(t), nearest)
         assert np.all(bounded[settled] > t) and np.all(bounded[settled] <= exact[settled]), t
 
 
+@pytest.mark.parametrize("bound", ("alone", "shared"))
 @pytest.mark.parametrize("budget", (None, 8 * 40))
 @pytest.mark.parametrize("algorithm,params", BOUNDARY_CONFIGS, ids=lambda v: str(v))
-def test_decisions_when_every_row_or_no_row_settles(algorithm, params, budget, monkeypatch):
+def test_decisions_when_every_row_or_no_row_settles(algorithm, params, budget, bound, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", budget)
     det = fit(DetectorConfig(algorithm=algorithm, params=params, contamination=0.1, seed=0), normals(40, dim=3, seed=71))
     far = _boundary_queries(2 * detectors._block_rows(40) + 1, seed=73)
     far *= 30.0 / np.linalg.norm(far, axis=1)[:, None]
-    bounded, exact, settled = _settled(det, far, det.threshold)
-    assert settled.all() and det.predict_many(far).all()
+    nearest = _shared(bound, far)
+    bounded, exact, settled = _settled(det, far, det.threshold, nearest)
+    assert settled.all() and det.predict_many(far, nearest=nearest).all()
     assert np.all(bounded > det.threshold) and np.all(bounded <= exact)
     # just above every exact score: no floor can clear it, so every row is scored exactly
     top = dataclasses.replace(det, threshold=float(np.nextafter(exact.max(), np.inf)))
-    bounded, exact, settled = _settled(top, far, top.threshold)
-    assert not settled.any() and not top.predict_many(far).any()
+    bounded, exact, settled = _settled(top, far, top.threshold, nearest)
+    assert not settled.any() and not top.predict_many(far, nearest=nearest).any()
 
 
 @pytest.mark.parametrize("budget", (None, 8 * 200, 1))  # 327, 8 and 1 query rows per block
@@ -817,10 +834,10 @@ def test_lof_decision_certifies_each_neighbour_set_once(budget, monkeypatch):
     assert np.count_nonzero(~full & (got == exact)) > len(held) // 2  # certified, open, scored from the set
 
 
-@pytest.mark.xfail(strict=True, reason="pca residuals of pure rounding noise round by BLAS block shape; fixed with the next portfolio version")
 def test_pca_one_row_predict_matches_predict_many_on_rounding_noise():
-    # retained_variance 0.99 keeps all 4 components: threshold and scores are rounding noise
+    # retained_variance 0.99 keeps all 4 components: no direction is discarded, so every score is exactly 0
     det = fit(config_for("pca", retained_variance=0.99), normals(600, dim=4, seed=50))
     probes = np.random.default_rng(51).standard_normal((2000, 4)) * 3
     many = det.predict_many(probes)
+    assert det.threshold == 0.0 and not det.scores(probes).any()
     assert [predict(det, x) for x in probes] == many.tolist()

@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adselect import detectors, features
+from adselect import detectors, features, hypervolume
 from adselect.dataset import LabeledDataset
 from adselect.errors import DataError, FitError
 from adselect.features import (
+    DatasetSamples,
     DetectorFeatures,
     LandmarkVector,
     MetaDataset,
@@ -20,7 +21,7 @@ from adselect.features import (
     random_draw,
 )
 from adselect.hypervolume import fit_enclosing_ball
-from adselect.pipeline import assimilate_split, rank_candidates, RunConfig
+from adselect.pipeline import assimilate_dataset, assimilate_split, rank_candidates, RunConfig
 
 from conftest import make_dataset
 from oracles import ConstantDetector
@@ -30,6 +31,13 @@ def all_normal(n=100, dim=2, seed=0, name="train"):
     rng = np.random.default_rng(seed)
     return LabeledDataset(
         features=rng.standard_normal((n, dim)), labels=np.zeros(n, dtype=np.int8), name=name
+    )
+
+
+def samples_for(data, seed=0, hv_samples=2000, mc_cv_repetitions=10, mc_cv_test_fraction=0.3, dataset_id="d"):
+    """The shared HV points and MC-CV splits of data, in its enclosing ball."""
+    return DatasetSamples(
+        data, fit_enclosing_ball(data.features), dataset_id, seed, hv_samples, mc_cv_test_fraction, mc_cv_repetitions
     )
 
 
@@ -46,53 +54,49 @@ def stub_fitter(flag_everything):
 
 def test_fpr_zero_for_detector_that_flags_nothing():
     cfg = detectors.default_configs()[0]
-    assert mc_cv_fpr(cfg, all_normal(), fitter=stub_fitter(False)) == 0.0
+    assert mc_cv_fpr(cfg, samples_for(all_normal()), fitter=stub_fitter(False)) == 0.0
 
 
 def test_fpr_one_for_detector_that_flags_everything():
     cfg = detectors.default_configs()[0]
-    assert mc_cv_fpr(cfg, all_normal(), fitter=stub_fitter(True)) == 1.0
+    assert mc_cv_fpr(cfg, samples_for(all_normal()), fitter=stub_fitter(True)) == 1.0
 
 
 def test_fpr_is_mean_of_repetition_rates():
     cfg = next(c for c in detectors.default_configs() if c.algorithm == "gaussian")
     data = all_normal(120, seed=3)
-    rates = mc_cv_fpr_rates(cfg, data, seed=11)
+    rates = mc_cv_fpr_rates(cfg, samples_for(data, seed=11))
     assert len(rates) == 10
-    assert mc_cv_fpr(cfg, data, seed=11) == pytest.approx(float(np.mean(rates)), abs=0)
+    assert mc_cv_fpr(cfg, samples_for(data, seed=11)) == pytest.approx(float(np.mean(rates)), abs=0)
 
 
 def test_fpr_of_calibrated_detector_near_contamination():
     # contamination 0.1 on iid standard normal data: wide reference band
     cfg = next(c for c in detectors.default_configs() if c.algorithm == "gaussian")
     data = all_normal(500, dim=2, seed=4)
-    fpr = mc_cv_fpr(cfg, data, seed=0)
+    fpr = mc_cv_fpr(cfg, samples_for(data, seed=0))
     assert 0.04 <= fpr <= 0.18
 
 
 def test_fpr_deterministic():
     cfg = next(c for c in detectors.default_configs() if c.algorithm == "knn")
     data = all_normal(90, seed=5)
-    assert mc_cv_fpr(cfg, data, seed=7) == mc_cv_fpr(cfg, data, seed=7)
+    assert mc_cv_fpr(cfg, samples_for(data, seed=7)) == mc_cv_fpr(cfg, samples_for(data, seed=7))
 
 
 def test_fpr_needs_rows_on_both_sides():
     cfg = detectors.default_configs()[0]
     with pytest.raises(FitError, match="MC-CV"):
-        mc_cv_fpr(cfg, all_normal(2), test_fraction=0.3)
+        mc_cv_fpr(cfg, samples_for(all_normal(2), mc_cv_test_fraction=0.3))
 
 
 # ---------------------------------------------------------------------------
 # landmarks
 
 
-def ball_for(data):
-    return fit_enclosing_ball(data.features)
-
-
 def test_landmark_vector_has_two_slots_per_algorithm():
     data = all_normal(80, seed=6)
-    lv = build_landmarks(data, ball_for(data), dataset_id="d", hv_samples=2000, seed=1, mc_cv_repetitions=3)
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
     row = lv.as_row()
     assert len(row) == 2 * len(detectors.ALGORITHMS)
     assert all(v is not None and 0 <= v <= 1 for v in row)
@@ -107,9 +111,7 @@ def test_landmark_failure_marks_absent():
         return real_fit(config, train)
 
     data = all_normal(80, seed=7)
-    lv = build_landmarks(
-        data, ball_for(data), dataset_id="d", hv_samples=2000, seed=1, mc_cv_repetitions=3, fitter=flaky
-    )
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), fitter=flaky)
     assert lv.entries["lof"] is None
     assert lv.entries["knn"] is not None
 
@@ -123,16 +125,7 @@ def test_landmark_timeout_marks_absent():
         return real_fit(config, train)
 
     data = all_normal(60, seed=8)
-    lv = build_landmarks(
-        data,
-        ball_for(data),
-        dataset_id="d",
-        hv_samples=1000,
-        seed=1,
-        mc_cv_repetitions=2,
-        budget_s=0.12,
-        fitter=slow_on_kde,
-    )
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2), budget_s=0.12, fitter=slow_on_kde)
     assert lv.entries["kde"] is None
     present = [alg for alg, v in lv.entries.items() if v is not None]
     assert "knn" in present
@@ -140,11 +133,10 @@ def test_landmark_timeout_marks_absent():
 
 def test_landmarks_deterministic():
     data = all_normal(70, seed=9)
-    ball = ball_for(data)
-    a = build_landmarks(data, ball, dataset_id="d", hv_samples=3000, seed=2, mc_cv_repetitions=3)
-    b = build_landmarks(data, ball, dataset_id="d", hv_samples=3000, seed=2, mc_cv_repetitions=3)
+    a = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
+    b = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
     assert a == b
-    c = build_landmarks(data, ball, dataset_id="d", hv_samples=3000, seed=2, mc_cv_repetitions=3, jobs=4)
+    c = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), jobs=4)
     assert a == c
 
 
@@ -164,35 +156,33 @@ def dummy_landmarks(dataset_id="toy"):
     )
 
 
+def toy_samples(split, seed, hv_samples=500):
+    return samples_for(split.train, seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, dataset_id="toy")
+
+
 def test_instance_from_perfect_detector():
     split = toy_split(1)
-    ball = fit_enclosing_ball(split.train.features)
 
     class Distance:
         def __init__(self, center, radius, dim):
             self.center, self.radius, self.dim = center, radius, dim
 
-        def predict_many(self, X):
+        def predict_many(self, X, nearest=None):
             return (np.linalg.norm(X - self.center, axis=1) > self.radius).astype(np.int8)
 
     def fitter(config, train):
         # accepts a generous ball around the (scaled) normal cluster
         return Distance(train.features.mean(axis=0), 6.0, train.dim)
 
-    inst = build_detector_instance(
-        split, ball, dummy_landmarks(), dataset_id="toy", index=0,
-        hv_samples=500, mc_cv_repetitions=2, seed=3, fitter=fitter,
-    )
+    inst = build_detector_instance(toy_samples(split, 3), split.test, dummy_landmarks(), index=0, fitter=fitter)
     assert inst is not None
     assert inst.target_scaled_mcc == 1.0
 
 
 def test_instance_from_all_normal_detector_scores_half():
     split = toy_split(2)
-    ball = fit_enclosing_ball(split.train.features)
     inst = build_detector_instance(
-        split, ball, dummy_landmarks(), dataset_id="toy", index=0,
-        hv_samples=500, mc_cv_repetitions=2, seed=3, fitter=stub_fitter(False),
+        toy_samples(split, 3), split.test, dummy_landmarks(), index=0, fitter=stub_fitter(False)
     )
     assert inst is not None
     assert inst.target_scaled_mcc == 0.5
@@ -202,7 +192,6 @@ def test_instance_from_all_normal_detector_scores_half():
 
 def test_instance_replacement_after_failure():
     split = toy_split(3)
-    ball = fit_enclosing_ball(split.train.features)
     calls = {"n": 0}
     real_fit = detectors.fit
 
@@ -212,17 +201,13 @@ def test_instance_replacement_after_failure():
             raise FitError("first config rejected")
         return real_fit(config, train)
 
-    inst = build_detector_instance(
-        split, ball, dummy_landmarks(), dataset_id="toy", index=0,
-        hv_samples=500, mc_cv_repetitions=2, seed=4, fitter=flaky,
-    )
+    inst = build_detector_instance(toy_samples(split, 4), split.test, dummy_landmarks(), index=0, fitter=flaky)
     assert inst is not None
     assert calls["n"] >= 2
 
 
 def test_instance_timeout_triggers_replacement():
     split = toy_split(5)
-    ball = fit_enclosing_ball(split.train.features)
     first_call = {"done": False}
     real_fit = detectors.fit
 
@@ -233,8 +218,7 @@ def test_instance_timeout_triggers_replacement():
         return real_fit(config, train)
 
     inst = build_detector_instance(
-        split, ball, dummy_landmarks(), dataset_id="toy", index=0,
-        hv_samples=300, mc_cv_repetitions=2, seed=6,
+        toy_samples(split, 6, hv_samples=300), split.test, dummy_landmarks(), index=0,
         retries=3, budget_s=1.0, fitter=slow_once,
     )
     # exactly one instance comes out of the timeout-then-replacement path
@@ -244,17 +228,48 @@ def test_instance_timeout_triggers_replacement():
 
 def test_instance_skipped_when_retries_exhausted():
     split = toy_split(4)
-    ball = fit_enclosing_ball(split.train.features)
 
     def always_fail(config, train):
         raise FitError("nope")
 
     inst = build_detector_instance(
-        split, ball, dummy_landmarks(), dataset_id="toy", index=0,
-        hv_samples=500, mc_cv_repetitions=2, seed=5,
-        retries=2, fitter=always_fail,
+        toy_samples(split, 5), split.test, dummy_landmarks(), index=0, retries=2, fitter=always_fail
     )
     assert inst is None
+
+
+# ---------------------------------------------------------------------------
+# common random numbers
+
+
+def test_every_featurization_of_a_dataset_shares_its_samples(tmp_path, monkeypatch):
+    """Landmarks and random detectors of one dataset, on two workers, score
+    the same hypervolume points, each chunk drawn once, and refit on the
+    same MC-CV splits; every distance model reads one nearest-distance bound
+    per chunk, bit for bit the one it computes alone."""
+    cfg = RunConfig(hv_samples=1500, mc_cv_repetitions=2, n_random_detectors=6, seed=3, out_dir=str(tmp_path), jobs=2)
+    drawn = []
+    real_chunk = hypervolume._chunk_points
+    monkeypatch.setattr(hypervolume, "_chunk_points", lambda ball, size, seed, ci: drawn.append(ci) or real_chunk(ball, size, seed, ci))
+    seen, bounds = {}, []
+    real_scores = detectors.TrainedDetector.scores
+
+    def scores(self, X, above=None, **kw):  # per config: the bytes of every query set, HV chunk and held-out rows
+        seen.setdefault(self.config.config_id, []).append(np.asarray(X).tobytes())
+        if kw.get("nearest") is not None and isinstance(self.model, detectors._DistanceModel):
+            rows = self.model.rows
+            bounds.append((kw["nearest"](rows), detectors._SqDistBounds(X, *rows.operands).nearest()))
+        return real_scores(self, X, above, **kw)
+
+    monkeypatch.setattr(detectors.TrainedDetector, "scores", scores)
+    meta = assimilate_dataset(make_dataset(130, 14, seed=3), cfg)
+    assert meta.n == 6
+    assert drawn == [0]
+    shared = [q[: 1 + cfg.mc_cv_repetitions] for q in seen.values()]  # an instance then scores the test rows
+    assert len(shared) == len(detectors.ALGORITHMS) + 6
+    assert all(q == shared[0] for q in shared) and len(set(shared[0])) == 1 + cfg.mc_cv_repetitions
+    assert len(bounds) >= 3  # the knn, LOF and KDE landmarks at least
+    assert all(shared is bounds[0][0] and shared.tobytes() == alone.tobytes() for shared, alone in bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +307,7 @@ def test_landmark_events_name_the_algorithm(monkeypatch):
     fitter = scripted_fitter(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
     events = recorded_events(monkeypatch)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(
-        data, ball_for(data), dataset_id="d", hv_samples=500, seed=1, mc_cv_repetitions=2, budget_s=5.0,
-        fitter=fitter,
-    )
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2), budget_s=5.0, fitter=fitter)
     assert [alg for alg, v in lv.entries.items() if v is None] == ["lof", "kde"]
     assert all(e["reason"] == "scripted failure" for e in events if e["event"] == "landmark_failed")
     assert without_reason(events) == [  # one attempt each, and no skip event
@@ -308,14 +320,12 @@ def test_landmark_events_name_the_algorithm(monkeypatch):
 @pytest.mark.parametrize("exhausted", (False, True))
 def test_detector_events_name_each_attempt(monkeypatch, exhausted):
     split = toy_split(3)
-    draw = random_draw(7, "toy", 2, "detector", "detector-features", "detector-features")
-    ids = [draw(a)[0].config_id for a in range(3)]
+    draw = random_draw(7, "toy", 2, "detector")
+    ids = [draw(a).config_id for a in range(3)]
     fitter = scripted_fitter(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
     events = recorded_events(monkeypatch)
     inst = build_detector_instance(
-        split, fit_enclosing_ball(split.train.features), dummy_landmarks(), dataset_id="toy", index=2,
-        hv_samples=500, mc_cv_repetitions=2, seed=7, retries=2, budget_s=5.0,
-        fitter=fitter,
+        toy_samples(split, 7), split.test, dummy_landmarks(), index=2, retries=2, budget_s=5.0, fitter=fitter
     )
     where = {"dataset": "toy", "index": 2}
     if exhausted:
@@ -334,7 +344,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
 def test_candidate_events_name_each_attempt(monkeypatch):
     cfg = RunConfig(seed=3, hv_samples=500, mc_cv_repetitions=2, retries=2, detector_budget_s=5.0)
     ids = [
-        [random_draw(3, "cand", i, "candidate", "candidate-hv", "candidate-fpr")(a)[0].config_id for a in range(3)]
+        [random_draw(3, "cand", i, "candidate")(a).config_id for a in range(3)]
         for i in range(2)
     ]
     # candidate 0 fails, then overruns, then fits; candidate 1 fails every attempt

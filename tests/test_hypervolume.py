@@ -1,10 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from adselect import hypervolume
+
 from adselect.dataset import LabeledDataset
-from adselect.detectors import DetectorConfig, fit
+from adselect.detectors import DetectorConfig, TrainingRows, fit
 from adselect.hypervolume import (
     SAMPLE_CHUNK,
+    BallSample,
     EnclosingBall,
     HypervolumeEstimate,
     estimate_hypervolume,
@@ -100,15 +106,15 @@ def test_sampling_deterministic_and_chunk_stable():
 
 def test_estimate_all_normal_and_all_anomalous():
     ball = EnclosingBall(center=np.zeros(3), radius=1.0, epsilon=1e-3)
-    assert estimate_hypervolume(ConstantDetector(3, False), ball, 1000, seed=4).fraction == 1.0
-    assert estimate_hypervolume(ConstantDetector(3, True), ball, 1000, seed=4).fraction == 0.0
+    assert estimate_hypervolume(ConstantDetector(3, False), BallSample(ball, 4), 1000).fraction == 1.0
+    assert estimate_hypervolume(ConstantDetector(3, True), BallSample(ball, 4), 1000).fraction == 0.0
 
 
 def test_estimate_nested_ball_oracle():
     ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
     n = 200_000
     det = BallDetector(np.zeros(2), 1.0)  # rho = 1/2 -> area fraction 1/4
-    est = estimate_hypervolume(det, ball, n, seed=5)
+    est = estimate_hypervolume(det, BallSample(ball, 5), n)
     p = 0.25
     assert abs(est.fraction - p) <= 3 * np.sqrt(p * (1 - p) / n)
     assert est.std_error == pytest.approx(np.sqrt(est.fraction * (1 - est.fraction) / n))
@@ -118,8 +124,8 @@ def test_estimate_monotone_for_nested_detectors():
     ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
     small = BallDetector(np.zeros(2), 0.8)
     large = BallDetector(np.zeros(2), 1.4)  # superset of small's acceptance region
-    f_small = estimate_hypervolume(small, ball, 50_000, seed=6).fraction
-    f_large = estimate_hypervolume(large, ball, 50_000, seed=6).fraction
+    f_small = estimate_hypervolume(small, BallSample(ball, 6), 50_000).fraction
+    f_large = estimate_hypervolume(large, BallSample(ball, 6), 50_000).fraction
     assert f_large >= f_small
 
 
@@ -127,8 +133,8 @@ def test_estimate_seed_stability():
     ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
     det = BallDetector(np.zeros(2), 1.0)
     n = 100_000
-    a = estimate_hypervolume(det, ball, n, seed=7)
-    b = estimate_hypervolume(det, ball, n, seed=8)
+    a = estimate_hypervolume(det, BallSample(ball, 7), n)
+    b = estimate_hypervolume(det, BallSample(ball, 8), n)
     pooled = np.sqrt(a.std_error**2 + b.std_error**2)
     assert abs(a.fraction - b.fraction) < 6 * pooled
 
@@ -137,8 +143,8 @@ def test_estimate_jobs_do_not_change_counts():
     ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
     det = BallDetector(np.asarray([0.3, -0.2]), 1.1)
     n = 3 * SAMPLE_CHUNK + 123
-    a = estimate_hypervolume(det, ball, n, seed=9, jobs=1)
-    b = estimate_hypervolume(det, ball, n, seed=9, jobs=4)
+    a = estimate_hypervolume(det, BallSample(ball, 9), n, jobs=1)
+    b = estimate_hypervolume(det, BallSample(ball, 9), n, jobs=4)
     assert a.fraction == b.fraction
 
 
@@ -155,23 +161,56 @@ def test_estimate_jobs_do_not_change_detector_counts(algorithm, params):
               LabeledDataset(features=X, labels=np.zeros(300, dtype=np.int8), name="hv"))
     ball = fit_enclosing_ball(X)
     n = SAMPLE_CHUNK + 4321
-    a = estimate_hypervolume(det, ball, n, seed=11, jobs=1)
-    b = estimate_hypervolume(det, ball, n, seed=11, jobs=2)
+    a = estimate_hypervolume(det, BallSample(ball, 11), n, jobs=1)
+    b = estimate_hypervolume(det, BallSample(ball, 11), n, jobs=2)
     anomalies = int((det.scores(sample_uniform_in_ball(ball, n, seed=11)) > det.threshold).sum())
     assert a.fraction == b.fraction == (n - anomalies) / n
     assert 0.0 < a.fraction < 1.0
 
 
+def test_ball_sample_draws_each_chunk_and_bound_once_under_contention(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost update would draw twice or hand out two arrays
+    drawn = []
+    real_chunk = hypervolume._chunk_points
+    monkeypatch.setattr(hypervolume, "_chunk_points", lambda *a: drawn.append(a[3]) or real_chunk(*a))
+    X = np.random.default_rng(12).standard_normal((50, 3))
+    rows = TrainingRows(X)
+    sample = BallSample(fit_enclosing_ball(X), 13)
+    got = []
+
+    def work():
+        for ci in (0, 1):
+            got.append((ci, sample.chunk(ci, 500), sample.nearest(ci, 500)(rows)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(drawn) == [0, 1] and len(got) == 16
+    for ci in (0, 1):
+        mine = [(pts, near) for c, pts, near in got if c == ci]
+        assert all(pts is mine[0][0] and near is mine[0][1] for pts, near in mine)
+        assert mine[0][0].tobytes() == real_chunk(sample.ball, 500, 13, ci).tobytes()
+        assert mine[0][1].tobytes() == rows.nearest(mine[0][0]).tobytes()
+
+
 def test_estimate_dimension_mismatch():
     ball = EnclosingBall(center=np.zeros(3), radius=1.0, epsilon=1e-3)
     with pytest.raises(ValueError, match="dimension"):
-        estimate_hypervolume(BallDetector(np.zeros(2), 1.0), ball, 100, seed=0)
+        estimate_hypervolume(BallDetector(np.zeros(2), 1.0), BallSample(ball, 0), 100)
 
 
 def test_estimate_warns_in_high_dimension():
     ball = EnclosingBall(center=np.zeros(13), radius=1.0, epsilon=1e-3)
     with pytest.warns(UserWarning, match="vacuous"):
-        estimate_hypervolume(ConstantDetector(13, False), ball, 100, seed=0)
+        estimate_hypervolume(ConstantDetector(13, False), BallSample(ball, 0), 100)
 
 
 def test_estimate_invalid_fraction_rejected():
