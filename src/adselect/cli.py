@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus, dataset, detectors, pipeline
 from .errors import ConfigError, DataError, FitError, ModelFormatError
 from .features import MetaDataset
-from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
+from .hypervolume import estimate_hypervolume
 from .metamodel import fit_meta_model, load_model, save_model
 from .pipeline import RunConfig
 from .util import fmt_float, log_event, logger
@@ -254,10 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_hv_estimate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args, label_column=args.label_column)
-    samples = args.samples if args.samples is not None else cfg.hv_samples
-    if samples < 1:
-        raise ConfigError("--samples must be positive")
+    cfg = _load_run_config(args, label_column=args.label_column, hv_samples=args.samples)
     config_text = args.detector_config
     if os.path.exists(config_text):
         with open(config_text, "r", encoding="utf-8") as fh:
@@ -267,10 +264,11 @@ def cmd_hv_estimate(args: argparse.Namespace) -> int:
     data = dataset.load_csv(args.dataset, cfg.label_column, labels_required=False)
     normals = data.take(np.flatnonzero(data.labels == 0))
     scaler = dataset.fit_robust_scaler(normals)
-    train = dataset.apply_scaler(scaler, normals)
-    ball = fit_enclosing_ball(train.features)
-    det = detectors.fit(config, train)
-    est = estimate_hypervolume(det, BallSample(ball, cfg.seed), samples, jobs=cfg.jobs)
+    # the dataset's hypervolume points, as rank and assimilate draw them
+    samples = pipeline._samples(dataset.apply_scaler(scaler, normals), data.name, cfg)
+    det = detectors.fit(config, samples.train)
+    est = estimate_hypervolume(det, samples.ball, cfg.hv_samples, jobs=cfg.jobs)
+    ball = samples.ball.ball
     print(
         json.dumps(
             {

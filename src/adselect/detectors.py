@@ -42,6 +42,8 @@ class ParamSpec:
     def contains(self, value: object) -> bool:
         if self.kind == "categorical":
             return value in (self.choices or ())
+        if isinstance(value, bool):  # JSON true would pass as 1
+            return False
         if self.kind == "int":
             return isinstance(value, (int, np.integer)) and self.low <= value <= self.high
         if self.kind in ("real", "log-real"):
@@ -95,6 +97,8 @@ class DetectorConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; portfolio: {list(SPACES)}")
         if not CONTAMINATION.contains(self.contamination) or not (0 < self.contamination < 0.5):
             raise ConfigError(f"contamination {self.contamination} outside (0, 0.5) band")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "params", dict(self.params))
         for p in SPACES[self.algorithm]:
             if p.name not in self.params:

@@ -3,9 +3,9 @@
 A detector's features are its hypervolume and its Monte-Carlo
 cross-validated false-positive rate, both computable from normal-only data.
 A dataset's landmark vector stacks those two features for every
-default-configured portfolio detector. Meta-instances join landmarks with
-one detector's features and its scaled-MCC target measured on the labeled
-test partition.
+default-configured portfolio detector. A meta-instance is one detector's
+features and its scaled-MCC target measured on the labeled test partition;
+assembly puts the dataset's landmark row before each.
 """
 
 from __future__ import annotations
@@ -39,34 +39,31 @@ class DetectorFeatures:
 
 @dataclass(frozen=True)
 class LandmarkVector:
-    """(hypervolume, fpr) per portfolio algorithm; None marks a failed landmark."""
+    """Features of every default-configured portfolio detector; None marks a failed landmark."""
 
     dataset_id: str
-    entries: dict[str, tuple[float, float] | None]
+    entries: dict[str, DetectorFeatures | None]
 
     def __post_init__(self) -> None:
         missing = set(ALGORITHMS) - set(self.entries)
         if missing:
             raise ValueError(f"landmark vector lacks algorithms {sorted(missing)}")
-        for alg, entry in self.entries.items():
-            if entry is not None and not (0.0 <= entry[0] <= 1.0 and 0.0 <= entry[1] <= 1.0):
-                raise ValueError(f"landmark {alg} outside [0, 1]: {entry}")
 
-    def as_row(self) -> list[float | None]:
-        row: list[float | None] = []
+    def as_row(self) -> list[float]:
+        """The landmark columns of ``meta_columns()``, NaN where a landmark is absent."""
+        row: list[float] = []
         for alg in ALGORITHMS:
             entry = self.entries[alg]
-            row.extend(entry if entry is not None else (None, None))
+            row.extend((np.nan, np.nan) if entry is None else (entry.hypervolume, entry.fpr))
         return row
 
 
 @dataclass(frozen=True)
 class MetaInstance:
-    landmarks: LandmarkVector
+    """One random detector's features and its scaled MCC on the labeled test partition."""
+
     detector: DetectorFeatures
     target_scaled_mcc: float
-    dataset_id: str
-    config_id: str
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.target_scaled_mcc <= 1.0):
@@ -287,13 +284,12 @@ def build_landmarks(
     absent (None) entry; the others are unaffected.
     """
 
-    def one(config: DetectorConfig) -> tuple[str, tuple[float, float] | None]:
-        alg = config.algorithm
+    def one(config: DetectorConfig) -> tuple[str, DetectorFeatures | None]:
         got = featurize(
             "landmark", lambda attempt: config, samples, retries=0, budget_s=budget_s, fitter=fitter,
-            dataset=samples.dataset_id, algorithm=alg,
+            dataset=samples.dataset_id, algorithm=config.algorithm,
         )
-        return alg, None if got is None else (got[2].hypervolume, got[2].fpr)
+        return config.algorithm, None if got is None else got[2]
 
     results = pmap(one, detectors.default_configs(), jobs)
     return LandmarkVector(dataset_id=samples.dataset_id, entries=dict(results))
@@ -302,7 +298,6 @@ def build_landmarks(
 def build_detector_instance(
     samples: DatasetSamples,
     test: LabeledDataset,
-    landmarks: LandmarkVector,
     index: int,
     retries: int = 10,
     budget_s: float = 300.0,
@@ -321,41 +316,20 @@ def build_detector_instance(
     )
     if got is None:
         return None
-    config, det, feats = got
+    _, det, feats = got
     predicted = det.predict_many(test.features)
-    return MetaInstance(
-        landmarks=landmarks,
-        detector=feats,
-        target_scaled_mcc=scaled_mcc(mcc(confusion_counts(predicted, test.labels))),
-        dataset_id=samples.dataset_id,
-        config_id=config.config_id,
-    )
+    return MetaInstance(feats, scaled_mcc(mcc(confusion_counts(predicted, test.labels))))
 
 
-def assemble_meta_dataset(
-    landmark_vectors: Sequence[LandmarkVector],
-    instances: Sequence[MetaInstance],
-) -> MetaDataset:
-    """Join every instance with its dataset's landmark block, stable column order."""
-    by_dataset = {lv.dataset_id: lv for lv in landmark_vectors}
-    cols = meta_columns()
-    rows, targets, ds_ids, cfg_ids = [], [], [], []
-    for inst in instances:
-        if inst.dataset_id not in by_dataset:
-            raise DataError(f"instance {inst.config_id} has no landmark vector for {inst.dataset_id}")
-        lm_row = by_dataset[inst.dataset_id].as_row()
-        row = [np.nan if v is None else v for v in lm_row]
-        row.extend([inst.detector.hypervolume, inst.detector.fpr])
-        rows.append(row)
-        targets.append(inst.target_scaled_mcc)
-        ds_ids.append(inst.dataset_id)
-        cfg_ids.append(inst.config_id)
-    if not rows:
+def assemble_meta_dataset(landmarks: LandmarkVector, instances: Sequence[MetaInstance]) -> MetaDataset:
+    """One dataset's instances, each after the dataset's landmark row, in ``meta_columns()`` order."""
+    if not instances:
         raise DataError("no instances to assemble")
+    lm_row = landmarks.as_row()
     return MetaDataset(
-        columns=cols,
-        X=np.asarray(rows, dtype=np.float64),
-        y=np.asarray(targets, dtype=np.float64),
-        dataset_ids=ds_ids,
-        config_ids=cfg_ids,
+        columns=meta_columns(),
+        X=np.asarray([lm_row + [i.detector.hypervolume, i.detector.fpr] for i in instances], dtype=np.float64),
+        y=np.asarray([i.target_scaled_mcc for i in instances], dtype=np.float64),
+        dataset_ids=[landmarks.dataset_id] * len(instances),
+        config_ids=[i.detector.config_id for i in instances],
     )

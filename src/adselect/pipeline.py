@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import numbers
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,10 @@ from .detectors import PORTFOLIO_VERSION, DetectorConfig
 from .errors import ConfigError, DataError, FitError
 from .features import (
     DatasetSamples,
+    DetectorFeatures,
     LandmarkVector,
     MetaDataset,
+    MetaInstance,
     assemble_meta_dataset,
     build_detector_instance,
     build_landmarks,
@@ -31,6 +35,19 @@ from .features import (
 from .hypervolume import fit_enclosing_ball
 from .metamodel import MetaModel, load_model
 from .util import dump_json, fmt_float, load_json, log_event, pmap, rng_from
+
+
+def _has_type(value, kind) -> bool:
+    """value is of the annotated type kind: a bool is no number, a float may be an int."""
+    if typing.get_origin(kind) is tuple:
+        args = typing.get_args(kind)
+        return (
+            isinstance(value, tuple) and (args[-1] is Ellipsis or len(value) == len(args))
+            and all(_has_type(v, args[0]) for v in value)
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,10 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        kinds = typing.get_type_hints(RunConfig)
+        for name, annotation in RunConfig.__annotations__.items():
+            if not _has_type(getattr(self, name), kinds[name]):
+                raise ConfigError(f"{name} must be of type {annotation}, got {getattr(self, name)!r}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or any(f <= 0 for f in self.split_fractions):
             raise ConfigError(f"split fractions must be positive and sum to 1: {self.split_fractions}")
         if not (0 < self.outlier_lo <= self.outlier_hi < 1):
@@ -81,10 +102,9 @@ class RunConfig:
 
     @classmethod
     def _normalized(cls, values: dict) -> "RunConfig":
-        if "datasets" in values:
-            values["datasets"] = tuple(values["datasets"])
-        if "split_fractions" in values:
-            values["split_fractions"] = tuple(values["split_fractions"])
+        for name in ("datasets", "split_fractions"):
+            if isinstance(values.get(name), list):  # a JSON array
+                values[name] = tuple(values[name])
         try:
             return cls(**values)
         except TypeError as exc:
@@ -129,24 +149,16 @@ def _write_landmarks_csv(path: str, lv: LandmarkVector) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(meta_columns()[:-2])
-        w.writerow(["" if v is None else fmt_float(v) for v in lv.as_row()])
+        w.writerow(["" if np.isnan(v) else fmt_float(v) for v in lv.as_row()])
 
 
-def _write_detectors_csv(path: str, meta: MetaDataset) -> None:
-    hv_col = meta.columns.index("detector_hv")
-    fpr_col = meta.columns.index("detector_fpr")
+def _write_detectors_csv(path: str, instances: list[MetaInstance]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["config_id", "detector_hv", "detector_fpr", "target_scaled_mcc"])
-        for i in range(meta.n):
-            w.writerow(
-                [
-                    meta.config_ids[i],
-                    fmt_float(meta.X[i, hv_col]),
-                    fmt_float(meta.X[i, fpr_col]),
-                    fmt_float(meta.y[i]),
-                ]
-            )
+        for inst in instances:
+            f = inst.detector
+            w.writerow([f.config_id, fmt_float(f.hypervolume), fmt_float(f.fpr), fmt_float(inst.target_scaled_mcc)])
 
 
 def _samples(train: ds.LabeledDataset, dataset_id: str, cfg: RunConfig) -> DatasetSamples:
@@ -181,18 +193,16 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
 
     def one(i: int):
-        return build_detector_instance(
-            samples, split.test, landmarks, index=i, retries=cfg.retries, budget_s=cfg.detector_budget_s
-        )
+        return build_detector_instance(samples, split.test, index=i, retries=cfg.retries, budget_s=cfg.detector_budget_s)
 
     instances = [r for r in pmap(one, list(range(cfg.n_random_detectors)), cfg.jobs) if r is not None]
     if not instances:
         raise DataError(f"{data.name}: every detector instance was skipped")
-    meta = assemble_meta_dataset([landmarks], instances)
+    meta = assemble_meta_dataset(landmarks, instances)
 
     dump_json(ds.split_manifest(split, data.name, cfg.seed), os.path.join(out, "split_manifest.json"))
     _write_landmarks_csv(os.path.join(out, "landmarks.csv"), landmarks)
-    _write_detectors_csv(os.path.join(out, "detectors.csv"), meta)
+    _write_detectors_csv(os.path.join(out, "detectors.csv"), instances)
     meta.to_csv(meta_path)
     dump_json(
         {
@@ -375,13 +385,13 @@ def rank_candidates(
     scaler = ds.fit_robust_scaler(normal_only)
     samples = _samples(ds.apply_scaler(scaler, normal_only), data.name, cfg)
 
-    def candidate(index: int) -> tuple[DetectorConfig, float, float] | None:
+    def candidate(index: int) -> tuple[DetectorConfig, DetectorFeatures] | None:
         got = featurize(
             "candidate", random_draw(cfg.seed, data.name, index, "candidate"), samples,
             cfg.retries, cfg.detector_budget_s, detectors.fit, dataset=data.name, index=index,
         )
         # keep the features only: the fitted models of all candidates are never held at once
-        return None if got is None else (got[0], got[2].hypervolume, got[2].fpr)
+        return None if got is None else (got[0], got[2])
 
     feats = [r for r in pmap(candidate, list(range(n_candidates)), cfg.jobs) if r is not None]
     if not feats:
@@ -389,21 +399,13 @@ def rank_candidates(
 
     absent: tuple[str, ...] = ()
     if method == "linear":
-        scored = [(config, ranking.lc_score(hv, fpr)) for config, hv, fpr in feats]
+        scored = [(config, ranking.lc_score(f.hypervolume, f.fpr)) for config, f in feats]
     else:
         landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
         absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
-        lm_row = [np.nan if v is None else v for v in landmarks.as_row()]
-        rows = [lm_row + [hv, fpr] for _, hv, fpr in feats]
-        md = MetaDataset(
-            columns=meta_columns(),
-            X=np.asarray(rows, dtype=np.float64),
-            y=np.zeros(len(rows)),
-            dataset_ids=[data.name] * len(rows),
-            config_ids=[c.config_id for c, _, _ in feats],
-        )
-        predictions = model.predict(md)
-        scored = [(feats[i][0], float(predictions[i])) for i in range(len(feats))]
+        # a candidate's target is unknown; 0 stands in, and predict reads X only
+        predictions = model.predict(assemble_meta_dataset(landmarks, [MetaInstance(f, 0.0) for _, f in feats]))
+        scored = [(config, float(p)) for (config, _), p in zip(feats, predictions)]
 
     scored.sort(key=lambda cs: (-cs[1], cs[0].config_id))
     return RecommendationResult(

@@ -3,12 +3,14 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
-from adselect import detectors, features, pipeline
+from adselect import dataset, detectors, features, pipeline
 from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 from adselect.corpus import write_corpus_csvs
 from adselect.errors import FitError
+from adselect.hypervolume import estimate_hypervolume
 
 
 @pytest.fixture()
@@ -437,6 +439,48 @@ def test_bad_config_file_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"unknown_key": 1}))
     assert main(["assimilate", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_random_detectors", 2.5),
+        ("hv_samples", 500.5),
+        ("mc_cv_repetitions", 2.5),
+        ("mc_cv_repetitions", True),
+        ("retries", 1.5),
+        ("landmark_budget_s", "10"),
+        ("label_column", 5),
+        ("jobs", 1.5),
+        ("seed", 1.5),
+        ("split_fractions", [0.5, 0.5]),
+        ("split_fractions", 0.7),
+        ("datasets", "halo.csv"),
+    ],
+)
+def test_wrongly_typed_config_value_is_config_error(tmp_path, corpus_dir, key, value):
+    cfg = tmp_path / "cfg.json"
+    base = {"datasets": [str(corpus_dir / "halo.csv")], "hv_samples": 1000, "n_random_detectors": 2, "mc_cv_repetitions": 2}
+    cfg.write_text(json.dumps({**base, key: value}))
+    assert main(["assimilate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+def test_hv_estimate_scores_the_points_rank_scores(tmp_path, capsys):
+    """hv-estimate's fraction is the HV of the config on the dataset's shared
+    sample, the points rank and assimilate score."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "field.csv"
+    np.savetxt(path, rng.standard_normal((150, 3)), delimiter=",", header="a,b,c", comments="")
+    config = detectors.DetectorConfig.from_json(
+        json.dumps({"algorithm": "knn", "params": {"k": 5, "aggregation": "largest"}, "contamination": 0.1, "seed": 0})
+    )
+    argv = ["hv-estimate", "--dataset", str(path), "--detector-config", config.to_json(), "--samples", "3000", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "h")]) == EXIT_OK
+    fraction = json.loads(capsys.readouterr().out)["fraction"]
+    data = dataset.load_csv(str(path), "label", labels_required=False)
+    cfg = pipeline.RunConfig(seed=4, hv_samples=3000)
+    samples = pipeline._samples(dataset.apply_scaler(dataset.fit_robust_scaler(data), data), data.name, cfg)
+    assert fraction == estimate_hypervolume(detectors.fit(config, samples.train), samples.ball, 3000).fraction
 
 
 def test_config_file_with_overrides(tmp_path, corpus_dir):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,22 @@ def test_config_validation():
         config_for("knn", contamination=0.4)
     with pytest.raises(ConfigError, match="missing"):
         DetectorConfig(algorithm="knn", params={"k": 3}, contamination=0.1)
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, seed, match",
+    [
+        ("knn", {"k": True, "aggregation": "largest"}, 0, "outside its space"),
+        ("kde", {"bandwidth": True}, 0, "outside its space"),
+        ("knn", {"k": 5, "aggregation": "largest"}, 1.5, "seed"),
+        ("knn", {"k": 5, "aggregation": "largest"}, "3", "seed"),
+        ("knn", {"k": 5, "aggregation": "largest"}, True, "seed"),
+    ],
+)
+def test_config_json_rejects_booleans_and_non_integer_seeds(algorithm, params, seed, match):
+    text = json.dumps({"algorithm": algorithm, "params": params, "contamination": 0.1, "seed": seed})
+    with pytest.raises(ConfigError, match=match):
+        DetectorConfig.from_json(text)
 
 
 def test_config_json_roundtrip():

@@ -12,6 +12,7 @@ from adselect.features import (
     DetectorFeatures,
     LandmarkVector,
     MetaDataset,
+    MetaInstance,
     assemble_meta_dataset,
     build_detector_instance,
     build_landmarks,
@@ -149,10 +150,13 @@ def toy_split(seed=0):
     return assimilate_split(make_dataset(130, 14, seed=seed), cfg)
 
 
-def dummy_landmarks(dataset_id="toy"):
+def landmarks(dataset_id, hv=0.5, fpr=0.1, absent=()):
     return LandmarkVector(
         dataset_id=dataset_id,
-        entries={alg: (0.5, 0.1) for alg in detectors.ALGORITHMS},
+        entries={
+            alg: None if alg in absent else DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=f"{alg}-default")
+            for alg in detectors.ALGORITHMS
+        },
     )
 
 
@@ -174,7 +178,7 @@ def test_instance_from_perfect_detector():
         # accepts a generous ball around the (scaled) normal cluster
         return Distance(train.features.mean(axis=0), 6.0, train.dim)
 
-    inst = build_detector_instance(toy_samples(split, 3), split.test, dummy_landmarks(), index=0, fitter=fitter)
+    inst = build_detector_instance(toy_samples(split, 3), split.test, index=0, fitter=fitter)
     assert inst is not None
     assert inst.target_scaled_mcc == 1.0
 
@@ -182,7 +186,7 @@ def test_instance_from_perfect_detector():
 def test_instance_from_all_normal_detector_scores_half():
     split = toy_split(2)
     inst = build_detector_instance(
-        toy_samples(split, 3), split.test, dummy_landmarks(), index=0, fitter=stub_fitter(False)
+        toy_samples(split, 3), split.test, index=0, fitter=stub_fitter(False)
     )
     assert inst is not None
     assert inst.target_scaled_mcc == 0.5
@@ -201,7 +205,7 @@ def test_instance_replacement_after_failure():
             raise FitError("first config rejected")
         return real_fit(config, train)
 
-    inst = build_detector_instance(toy_samples(split, 4), split.test, dummy_landmarks(), index=0, fitter=flaky)
+    inst = build_detector_instance(toy_samples(split, 4), split.test, index=0, fitter=flaky)
     assert inst is not None
     assert calls["n"] >= 2
 
@@ -218,7 +222,7 @@ def test_instance_timeout_triggers_replacement():
         return real_fit(config, train)
 
     inst = build_detector_instance(
-        toy_samples(split, 6, hv_samples=300), split.test, dummy_landmarks(), index=0,
+        toy_samples(split, 6, hv_samples=300), split.test, index=0,
         retries=3, budget_s=1.0, fitter=slow_once,
     )
     # exactly one instance comes out of the timeout-then-replacement path
@@ -233,7 +237,7 @@ def test_instance_skipped_when_retries_exhausted():
         raise FitError("nope")
 
     inst = build_detector_instance(
-        toy_samples(split, 5), split.test, dummy_landmarks(), index=0, retries=2, fitter=always_fail
+        toy_samples(split, 5), split.test, index=0, retries=2, fitter=always_fail
     )
     assert inst is None
 
@@ -325,7 +329,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
     fitter = scripted_fitter(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
     events = recorded_events(monkeypatch)
     inst = build_detector_instance(
-        toy_samples(split, 7), split.test, dummy_landmarks(), index=2, retries=2, budget_s=5.0, fitter=fitter
+        toy_samples(split, 7), split.test, index=2, retries=2, budget_s=5.0, fitter=fitter
     )
     where = {"dataset": "toy", "index": 2}
     if exhausted:
@@ -334,7 +338,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
             {"event": "detector_replaced", **where, "attempt": a, "config": ids[a]} for a in range(3)
         ] + [{"event": "instance_skipped", **where, "retries": 2}]
     else:
-        assert inst.config_id == ids[2]
+        assert inst.detector.config_id == ids[2]
         assert without_reason(events) == [
             {"event": "detector_replaced", **where, "attempt": 0, "config": ids[0]},
             {"event": "detector_timeout", **where, "attempt": 1, "config": ids[1], "budget_s": 5.0},
@@ -367,48 +371,38 @@ def test_candidate_events_name_each_attempt(monkeypatch):
 # meta-dataset assembly
 
 
-def make_instance(dataset_id, config_id, lm, hv=0.4, fpr=0.2, target=0.7):
-    from adselect.features import MetaInstance
-
-    return MetaInstance(
-        landmarks=lm,
-        detector=DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=config_id),
-        target_scaled_mcc=target,
-        dataset_id=dataset_id,
-        config_id=config_id,
-    )
+def make_instance(config_id, hv=0.4, fpr=0.2, target=0.7):
+    return MetaInstance(DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=config_id), target)
 
 
 def test_assemble_joins_landmarks_per_dataset():
-    lm_a = dummy_landmarks("a")
-    lm_b = LandmarkVector(
-        dataset_id="b",
-        entries={alg: ((0.9, 0.05) if alg != "kde" else None) for alg in detectors.ALGORITHMS},
+    md_a = assemble_meta_dataset(landmarks("a"), [make_instance(f"a{i}") for i in range(3)])
+    md_b = assemble_meta_dataset(
+        landmarks("b", hv=0.9, fpr=0.05, absent=("kde",)), [make_instance(f"b{i}", hv=0.1 * i) for i in range(3)]
     )
-    instances = [make_instance("a", f"a{i}", lm_a) for i in range(3)]
-    instances += [make_instance("b", f"b{i}", lm_b) for i in range(3)]
-    md = assemble_meta_dataset([lm_a, lm_b], instances)
+    md = MetaDataset.concat([md_a, md_b])
     assert md.n == 6
+    assert md.dataset_ids == ["a"] * 3 + ["b"] * 3
+    assert md.config_ids == ["a0", "a1", "a2", "b0", "b1", "b2"]
     assert len(md.columns) == 2 * len(detectors.ALGORITHMS) + 2
     block_a = md.X[:3, : 2 * len(detectors.ALGORITHMS)]
     assert np.array_equal(block_a, np.tile(block_a[0], (3, 1)))
+    assert np.array_equal(block_a[0], [0.5, 0.1] * len(detectors.ALGORITHMS))
     kde_col = md.columns.index("landmark_hv_kde")
-    assert np.isnan(md.X[3:, kde_col]).all()
+    assert np.isnan(md.X[3:, kde_col]).all() and np.isnan(md.X[3:, kde_col + 1]).all()
+    assert np.array_equal(md.X[3:, -2:], [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]])
+    assert np.array_equal(md.y, [0.7] * 6)
 
 
-def test_assemble_requires_landmarks_for_every_dataset():
-    lm = dummy_landmarks("a")
-    orphan = make_instance("other", "o1", lm)
-    with pytest.raises(DataError, match="landmark"):
-        assemble_meta_dataset([lm], [orphan])
+def test_assemble_needs_instances():
+    with pytest.raises(DataError, match="no instances"):
+        assemble_meta_dataset(landmarks("a"), [])
 
 
 def test_meta_csv_roundtrip(tmp_path):
-    lm = LandmarkVector(
-        dataset_id="a",
-        entries={alg: ((0.25, 0.125) if alg != "pca" else None) for alg in detectors.ALGORITHMS},
+    md = assemble_meta_dataset(
+        landmarks("a", hv=0.25, fpr=0.125, absent=("pca",)), [make_instance(f"c{i}", target=0.3 + i / 10) for i in range(4)]
     )
-    md = assemble_meta_dataset([lm], [make_instance("a", f"c{i}", lm, target=0.3 + i / 10) for i in range(4)])
     path = str(tmp_path / "meta.csv")
     md.to_csv(path)
     back = MetaDataset.from_csv(path)
@@ -428,12 +422,8 @@ def test_meta_columns_schema():
 
 
 def test_assemble_fifteen_datasets_fifty_detectors():
-    vectors = []
-    instances = []
-    for d in range(15):
-        lm = dummy_landmarks(f"ds{d}")
-        vectors.append(lm)
-        instances.extend(make_instance(f"ds{d}", f"ds{d}-c{i}", lm) for i in range(50))
-    md = assemble_meta_dataset(vectors, instances)
+    md = MetaDataset.concat(
+        [assemble_meta_dataset(landmarks(f"ds{d}"), [make_instance(f"ds{d}-c{i}") for i in range(50)]) for d in range(15)]
+    )
     assert md.n == 750
     assert len(set(md.dataset_ids)) == 15
