@@ -243,8 +243,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for d in os.listdir(root)
             if os.path.exists(os.path.join(root, d, "meta.csv"))
         )
-    if len(paths) < 2:
-        raise DataError(f"evaluation needs at least 2 meta-datasets, found {len(paths)}")
     metas = [MetaDataset.from_csv(p) for p in paths]
     reports, aggregates = pipeline.evaluate_meta_datasets(metas, cfg)
     eval_dir = os.path.join(cfg.out_dir, "evaluation")
@@ -262,12 +260,9 @@ def cmd_hv_estimate(args: argparse.Namespace) -> int:
     config = detectors.DetectorConfig.from_json(config_text)
 
     data = dataset.load_csv(args.dataset, cfg.label_column, labels_required=False)
-    normals = data.take(np.flatnonzero(data.labels == 0))
-    scaler = dataset.fit_robust_scaler(normals)
-    # the dataset's hypervolume points, as rank and assimilate draw them
-    samples = pipeline._samples(dataset.apply_scaler(scaler, normals), data.name, cfg)
-    det = detectors.fit(config, samples.train)
-    est = estimate_hypervolume(det, samples.ball, cfg.hv_samples, jobs=cfg.jobs)
+    # the rows and hypervolume points rank scores
+    samples = pipeline.normal_only_samples(data, cfg)
+    est = estimate_hypervolume(detectors.fit(config, samples.train), samples.ball, cfg.hv_samples, jobs=cfg.jobs)
     ball = samples.ball.ball
     print(
         json.dumps(

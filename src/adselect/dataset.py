@@ -102,11 +102,7 @@ class SemiSupervisedSplit:
     test: LabeledDataset
     holdout: LabeledDataset
     origin_indices: dict[str, np.ndarray]  # partition -> indices into the source dataset
-    seed: int
     scaler: ScalingParams | None = None
-
-    def partitions(self) -> dict[str, LabeledDataset]:
-        return {"train": self.train, "test": self.test, "holdout": self.holdout}
 
 
 def load_csv(path: str, label_column: str = "label", labels_required: bool = True) -> LabeledDataset:
@@ -182,10 +178,7 @@ def load_csv(path: str, label_column: str = "label", labels_required: bool = Tru
 
 
 def subsample_outliers(
-    data: LabeledDataset,
-    lo: float = 0.05,
-    hi: float = 0.10,
-    rng: np.random.Generator | None = None,
+    data: LabeledDataset, lo: float = 0.05, hi: float = 0.10, *, rng: np.random.Generator
 ) -> LabeledDataset:
     """Down-sample anomalies so they make up at most `hi` of the dataset.
 
@@ -202,8 +195,6 @@ def subsample_outliers(
         raise DataError(f"{data.name}: no normal rows, anomaly fraction undefined")
     if n_anom / data.n <= hi:
         return data
-    if rng is None:
-        rng = np.random.default_rng(0)
     # maximal a with a/(n_norm + a) <= hi  <=>  a <= hi*n_norm/(1-hi)
     keep = int(np.floor(hi * n_norm / (1.0 - hi)))
     anom_idx = np.flatnonzero(data.labels == 1)
@@ -232,24 +223,18 @@ def _largest_remainder(count: int, fractions: Sequence[float]) -> list[int]:
 
 
 def stratified_split(
-    data: LabeledDataset,
-    fractions: tuple[float, float, float] = (0.70, 0.20, 0.10),
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
+    data: LabeledDataset, fractions: tuple[float, float, float] = (0.70, 0.20, 0.10), *, rng: np.random.Generator
 ) -> SemiSupervisedSplit:
     """Shuffle, then split into train/test/holdout preserving class proportions.
 
     Per-class counts follow largest-remainder rounding, so each partition's
     class count is within one row of the exact proportion. The returned split
-    is pre-strip and pre-scale; `seed` is recorded for provenance and should
-    match the seed that produced `rng`.
+    is pre-strip and pre-scale.
     """
     if data.n == 0:
         raise DataError("cannot split an empty dataset")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     perm = rng.permutation(data.n)
     parts: list[list[int]] = [[], [], []]
     for cls in (0, 1):
@@ -269,7 +254,6 @@ def stratified_split(
         test=data.take(origin["test"], name=f"{data.name}/test"),
         holdout=data.take(origin["holdout"], name=f"{data.name}/holdout"),
         origin_indices=origin,
-        seed=seed,
     )
 
 

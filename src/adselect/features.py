@@ -21,7 +21,7 @@ from . import detectors
 from .dataset import LabeledDataset
 from .detectors import ALGORITHMS, DetectorConfig, TrainedDetector
 from .errors import DataError, FitError
-from .hypervolume import BallSample, EnclosingBall, estimate_hypervolume
+from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
 from .ranking import confusion_counts, mcc, scaled_mcc
 from .util import fmt_float, log_event, pmap, rng_from, seed_from
 
@@ -165,22 +165,23 @@ class DatasetSamples:
 
     Every featurization on the dataset (its landmarks, its random detectors,
     its rank candidates) scores the same hypervolume points, ``ball``, a
-    ``BallSample`` of ``hv_samples`` points under the seed ``(seed,
-    dataset_id, "hv")``, and refits on the same MC-CV splits, repetition r
-    drawn under ``(seed, dataset_id, "mccv", r)``. Shared samples lower the
-    variance of every difference between two detectors' features, and let
-    per-point work run once per dataset. The splits are drawn here and never
-    change, and ``BallSample`` is thread-safe, so one object serves every
-    worker. Besides the ball sample (see ``BallSample``) it holds each
-    split's held-out and fit rows, repetitions x n x d x 8 bytes.
+    ``BallSample`` of ``hv_samples`` points inside the minimal enclosing ball
+    of ``train``'s rows under the seed ``(seed, dataset_id, "hv")``, and
+    refits on the same MC-CV splits, repetition r drawn under ``(seed,
+    dataset_id, "mccv", r)``. Shared samples lower the variance of every
+    difference between two detectors' features, and let per-point work run
+    once per dataset. The ball and splits are settled here and never change,
+    and ``BallSample`` is thread-safe, so one object serves every worker.
+    Besides the ball sample (see ``BallSample``) it holds each split's
+    held-out and fit rows, repetitions x n x d x 8 bytes.
     """
 
     def __init__(
-        self, train: LabeledDataset, ball: EnclosingBall, dataset_id: str, seed: int = 0,
-        hv_samples: int = 200_000, mc_cv_test_fraction: float = 0.3, mc_cv_repetitions: int = 10,
+        self, train: LabeledDataset, dataset_id: str, seed: int,
+        hv_samples: int, mc_cv_test_fraction: float, mc_cv_repetitions: int,
     ):
         self.train, self.dataset_id, self.seed, self.hv_samples = train, dataset_id, seed, hv_samples
-        self.ball = BallSample(ball, seed_from(seed, dataset_id, "hv"))
+        self.ball = BallSample(fit_enclosing_ball(train.features), seed_from(seed, dataset_id, "hv"))
         self.mc_cv_test_fraction = mc_cv_test_fraction
         n, held = train.n, int(np.floor(train.n * mc_cv_test_fraction))
         self.splits: tuple[tuple[np.ndarray, LabeledDataset], ...] = ()  # (held-out rows, fit set) per repetition
@@ -192,11 +193,7 @@ class DatasetSamples:
             )
 
 
-def mc_cv_fpr_rates(
-    config: DetectorConfig,
-    samples: DatasetSamples,
-    fitter: Callable[[DetectorConfig, LabeledDataset], TrainedDetector] = detectors.fit,
-) -> list[float]:
+def mc_cv_fpr_rates(config: DetectorConfig, samples: DatasetSamples) -> list[float]:
     """Per-repetition held-out false-positive rates on the dataset's MC-CV splits.
 
     Fit failures propagate so the caller can mark the feature absent or
@@ -207,24 +204,18 @@ def mc_cv_fpr_rates(
             f"MC-CV needs at least one row on each side, n={samples.train.n}, "
             f"test_fraction={samples.mc_cv_test_fraction}"
         )
-    return [int(fitter(config, fit_set).predict_many(held).sum()) / len(held) for held, fit_set in samples.splits]
+    return [int(detectors.fit(config, fit_set).predict_many(held).sum()) / len(held) for held, fit_set in samples.splits]
 
 
-def mc_cv_fpr(
-    config: DetectorConfig,
-    samples: DatasetSamples,
-    fitter: Callable[[DetectorConfig, LabeledDataset], TrainedDetector] = detectors.fit,
-) -> float:
+def mc_cv_fpr(config: DetectorConfig, samples: DatasetSamples) -> float:
     """Mean held-out FPR over the Monte-Carlo cross-validation repetitions."""
-    return float(np.mean(mc_cv_fpr_rates(config, samples, fitter)))
+    return float(np.mean(mc_cv_fpr_rates(config, samples)))
 
 
-def _detector_features(
-    config: DetectorConfig, samples: DatasetSamples, fitter: Callable
-) -> tuple[TrainedDetector, DetectorFeatures]:
-    det = fitter(config, samples.train)
+def _detector_features(config: DetectorConfig, samples: DatasetSamples) -> tuple[TrainedDetector, DetectorFeatures]:
+    det = detectors.fit(config, samples.train)
     hv = estimate_hypervolume(det, samples.ball, samples.hv_samples)
-    fpr = mc_cv_fpr(config, samples, fitter=fitter)
+    fpr = mc_cv_fpr(config, samples)
     return det, DetectorFeatures(hypervolume=hv.fraction, fpr=fpr, config_id=config.config_id)
 
 
@@ -243,7 +234,7 @@ def random_draw(seed: int, dataset_id: str, index: int, config_key: str) -> Call
 
 def featurize(
     kind: str, draw: Callable[[int], DetectorConfig], samples: DatasetSamples,
-    retries: int, budget_s: float, fitter: Callable, **where,
+    retries: int, budget_s: float, **where,
 ) -> tuple[DetectorConfig, TrainedDetector, DetectorFeatures] | None:
     """Features of the first drawn config that fits and finishes within budget_s.
 
@@ -251,15 +242,16 @@ def featurize(
     FitError, or a wall time over budget_s (checked once the attempt has
     finished), logs the kind's failure or timeout event and moves on. After
     retries + 1 failed attempts the kind's skip event is logged and None
-    returned. The `where` fields (dataset, algorithm or index) go into every
-    event.
+    returned. Every event names the dataset, and the `where` fields
+    (algorithm or index) too.
     """
     failed, timeout, skipped = _EVENTS[kind]
+    where = {"dataset": samples.dataset_id, **where}
     for attempt in range(retries + 1):
         config = draw(attempt)
         t0 = time.monotonic()
         try:
-            det, feats = _detector_features(config, samples, fitter)
+            det, feats = _detector_features(config, samples)
         except FitError as exc:
             log_event(failed, **where, attempt=attempt, config=config.config_id, reason=str(exc))
             continue
@@ -272,12 +264,7 @@ def featurize(
     return None
 
 
-def build_landmarks(
-    samples: DatasetSamples,
-    budget_s: float = 300.0,
-    fitter: Callable = detectors.fit,
-    jobs: int = 1,
-) -> LandmarkVector:
+def build_landmarks(samples: DatasetSamples, budget_s: float, jobs: int = 1) -> LandmarkVector:
     """Hypervolume and FPR of every default-configured portfolio detector.
 
     A detector that fails to fit or overruns its budget contributes an
@@ -286,8 +273,7 @@ def build_landmarks(
 
     def one(config: DetectorConfig) -> tuple[str, DetectorFeatures | None]:
         got = featurize(
-            "landmark", lambda attempt: config, samples, retries=0, budget_s=budget_s, fitter=fitter,
-            dataset=samples.dataset_id, algorithm=config.algorithm,
+            "landmark", lambda attempt: config, samples, retries=0, budget_s=budget_s, algorithm=config.algorithm
         )
         return config.algorithm, None if got is None else got[2]
 
@@ -296,12 +282,7 @@ def build_landmarks(
 
 
 def build_detector_instance(
-    samples: DatasetSamples,
-    test: LabeledDataset,
-    index: int,
-    retries: int = 10,
-    budget_s: float = 300.0,
-    fitter: Callable = detectors.fit,
+    samples: DatasetSamples, test: LabeledDataset, index: int, retries: int, budget_s: float
 ) -> MetaInstance | None:
     """One meta-instance from one randomly configured detector, its target
     measured on the labeled ``test`` partition.
@@ -310,10 +291,8 @@ def build_detector_instance(
     replaces the old one, up to `retries` times; exhaustion skips the
     instance with a logged reason.
     """
-    got = featurize(
-        "detector", random_draw(samples.seed, samples.dataset_id, index, "detector"), samples,
-        retries, budget_s, fitter, dataset=samples.dataset_id, index=index,
-    )
+    draw = random_draw(samples.seed, samples.dataset_id, index, "detector")
+    got = featurize("detector", draw, samples, retries, budget_s, index=index)
     if got is None:
         return None
     _, det, feats = got

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
-from . import detectors, ranking
+from . import ranking
 from .detectors import PORTFOLIO_VERSION, DetectorConfig
 from .errors import ConfigError, DataError, FitError
 from .features import (
@@ -32,7 +32,6 @@ from .features import (
     meta_columns,
     random_draw,
 )
-from .hypervolume import fit_enclosing_ball
 from .metamodel import MetaModel, load_model
 from .util import dump_json, fmt_float, load_json, log_event, pmap, rng_from
 
@@ -136,12 +135,8 @@ def _data_fingerprint(data: ds.LabeledDataset) -> str:
 
 def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> ds.SemiSupervisedSplit:
     """Sub-sample outliers, stratified split, strip train anomalies, scale."""
-    sub = ds.subsample_outliers(
-        data, cfg.outlier_lo, cfg.outlier_hi, rng_from(cfg.seed, data.name, "subsample")
-    )
-    split = ds.stratified_split(
-        sub, cfg.split_fractions, rng_from(cfg.seed, data.name, "split"), seed=cfg.seed
-    )
+    sub = ds.subsample_outliers(data, cfg.outlier_lo, cfg.outlier_hi, rng=rng_from(cfg.seed, data.name, "subsample"))
+    split = ds.stratified_split(sub, cfg.split_fractions, rng=rng_from(cfg.seed, data.name, "split"))
     return ds.scale_split(ds.strip_anomalies(split))
 
 
@@ -162,12 +157,20 @@ def _write_detectors_csv(path: str, instances: list[MetaInstance]) -> None:
 
 
 def _samples(train: ds.LabeledDataset, dataset_id: str, cfg: RunConfig) -> DatasetSamples:
-    """The dataset's shared HV points and MC-CV splits under the run's settings,
-    inside the minimal enclosing ball of its training rows."""
-    return DatasetSamples(
-        train, fit_enclosing_ball(train.features), dataset_id, cfg.seed, cfg.hv_samples,
-        cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions,
-    )
+    """The dataset's shared HV points and MC-CV splits under the run's settings."""
+    return DatasetSamples(train, dataset_id, cfg.seed, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions)
+
+
+def normal_only_samples(data: ds.LabeledDataset, cfg: RunConfig) -> DatasetSamples:
+    """The samples of `data` taken as normal-only, as rank and hv-estimate see it.
+
+    Every row is kept and scaled robustly on all rows; labeled anomalies are
+    ignored with a warning.
+    """
+    if data.n_anomalies > 0:
+        log_event("labeled_anomalies_ignored", dataset=data.name, count=data.n_anomalies)
+    normal_only = ds.LabeledDataset(data.features, np.zeros(data.n, dtype=np.int8), data.name, data.feature_names)
+    return _samples(ds.apply_scaler(ds.fit_robust_scaler(normal_only), normal_only), data.name, cfg)
 
 
 def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
@@ -193,7 +196,7 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
 
     def one(i: int):
-        return build_detector_instance(samples, split.test, index=i, retries=cfg.retries, budget_s=cfg.detector_budget_s)
+        return build_detector_instance(samples, split.test, i, cfg.retries, cfg.detector_budget_s)
 
     instances = [r for r in pmap(one, list(range(cfg.n_random_detectors)), cfg.jobs) if r is not None]
     if not instances:
@@ -356,10 +359,11 @@ def rank_candidates(
 ) -> RecommendationResult:
     """Sample candidate configs, compute their features, and rank them.
 
-    `data` is treated as normal-only: any labeled anomalies are ignored with
-    a warning. A candidate that fails to fit or takes over
-    `cfg.detector_budget_s` is replaced, up to `cfg.retries` times. method
-    "linear" needs no model file; "meta" loads one.
+    `data` is treated as normal-only (see ``normal_only_samples``): every
+    row, labeled anomalies too, is a training row. A candidate that fails to
+    fit or takes over `cfg.detector_budget_s` is replaced, up to
+    `cfg.retries` times. method "linear" needs no model file; "meta" loads
+    one.
     """
     if method not in ("linear", "meta"):
         raise ConfigError(f"unknown ranking method {method!r}; use linear or meta")
@@ -374,22 +378,11 @@ def rank_candidates(
         with open(model_path, "rb") as fh:
             provenance = hashlib.sha256(fh.read()).hexdigest()
 
-    if data.n_anomalies > 0:
-        log_event("labeled_anomalies_ignored", dataset=data.name, count=data.n_anomalies)
-    normal_only = ds.LabeledDataset(
-        features=data.features,
-        labels=np.zeros(data.n, dtype=np.int8),
-        name=data.name,
-        feature_names=data.feature_names,
-    )
-    scaler = ds.fit_robust_scaler(normal_only)
-    samples = _samples(ds.apply_scaler(scaler, normal_only), data.name, cfg)
+    samples = normal_only_samples(data, cfg)
 
     def candidate(index: int) -> tuple[DetectorConfig, DetectorFeatures] | None:
-        got = featurize(
-            "candidate", random_draw(cfg.seed, data.name, index, "candidate"), samples,
-            cfg.retries, cfg.detector_budget_s, detectors.fit, dataset=data.name, index=index,
-        )
+        draw = random_draw(cfg.seed, data.name, index, "candidate")
+        got = featurize("candidate", draw, samples, cfg.retries, cfg.detector_budget_s, index=index)
         # keep the features only: the fitted models of all candidates are never held at once
         return None if got is None else (got[0], got[2])
 

@@ -163,6 +163,8 @@ def test_evaluate_needs_two_meta_datasets(tmp_path, corpus_dir):
         == EXIT_OK
     )
     assert main(["evaluate", "--out", str(tmp_path / "run"), "--seed", "11"]) == EXIT_DATA
+    meta = str(tmp_path / "run" / "halo" / "meta.csv")
+    assert main(["evaluate", "--meta-datasets", meta, "--out", str(tmp_path / "run"), "--seed", "11"]) == EXIT_DATA
 
 
 def test_full_evaluate_flow(tmp_path, corpus_dir, capsys):
@@ -465,21 +467,37 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, corpus_dir, key, v
     assert main(["assimilate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
-def test_hv_estimate_scores_the_points_rank_scores(tmp_path, capsys):
-    """hv-estimate's fraction is the HV of the config on the dataset's shared
-    sample, the points rank and assimilate score."""
+@pytest.mark.parametrize("labeled", (False, True))
+def test_hv_estimate_scores_the_points_rank_scores(tmp_path, capsys, monkeypatch, labeled):
+    """hv-estimate's fraction is the HV of the config on the samples rank
+    featurizes its candidates on; a labeled CSV's every row is taken as normal."""
     rng = np.random.default_rng(3)
     path = tmp_path / "field.csv"
-    np.savetxt(path, rng.standard_normal((150, 3)), delimiter=",", header="a,b,c", comments="")
+    X = rng.standard_normal((150, 3))
+    if labeled:
+        labels = (np.arange(150) % 10 == 0).astype(int)
+        X[labels == 1] += 6.0
+        np.savetxt(path, np.column_stack([X, labels]), delimiter=",", header="a,b,c,label", comments="")
+    else:
+        np.savetxt(path, X, delimiter=",", header="a,b,c", comments="")
     config = detectors.DetectorConfig.from_json(
         json.dumps({"algorithm": "knn", "params": {"k": 5, "aggregation": "largest"}, "contamination": 0.1, "seed": 0})
     )
+    log = tmp_path / "events.jsonl"
     argv = ["hv-estimate", "--dataset", str(path), "--detector-config", config.to_json(), "--samples", "3000", "--seed", "4"]
-    assert main(argv + ["--out", str(tmp_path / "h")]) == EXIT_OK
+    assert main(argv + ["--out", str(tmp_path / "h"), "--log-file", str(log)]) == EXIT_OK
     fraction = json.loads(capsys.readouterr().out)["fraction"]
+    ignored = [e for e in log_events(log) if e["event"] == "labeled_anomalies_ignored"]
+    assert ignored == ([{"event": "labeled_anomalies_ignored", "dataset": "field", "count": 15}] if labeled else [])
+
+    seen = []
+    real_samples = pipeline._samples
+    monkeypatch.setattr(pipeline, "_samples", lambda *args: seen.append(real_samples(*args)) or seen[-1])
     data = dataset.load_csv(str(path), "label", labels_required=False)
-    cfg = pipeline.RunConfig(seed=4, hv_samples=3000)
-    samples = pipeline._samples(dataset.apply_scaler(dataset.fit_robust_scaler(data), data), data.name, cfg)
+    cfg = pipeline.RunConfig(seed=4, hv_samples=3000, mc_cv_repetitions=2)
+    pipeline.rank_candidates(data, cfg, "linear", n_candidates=1)
+    [samples] = seen
+    assert samples.train.n == 150
     assert fraction == estimate_hypervolume(detectors.fit(config, samples.train), samples.ball, 3000).fraction
 
 

@@ -148,7 +148,7 @@ def test_subsample_no_normals_errors():
         features=np.ones((5, 2)), labels=np.ones(5, dtype=np.int8), name="allanom"
     )
     with pytest.raises(DataError, match="undefined"):
-        subsample_outliers(ds)
+        subsample_outliers(ds, rng=np.random.default_rng(0))
 
 
 def test_subsample_properties_and_determinism():

@@ -21,7 +21,6 @@ from adselect.features import (
     meta_columns,
     random_draw,
 )
-from adselect.hypervolume import fit_enclosing_ball
 from adselect.pipeline import assimilate_dataset, assimilate_split, rank_candidates, RunConfig
 
 from conftest import make_dataset
@@ -35,32 +34,33 @@ def all_normal(n=100, dim=2, seed=0, name="train"):
     )
 
 
+RETRIES, BUDGET_S = 10, 300.0  # attempt settings generous enough never to bind
+
+
 def samples_for(data, seed=0, hv_samples=2000, mc_cv_repetitions=10, mc_cv_test_fraction=0.3, dataset_id="d"):
     """The shared HV points and MC-CV splits of data, in its enclosing ball."""
-    return DatasetSamples(
-        data, fit_enclosing_ball(data.features), dataset_id, seed, hv_samples, mc_cv_test_fraction, mc_cv_repetitions
-    )
+    return DatasetSamples(data, dataset_id, seed, hv_samples, mc_cv_test_fraction, mc_cv_repetitions)
 
 
-def stub_fitter(flag_everything):
-    def fitter(config, train):
-        return ConstantDetector(train.dim, flag_everything)
-
-    return fitter
+def stub_fit(monkeypatch, flag_everything):
+    """Every detectors.fit returns a detector that flags everything or nothing."""
+    monkeypatch.setattr(detectors, "fit", lambda config, train: ConstantDetector(train.dim, flag_everything))
 
 
 # ---------------------------------------------------------------------------
 # MC-CV FPR
 
 
-def test_fpr_zero_for_detector_that_flags_nothing():
+def test_fpr_zero_for_detector_that_flags_nothing(monkeypatch):
     cfg = detectors.default_configs()[0]
-    assert mc_cv_fpr(cfg, samples_for(all_normal()), fitter=stub_fitter(False)) == 0.0
+    stub_fit(monkeypatch, False)
+    assert mc_cv_fpr(cfg, samples_for(all_normal())) == 0.0
 
 
-def test_fpr_one_for_detector_that_flags_everything():
+def test_fpr_one_for_detector_that_flags_everything(monkeypatch):
     cfg = detectors.default_configs()[0]
-    assert mc_cv_fpr(cfg, samples_for(all_normal()), fitter=stub_fitter(True)) == 1.0
+    stub_fit(monkeypatch, True)
+    assert mc_cv_fpr(cfg, samples_for(all_normal())) == 1.0
 
 
 def test_fpr_is_mean_of_repetition_rates():
@@ -97,13 +97,13 @@ def test_fpr_needs_rows_on_both_sides():
 
 def test_landmark_vector_has_two_slots_per_algorithm():
     data = all_normal(80, seed=6)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), BUDGET_S)
     row = lv.as_row()
     assert len(row) == 2 * len(detectors.ALGORITHMS)
     assert all(v is not None and 0 <= v <= 1 for v in row)
 
 
-def test_landmark_failure_marks_absent():
+def test_landmark_failure_marks_absent(monkeypatch):
     real_fit = detectors.fit
 
     def flaky(config, train):
@@ -111,13 +111,14 @@ def test_landmark_failure_marks_absent():
             raise FitError("injected failure")
         return real_fit(config, train)
 
+    monkeypatch.setattr(detectors, "fit", flaky)
     data = all_normal(80, seed=7)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), fitter=flaky)
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), BUDGET_S)
     assert lv.entries["lof"] is None
     assert lv.entries["knn"] is not None
 
 
-def test_landmark_timeout_marks_absent():
+def test_landmark_timeout_marks_absent(monkeypatch):
     real_fit = detectors.fit
 
     def slow_on_kde(config, train):
@@ -125,8 +126,9 @@ def test_landmark_timeout_marks_absent():
             time.sleep(0.15)
         return real_fit(config, train)
 
+    monkeypatch.setattr(detectors, "fit", slow_on_kde)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2), budget_s=0.12, fitter=slow_on_kde)
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2), budget_s=0.12)
     assert lv.entries["kde"] is None
     present = [alg for alg, v in lv.entries.items() if v is not None]
     assert "knn" in present
@@ -134,10 +136,10 @@ def test_landmark_timeout_marks_absent():
 
 def test_landmarks_deterministic():
     data = all_normal(70, seed=9)
-    a = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
-    b = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
+    a = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S)
+    b = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S)
     assert a == b
-    c = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), jobs=4)
+    c = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S, jobs=4)
     assert a == c
 
 
@@ -164,7 +166,7 @@ def toy_samples(split, seed, hv_samples=500):
     return samples_for(split.train, seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, dataset_id="toy")
 
 
-def test_instance_from_perfect_detector():
+def test_instance_from_perfect_detector(monkeypatch):
     split = toy_split(1)
 
     class Distance:
@@ -174,27 +176,27 @@ def test_instance_from_perfect_detector():
         def predict_many(self, X, nearest=None):
             return (np.linalg.norm(X - self.center, axis=1) > self.radius).astype(np.int8)
 
-    def fitter(config, train):
+    def fit(config, train):
         # accepts a generous ball around the (scaled) normal cluster
         return Distance(train.features.mean(axis=0), 6.0, train.dim)
 
-    inst = build_detector_instance(toy_samples(split, 3), split.test, index=0, fitter=fitter)
+    monkeypatch.setattr(detectors, "fit", fit)
+    inst = build_detector_instance(toy_samples(split, 3), split.test, 0, RETRIES, BUDGET_S)
     assert inst is not None
     assert inst.target_scaled_mcc == 1.0
 
 
-def test_instance_from_all_normal_detector_scores_half():
+def test_instance_from_all_normal_detector_scores_half(monkeypatch):
     split = toy_split(2)
-    inst = build_detector_instance(
-        toy_samples(split, 3), split.test, index=0, fitter=stub_fitter(False)
-    )
+    stub_fit(monkeypatch, False)
+    inst = build_detector_instance(toy_samples(split, 3), split.test, 0, RETRIES, BUDGET_S)
     assert inst is not None
     assert inst.target_scaled_mcc == 0.5
     assert inst.detector.hypervolume == 1.0
     assert inst.detector.fpr == 0.0
 
 
-def test_instance_replacement_after_failure():
+def test_instance_replacement_after_failure(monkeypatch):
     split = toy_split(3)
     calls = {"n": 0}
     real_fit = detectors.fit
@@ -205,12 +207,13 @@ def test_instance_replacement_after_failure():
             raise FitError("first config rejected")
         return real_fit(config, train)
 
-    inst = build_detector_instance(toy_samples(split, 4), split.test, index=0, fitter=flaky)
+    monkeypatch.setattr(detectors, "fit", flaky)
+    inst = build_detector_instance(toy_samples(split, 4), split.test, 0, RETRIES, BUDGET_S)
     assert inst is not None
     assert calls["n"] >= 2
 
 
-def test_instance_timeout_triggers_replacement():
+def test_instance_timeout_triggers_replacement(monkeypatch):
     split = toy_split(5)
     first_call = {"done": False}
     real_fit = detectors.fit
@@ -221,25 +224,49 @@ def test_instance_timeout_triggers_replacement():
             time.sleep(2.0)
         return real_fit(config, train)
 
-    inst = build_detector_instance(
-        toy_samples(split, 6, hv_samples=300), split.test, index=0,
-        retries=3, budget_s=1.0, fitter=slow_once,
-    )
+    monkeypatch.setattr(detectors, "fit", slow_once)
+    inst = build_detector_instance(toy_samples(split, 6, hv_samples=300), split.test, 0, retries=3, budget_s=1.0)
     # exactly one instance comes out of the timeout-then-replacement path
     assert inst is not None
     assert first_call["done"]
 
 
-def test_instance_skipped_when_retries_exhausted():
+def test_instance_skipped_when_retries_exhausted(monkeypatch):
     split = toy_split(4)
 
     def always_fail(config, train):
         raise FitError("nope")
 
-    inst = build_detector_instance(
-        toy_samples(split, 5), split.test, index=0, retries=2, fitter=always_fail
-    )
+    monkeypatch.setattr(detectors, "fit", always_fail)
+    inst = build_detector_instance(toy_samples(split, 5), split.test, 0, retries=2, budget_s=BUDGET_S)
     assert inst is None
+
+
+@pytest.mark.parametrize("kind", ("landmark", "instance"))
+def test_patched_fit_sees_every_fit_of_an_attempt(monkeypatch, kind):
+    """detectors.fit is the one seam: one attempt fits the training rows, then
+    each MC-CV fit set, 1 + mc_cv_repetitions calls in all."""
+    split = toy_split(2)
+    samples = toy_samples(split, 3)
+    fits = []
+    real_fit = detectors.fit
+
+    def fit(config, train):
+        fits.append((config.config_id, train))
+        return real_fit(config, train)
+
+    monkeypatch.setattr(detectors, "fit", fit)
+    if kind == "landmark":
+        configs = detectors.default_configs()
+        assert None not in build_landmarks(samples, BUDGET_S).entries.values()
+    else:
+        configs = [random_draw(samples.seed, samples.dataset_id, 0, "detector")(0)]
+        assert build_detector_instance(samples, split.test, 0, 0, BUDGET_S) is not None
+    expected = [samples.train] + [fit_set for _, fit_set in samples.splits]
+    assert len(expected) == 3 and len(fits) == len(configs) * len(expected)
+    for config in configs:
+        seen = [train for config_id, train in fits if config_id == config.config_id]
+        assert len(seen) == len(expected) and all(a is b for a, b in zip(seen, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +313,20 @@ def recorded_events(monkeypatch):
     return events
 
 
-def scripted_fitter(monkeypatch, fails=(), slow=()):
-    """detectors.fit, but FitError for configs in `fails` and 100 s of a fake clock for `slow`."""
+def scripted_fit(monkeypatch, fails=(), slow=()):
+    """Patch detectors.fit to raise FitError for configs in `fails` and spend 100 s of a fake clock on `slow`."""
     clock = [0.0]
     monkeypatch.setattr(features, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     real_fit = detectors.fit
 
-    def fitter(config, train):
+    def fit(config, train):
         if config.config_id in fails:
             raise FitError("scripted failure")
         if config.config_id in slow:
             clock[0] += 100.0
         return real_fit(config, train)
 
-    return fitter
+    monkeypatch.setattr(detectors, "fit", fit)
 
 
 def without_reason(events):
@@ -308,10 +335,10 @@ def without_reason(events):
 
 def test_landmark_events_name_the_algorithm(monkeypatch):
     ids = {c.algorithm: c.config_id for c in detectors.default_configs()}
-    fitter = scripted_fitter(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
+    scripted_fit(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
     events = recorded_events(monkeypatch)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2), budget_s=5.0, fitter=fitter)
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2), budget_s=5.0)
     assert [alg for alg, v in lv.entries.items() if v is None] == ["lof", "kde"]
     assert all(e["reason"] == "scripted failure" for e in events if e["event"] == "landmark_failed")
     assert without_reason(events) == [  # one attempt each, and no skip event
@@ -326,11 +353,9 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
     split = toy_split(3)
     draw = random_draw(7, "toy", 2, "detector")
     ids = [draw(a).config_id for a in range(3)]
-    fitter = scripted_fitter(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
+    scripted_fit(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
     events = recorded_events(monkeypatch)
-    inst = build_detector_instance(
-        toy_samples(split, 7), split.test, index=2, retries=2, budget_s=5.0, fitter=fitter
-    )
+    inst = build_detector_instance(toy_samples(split, 7), split.test, 2, retries=2, budget_s=5.0)
     where = {"dataset": "toy", "index": 2}
     if exhausted:
         assert inst is None
@@ -352,9 +377,7 @@ def test_candidate_events_name_each_attempt(monkeypatch):
         for i in range(2)
     ]
     # candidate 0 fails, then overruns, then fits; candidate 1 fails every attempt
-    monkeypatch.setattr(
-        detectors, "fit", scripted_fitter(monkeypatch, fails={ids[0][0], *ids[1]}, slow={ids[0][1]})
-    )
+    scripted_fit(monkeypatch, fails={ids[0][0], *ids[1]}, slow={ids[0][1]})
     events = recorded_events(monkeypatch)
     result = rank_candidates(all_normal(100, name="cand"), cfg, "linear", n_candidates=2)
     assert [c.config_id for c, _ in result.entries] == [ids[0][2]]
