@@ -231,8 +231,6 @@ def stratified_split(
     class count is within one row of the exact proportion. The returned split
     is pre-strip and pre-scale.
     """
-    if data.n == 0:
-        raise DataError("cannot split an empty dataset")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
     perm = rng.permutation(data.n)
@@ -272,8 +270,6 @@ def fit_robust_scaler(train: LabeledDataset) -> ScalingParams:
 
     Degenerate columns (IQR == 0) store 1.0 so scaling only centers them.
     """
-    if train.n == 0:
-        raise DataError("cannot fit scaler on an empty dataset")
     means = train.features.mean(axis=0)
     q1 = np.quantile(train.features, 0.25, axis=0, method="linear")
     q3 = np.quantile(train.features, 0.75, axis=0, method="linear")

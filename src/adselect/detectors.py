@@ -626,20 +626,41 @@ class _IsolationForest(_Model):
     Every tree is a complete binary tree of depth ``cap = ceil(log2 psi)``.
     Level L of the forest holds ``n_trees * 2**L`` nodes, tree after tree, so
     node i of a level has its children at 2i (left) and 2i+1 (right) of the
-    next level, with no per-tree offset. The flat arrays ``_feature``,
-    ``_threshold`` and ``_path`` hold the levels back to back. Internal nodes
-    send x left when ``x[feature] < threshold``. ``path`` is NaN at internal
-    nodes and holds ``depth + c(size)`` at a leaf and at every node below it,
-    so a query descends exactly ``cap`` levels and reads its path length from
-    the bottom level. The read-only properties ``feature``, ``threshold`` and
-    ``path`` give each tree as one complete-tree row, where node i has
-    children 2i+1 and 2i+2.
+    next level, with no per-tree offset. The flat arrays ``_feature`` and
+    ``_path`` hold the levels back to back. Internal nodes send x right when
+    ``x[feature] >= threshold``, so a NaN goes left. ``path`` is NaN at
+    internal nodes and holds ``depth + c(size)`` at a leaf and at every node
+    below it, so a query descends exactly ``cap`` levels and reads its path
+    length from the bottom level. The read-only properties ``feature``,
+    ``threshold`` and ``path`` give each tree as one complete-tree row, where
+    node i has children 2i+1 and 2i+2.
+
+    Packed keys. A forest whose rank fields fit one 64-bit word keeps one key
+    per node in place of its threshold, and a query descends it with one
+    gather per level, of the node's key. Feature f's field is
+    ``bit_length(n_f) + 1`` bits wide, n_f the number of split nodes on f,
+    and its top bit is a guard. A split node's key is its threshold's
+    position among f's sorted thresholds S_f, plus 1, shifted into f's field;
+    leaves and the nodes below them have key 0. A query row's code holds, in
+    each field, r_f(x) = #{s in S_f : s <= x} (0 for NaN) with every guard
+    set. Then ``x >= threshold`` exactly when r_f(x) >= key rank k, as
+    #{s < threshold} < k <= #{s <= threshold}; a NaN has rank 0 and goes
+    left, as ``NaN >= threshold`` does. A key never exceeds its field, so
+    ``code - key`` borrows across no field, and its guards are all set
+    exactly when the node's comparison holds. A forest too wide for one word
+    keeps its float thresholds and compares the node feature's value: there,
+    a row's d binary searches for its ranks cost more than the gathers they
+    save. A packed node takes 17 bytes (key, path, one-byte feature id for
+    up to 256 features), a wider forest's node 24 as before.
     """
+
+    _WORD_BITS = 64
 
     def __init__(self, feature: np.ndarray, threshold: np.ndarray, path: np.ndarray, n_trees: int, psi: int):
         self._feature = feature
         self._threshold = threshold
         self._path = path
+        self._key = None  # packed keys, once ``_pack`` finds that the fields fit one word
         self.n_trees = n_trees
         self.psi = psi
         self.cap = int(np.log2(feature.size // n_trees + 1)) - 1
@@ -652,9 +673,57 @@ class _IsolationForest(_Model):
         out.flags.writeable = False
         return out
 
-    feature = property(lambda self: self._trees(self._feature))
-    threshold = property(lambda self: self._trees(self._threshold))
+    feature = property(lambda self: self._trees(self._feature.astype(np.intp)))
+    threshold = property(lambda self: self._trees(self._thresholds()))
     path = property(lambda self: self._trees(self._path))
+
+    def _pack(self, d: int) -> None:
+        """Where the rank fields of d features fit one word, replace the
+        thresholds with packed keys and shrink the feature ids to the
+        smallest integer type. Split nodes are sorted by threshold, then
+        stably by feature: one ``argsort`` and a radix sort on the small ids.
+        A wider forest keeps intp feature ids, which its descent adds to row
+        offsets: a smaller type would cost a cast at every level."""
+        split = np.flatnonzero(np.isnan(self._path[: self._level(self.cap).start]))  # the bottom level splits nothing
+        counts = np.bincount(self._feature[split], minlength=d)
+        widths = np.asarray([int(n).bit_length() + 1 for n in counts], dtype=np.uint64)
+        if widths.sum() > self._WORD_BITS:
+            return
+        self._feature = self._feature.astype(np.min_scalar_type(d - 1))
+        f = self._feature[split]
+        thr = self._threshold[split]
+        order = np.argsort(thr)
+        order = order[np.argsort(f[order], kind="stable")]
+        self._starts = np.concatenate([[0], np.cumsum(counts)])  # S_f is _sorted[_starts[f] : _starts[f + 1]]
+        self._shifts = np.cumsum(widths) - widths
+        self._guards = np.bitwise_or.reduce(np.uint64(1) << (self._shifts + widths - np.uint64(1)))
+        self._sorted = thr[order]
+        rank = np.empty(split.size, dtype=np.uint64)
+        rank[order] = np.arange(1, split.size + 1) - np.repeat(self._starts[:-1], counts)
+        self._key = np.zeros(self._path.size, dtype=np.uint64)
+        self._key[split] = rank << self._shifts[f]
+        self._threshold = None
+
+    def _thresholds(self) -> np.ndarray:
+        """Each node's threshold, 0 where it splits nothing, as grown."""
+        if self._key is None:
+            return self._threshold
+        out = np.zeros(self._key.size)
+        split = np.flatnonzero(self._key)
+        f = self._feature[split]
+        out[split] = self._sorted[self._starts[f] + (self._key[split] >> self._shifts[f]).astype(np.intp) - 1]
+        return out
+
+    def _encode(self, Q: np.ndarray) -> np.ndarray:
+        """Each row's code: its rank ``r_f`` in every field, every guard set."""
+        code = np.full(Q.shape[0], self._guards)
+        for j in range(Q.shape[1]):
+            S_j = self._sorted[self._starts[j] : self._starts[j + 1]]
+            rank = np.searchsorted(S_j, Q[:, j], side="right").astype(np.uint64)
+            rank[np.isnan(Q[:, j])] = 0
+            rank <<= self._shifts[j]
+            code |= rank
+        return code
 
     @staticmethod
     def _avg_path(n: np.ndarray | float):
@@ -685,6 +754,7 @@ class _IsolationForest(_Model):
         for depth in range(cap):
             children = model._path[model._level(depth + 1)]
             np.copyto(children, np.repeat(model._path[model._level(depth)], 2), where=np.isnan(children))
+        model._pack(X.shape[1])
         return model
 
     def _grow(self, X: np.ndarray, rng: np.random.Generator, first: int, last: int, c: np.ndarray) -> None:
@@ -765,7 +835,9 @@ class _IsolationForest(_Model):
             sizes, node = child_sizes[live], child_node[live]
 
     def _path_lengths(self, Q: np.ndarray) -> np.ndarray:
-        """Mean path length of each query over all trees, summed in tree order."""
+        """Mean path length of each query over all trees, through float
+        thresholds: each level gathers the node's feature, the row's value of
+        it and the node's threshold."""
         m, d = Q.shape
         flat_q = np.ascontiguousarray(Q).ravel()
         row_base = np.arange(m) * d
@@ -778,7 +850,29 @@ class _IsolationForest(_Model):
             go_right = v >= self._threshold[level].take(node)
             node *= 2
             node += go_right
-        lengths = self._path[self._level(self.cap)].take(node)
+        return self._tree_mean(self._path[self._level(self.cap)].take(node))
+
+    def _packed_path_lengths(self, code: np.ndarray, scratch: list[np.ndarray]) -> np.ndarray:
+        """Mean path length of each query over all trees, through packed keys:
+        each level gathers the node's key, and nothing else. ``scratch`` holds
+        an intp, a bool and a uint64 buffer of at least n_trees x rows
+        entries, which every level and block reuses: fresh (n_trees x rows)
+        temporaries would cost a page fault per 4 KB each time the allocator
+        hands their pages back."""
+        node, go_right, t = (buf[: self.n_trees * code.size].reshape(self.n_trees, -1) for buf in scratch)
+        node[:] = np.arange(self.n_trees)[:, None]  # the roots, one per tree
+        for depth in range(self.cap):
+            key = self._key[self._level(depth)]
+            # mode="clip": every index is in range, and the default mode copies through a temporary when given out=
+            np.subtract(code, key[:, None] if depth == 0 else key.take(node, out=t, mode="clip"), out=t)
+            t &= self._guards
+            np.equal(t, self._guards, out=go_right)
+            node *= 2
+            node += go_right
+        return self._tree_mean(self._path[self._level(self.cap)].take(node, out=t.view(np.float64), mode="clip"))
+
+    def _tree_mean(self, lengths: np.ndarray) -> np.ndarray:
+        """Mean over the trees (rows) of ``lengths``, summed in tree order."""
         total = lengths[0].copy()  # tree by tree: np.add.reduce would sum a one-row block pairwise
         for row in lengths[1:]:
             total += row
@@ -786,10 +880,17 @@ class _IsolationForest(_Model):
 
     def query_scores(self, Q: np.ndarray) -> np.ndarray:
         c = max(float(self._avg_path(np.asarray([self.psi], dtype=np.float64))[0]), 1.0)
-        rows = _block_rows(self.n_trees)
+        rows = min(_block_rows(self.n_trees), max(Q.shape[0], 1))
+        if self._key is not None:
+            code = self._encode(Q)
+            scratch = [np.empty(self.n_trees * rows, dtype=t) for t in (np.intp, bool, np.uint64)]
         out = np.empty(Q.shape[0])
         for s in range(0, Q.shape[0], rows):
-            out[s : s + rows] = np.power(2.0, -self._path_lengths(Q[s : s + rows]) / c)
+            if self._key is None:
+                lengths = self._path_lengths(Q[s : s + rows])
+            else:
+                lengths = self._packed_path_lengths(code[s : s + rows], scratch)
+            out[s : s + rows] = np.power(2.0, -lengths / c)
         return out
 
 

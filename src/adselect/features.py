@@ -131,20 +131,29 @@ class MetaDataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "MetaDataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read meta-dataset file {path!r}: {exc}") from exc
+        with fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[:2] != ["dataset_id", "config_id"] or header[-1] != "target_scaled_mcc":
                 raise DataError(f"{path}: not a meta-dataset CSV")
             columns = header[2:-1]
             X_rows, y_vals, ds_ids, cfg_ids = [], [], [], []
-            for row in reader:
+            for row_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+                try:
+                    X_rows.append([np.nan if c == "" else float(c) for c in row[2:-1]])
+                    y_vals.append(float(row[-1]))
+                except ValueError as exc:
+                    raise DataError(f"{path}: row {row_no}: non-numeric cell: {exc}") from None
                 ds_ids.append(row[0])
                 cfg_ids.append(row[1])
-                X_rows.append([np.nan if c == "" else float(c) for c in row[2:-1]])
-                y_vals.append(float(row[-1]))
         if not X_rows:
             raise DataError(f"{path}: no instances")
         return cls(

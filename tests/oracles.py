@@ -139,13 +139,14 @@ def iforest_leaves(feature, threshold, path, x) -> list[tuple[int, int]]:
     """(leaf node, depth) that x reaches in every tree of a flat isolation forest.
 
     Walks one point down one tree at a time and stops at the first node with
-    a path length, a leaf; internal nodes hold NaN there.
+    a path length, a leaf; internal nodes hold NaN there. x goes right where
+    ``x[feature] >= threshold``, so a NaN goes left.
     """
     leaves = []
     for t in range(feature.shape[0]):
         node, depth = 0, 0
         while np.isnan(path[t, node]):
-            node = 2 * node + 1 if x[feature[t, node]] < threshold[t, node] else 2 * node + 2
+            node = 2 * node + 2 if x[feature[t, node]] >= threshold[t, node] else 2 * node + 1
             depth += 1
         leaves.append((node, depth))
     return leaves

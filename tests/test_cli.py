@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -155,6 +156,46 @@ def test_assimilate_requires_datasets(tmp_path):
 def test_assimilate_missing_file_is_data_error(tmp_path):
     rc = main(["assimilate", "--datasets", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x")])
     assert rc == EXIT_DATA
+
+
+def write_meta_csv(path, bad_row=None):
+    """Six synthetic meta-instances in the assimilate output format, then ``bad_row`` if given."""
+    cols = features.meta_columns()
+    rng = np.random.default_rng(0)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["dataset_id", "config_id", *cols, "target_scaled_mcc"])
+        for r in range(6):
+            w.writerow([path.stem, f"cfg-{r}", *(repr(float(v)) for v in rng.random(len(cols) + 1))])
+        if bad_row is not None:
+            w.writerow([path.stem, "cfg-bad", *bad_row(len(cols) + 1)])
+
+
+META_PROBLEMS = {
+    "missing": None,
+    "non-numeric": lambda cells: ["0.5"] * (cells - 1) + ["high"],
+    "short-row": lambda cells: ["0.5"] * (cells - 1),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(META_PROBLEMS))
+@pytest.mark.parametrize("command", ("evaluate", "train-meta", "predict"))
+def test_unreadable_meta_dataset_is_data_error(tmp_path, capsys, command, problem):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_meta_csv(good)
+    if META_PROBLEMS[problem] is not None:
+        write_meta_csv(bad, bad_row=META_PROBLEMS[problem])
+    model = tmp_path / "model.json"
+    assert main(["train-meta", "--meta-dataset", str(good), "--model-out", str(model)]) == EXIT_OK
+    args = {
+        "evaluate": ["evaluate", "--meta-datasets", str(good), str(bad), "--out", str(tmp_path / "run")],
+        "train-meta": ["train-meta", "--meta-dataset", str(bad), "--model-out", str(tmp_path / "other.json")],
+        "predict": ["predict", "--model", str(model), "--instances", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "bad.csv" in err
 
 
 def test_evaluate_needs_two_meta_datasets(tmp_path, corpus_dir):

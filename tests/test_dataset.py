@@ -202,13 +202,11 @@ def test_split_is_permutation_partition():
     assert sorted(all_idx.tolist()) == list(range(ds.n))
 
 
-def test_split_empty_dataset_errors():
-    with pytest.raises(Exception):
-        stratified_split(
-            LabeledDataset(features=np.ones((1, 1)), labels=np.asarray([0]), name="x").take(
-                np.asarray([], dtype=int)
-            )
-        )
+def test_take_of_no_rows_errors():
+    # no empty LabeledDataset exists, so no split or scaler ever sees one
+    data = LabeledDataset(features=np.ones((1, 1)), labels=np.asarray([0]), name="x")
+    with pytest.raises(DataError, match="n>=1"):
+        data.take(np.asarray([], dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -332,13 +332,29 @@ def _forest_case(name):
         return np.tile([[1.5, -2.0]], (40, 1)), 50, 64
     if name == "largest":
         return normals(700, dim=3, seed=33).features, 300, 512
+    if name == "signed-zeros":
+        # thresholds -0.0 and 0.0, and subnormals one ulp apart, each repeated across trees
+        tiny = np.nextafter(0.0, 1.0)
+        return np.asarray([[-2 * tiny], [-tiny], [-0.0], [0.0], [tiny], [2 * tiny]]), 50, 64
+    if name == "one-feature":
+        return normals(200, dim=1, seed=38).features, 100, 256
+    # the rank fields of these need more than one 64-bit word
+    if name == "six-features":
+        return normals(300, dim=6, seed=39).features, 100, 256
+    if name == "twenty-features":
+        return normals(200, dim=20, seed=40).features, 50, 64
+    if name == "largest-five-features":
+        return normals(700, dim=5, seed=41).features, 300, 512
     raise KeyError(name)
 
 
 FULL_SAMPLE_CASES = (
     "two-rows-one-feature", "adjacent-floats", "psi-equals-n", "constant-column", "all-duplicates",
+    "signed-zeros",
 )
-FOREST_CASES = ("default", *FULL_SAMPLE_CASES, "largest")
+WIDE_CASES = ("six-features", "twenty-features", "largest-five-features")
+FOREST_CASES = ("default", *FULL_SAMPLE_CASES, "largest", "one-feature", *WIDE_CASES)
+PROBE_KINDS = ("on-thresholds", "special-values")  # besides training rows and random normals
 
 
 def fit_forest(name, seed=0):
@@ -347,24 +363,55 @@ def fit_forest(name, seed=0):
     return fit(config_for("iforest", n_trees=n_trees, subsample=subsample, seed=seed), data), X
 
 
-@pytest.mark.parametrize("rows", (None, 1, 8))  # query rows per block: all 40 probes, one, eight
-@pytest.mark.parametrize("case", FOREST_CASES)
+def forest_probes(model, X, kind=""):
+    """Query rows for a forest fitted on X.
+
+    By default ten training rows and thirty random normals. "on-thresholds":
+    at every level of a few trees, a training row's walk reaches a split
+    node; the row with that node's feature set to its threshold still
+    reaches it (the row's value and the threshold both lie in the interval
+    the node's ancestors allow) and lies exactly on it, and one ulp below
+    and above. "special-values": +-inf, NaN, -0.0 and 0.0 in each feature.
+    """
+    if kind == "special-values":
+        rows = [np.full(X.shape[1], v) for v in (np.nan, np.inf, -np.inf)]
+        for j in range(X.shape[1]):
+            for v in (np.inf, -np.inf, np.nan, -0.0, 0.0):
+                rows.append(X[0].copy())
+                rows[-1][j] = v
+        return np.asarray(rows)
+    if kind == "on-thresholds":
+        feature, threshold, path = model.feature, model.threshold, model.path
+        rows = [X[0]]
+        for t in range(min(3, model.n_trees)):
+            x, node = X[t % len(X)], 0
+            while np.isnan(path[t, node]):
+                f, thr = feature[t, node], threshold[t, node]
+                for v in (thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf)):
+                    rows.append(x.copy())
+                    rows[-1][f] = v
+                node = 2 * node + 2 if x[f] >= thr else 2 * node + 1
+        return np.asarray(rows)
+    return np.concatenate([X[:10], np.random.default_rng(34).standard_normal((30, X.shape[1])) * 3])
+
+
+@pytest.mark.parametrize("rows", (None, 1, 8))  # query rows per block: all probes, one, eight
+@pytest.mark.parametrize("case", FOREST_CASES + tuple(f"{c}/{kind}" for kind in PROBE_KINDS for c in FOREST_CASES))
 def test_iforest_scorer_matches_naive_walk(case, rows, monkeypatch):
+    case, _, kind = case.partition("/")
     det, X = fit_forest(case)
     model = det.model
     if rows is not None:
         monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", rows * model.n_trees)
     assert not np.isnan(model.path[:, 2**model.cap - 1 :]).any()
-    probes = np.concatenate(
-        [X[:10], np.random.default_rng(34).standard_normal((30, X.shape[1])) * 3]
-    )
+    probes = forest_probes(model, X, kind)
     expected_paths = iforest_mean_path(model.feature, model.threshold, model.path, probes)
     c = max(float(model._avg_path(np.asarray([model.psi], dtype=np.float64))[0]), 1.0)
     assert np.array_equal(det.scores(probes), np.power(2.0, -expected_paths / c))
     assert np.all((det.scores(probes) > 0) & (det.scores(probes) <= 1))
 
 
-@pytest.mark.parametrize("case", ("default", "constant-column"))
+@pytest.mark.parametrize("case", ("default", "constant-column", "signed-zeros", "one-feature", *WIDE_CASES))
 def test_iforest_query_on_a_threshold_goes_right(case):
     # one probe per tree, lying exactly on that tree's root threshold
     det, X = fit_forest(case)
@@ -398,6 +445,38 @@ def test_iforest_leaves_hold_depth_plus_c_of_their_rows(case):
         assert not np.any(model.feature[internal] == 1)
     if case == "all-duplicates":
         assert not internal.any()  # every root is a leaf
+
+
+@pytest.mark.parametrize("case", FOREST_CASES)
+def test_iforest_packed_keys_rebuild_the_grown_forest(case, monkeypatch):
+    # with no room for a field, every forest keeps its float thresholds as grown
+    packed, X = fit_forest(case)
+    monkeypatch.setattr(detectors._IsolationForest, "_WORD_BITS", 0)
+    plain = fit_forest(case)[0]
+    assert plain.model._key is None
+    assert (packed.model._key is None) == (case in WIDE_CASES)
+    for name in ("feature", "threshold", "path"):
+        assert getattr(packed.model, name).tobytes() == getattr(plain.model, name).tobytes(), name
+    probes = np.concatenate([forest_probes(packed.model, X, kind) for kind in ("", *PROBE_KINDS)])
+    assert np.array_equal(packed.scores(probes), plain.scores(probes))
+
+
+def test_iforest_largest_forest_fits_one_word():
+    # 300 trees of psi 512 split at most 300 * 511 nodes, so at d = 3 the
+    # fields take at most 3 * (bit_length(153,300) + 1) = 57 bits
+    n_trees, psi = (int(p.high) for p in SPACES["iforest"])
+    assert 3 * ((n_trees * (psi - 1)).bit_length() + 1) <= detectors._IsolationForest._WORD_BITS
+    model = fit_forest("largest")[0].model  # d = 3
+    assert (model.n_trees, model.psi) == (n_trees, psi)
+    split = np.isnan(model.path)
+    counts = np.bincount(model.feature[split], minlength=3)
+    assert sum(int(c).bit_length() + 1 for c in counts) <= 64
+    assert model._key is not None
+    # no key reaches a guard bit, and each rank is at most its feature's count of split nodes
+    keys = model._key[model._key != 0]
+    assert not np.any(keys & model._guards)
+    f = model._feature[model._key != 0]
+    assert np.all((keys >> model._shifts[f]) <= counts[f])
 
 
 def test_iforest_same_seed_same_forest():
