@@ -13,7 +13,6 @@ meta).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -27,7 +26,7 @@ from .features import MetaDataset
 from .hypervolume import estimate_hypervolume
 from .metamodel import fit_meta_model, load_model, save_model
 from .pipeline import RunConfig
-from .util import fmt_float, log_event, logger
+from .util import csv_text, log_event, logger, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,17 +202,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     instances = MetaDataset.from_csv(args.instances)
     preds = model.predict(instances)
-    rows = [["dataset_id", "config_id", "predicted_scaled_mcc"]]
-    rows += [
-        [instances.dataset_ids[i], instances.config_ids[i], fmt_float(preds[i])]
-        for i in range(instances.n)
-    ]
+    text = csv_text(
+        [["dataset_id", "config_id", "predicted_scaled_mcc"], *zip(instances.dataset_ids, instances.config_ids, preds)]
+    )
     if args.predictions_out:
-        with open(args.predictions_out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        write_text(args.predictions_out, text)
         print(args.predictions_out)
     else:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

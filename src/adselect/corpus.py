@@ -8,14 +8,13 @@ off-manifold offsets, or holes inside a curved manifold.
 
 from __future__ import annotations
 
-import csv
 import os
 from typing import Callable
 
 import numpy as np
 
 from .dataset import LabeledDataset
-from .util import fmt_float, rng_from
+from .util import csv_text, rng_from, write_text
 
 
 def _assemble(name: str, normals: np.ndarray, anomalies: np.ndarray, rng: np.random.Generator) -> LabeledDataset:
@@ -126,10 +125,7 @@ def write_corpus_csvs(out_dir: str, seed: int = 0, names: list[str] | None = Non
     paths = []
     for ds in toy_corpus(seed=seed, names=names):
         path = os.path.join(out_dir, f"{ds.name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow([f"f{j}" for j in range(ds.dim)] + ["label"])
-            for i in range(ds.n):
-                w.writerow([fmt_float(v) for v in ds.features[i]] + [int(ds.labels[i])])
+        header = [f"f{j}" for j in range(ds.dim)] + ["label"]
+        write_text(path, csv_text([header] + [[*x, int(y)] for x, y in zip(ds.features, ds.labels)]))
         paths.append(path)
     return paths

@@ -11,6 +11,7 @@ assembly puts the dataset's landmark row before each.
 from __future__ import annotations
 
 import csv
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +24,7 @@ from .detectors import ALGORITHMS, DetectorConfig, TrainedDetector
 from .errors import DataError, FitError
 from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
 from .ranking import confusion_counts, mcc, scaled_mcc
-from .util import fmt_float, log_event, pmap, rng_from, seed_from
+from .util import csv_text, log_event, pmap, rng_from, seed_from, write_text
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,6 @@ class MetaDataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def subset(self, rows: np.ndarray) -> "MetaDataset":
-        rows = np.asarray(rows)
-        return MetaDataset(
-            columns=list(self.columns),
-            X=self.X[rows].copy(),
-            y=self.y[rows].copy(),
-            dataset_ids=[self.dataset_ids[i] for i in rows],
-            config_ids=[self.config_ids[i] for i in rows],
-        )
-
     @staticmethod
     def concat(parts: Sequence["MetaDataset"]) -> "MetaDataset":
         if not parts:
@@ -120,14 +111,8 @@ class MetaDataset:
         )
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["dataset_id", "config_id", *self.columns, "target_scaled_mcc"])
-            for i in range(self.n):
-                cells = [
-                    "" if np.isnan(v) else fmt_float(v) for v in self.X[i]
-                ]
-                w.writerow([self.dataset_ids[i], self.config_ids[i], *cells, fmt_float(self.y[i])])
+        rows = [[d, c, *x, y] for d, c, x, y in zip(self.dataset_ids, self.config_ids, self.X, self.y)]
+        write_text(path, csv_text([["dataset_id", "config_id", *self.columns, "target_scaled_mcc"], *rows]))
 
     @classmethod
     def from_csv(cls, path: str) -> "MetaDataset":
@@ -179,10 +164,10 @@ class DatasetSamples:
     refits on the same MC-CV splits, repetition r drawn under ``(seed,
     dataset_id, "mccv", r)``. Shared samples lower the variance of every
     difference between two detectors' features, and let per-point work run
-    once per dataset. The ball and splits are settled here and never change,
-    and ``BallSample`` is thread-safe, so one object serves every worker.
-    Besides the ball sample (see ``BallSample``) it holds each split's
-    held-out and fit rows, repetitions x n x d x 8 bytes.
+    once per dataset. The ball is settled here, the splits on first read, and
+    ``BallSample`` is thread-safe, so one object serves every worker. Besides
+    the ball sample (see ``BallSample``) it holds each split's held-out and
+    fit rows once read, repetitions x n x d x 8 bytes.
     """
 
     def __init__(
@@ -191,15 +176,27 @@ class DatasetSamples:
     ):
         self.train, self.dataset_id, self.seed, self.hv_samples = train, dataset_id, seed, hv_samples
         self.ball = BallSample(fit_enclosing_ball(train.features), seed_from(seed, dataset_id, "hv"))
-        self.mc_cv_test_fraction = mc_cv_test_fraction
-        n, held = train.n, int(np.floor(train.n * mc_cv_test_fraction))
-        self.splits: tuple[tuple[np.ndarray, LabeledDataset], ...] = ()  # (held-out rows, fit set) per repetition
-        if 1 <= held < n:
-            perms = [rng_from(seed, dataset_id, "mccv", rep).permutation(n) for rep in range(mc_cv_repetitions)]
-            self.splits = tuple(
-                (train.features[perm[:held]], train.take(perm[held:], name=f"{train.name}/mccv{rep}"))
-                for rep, perm in enumerate(perms)
-            )
+        self.mc_cv_test_fraction, self.mc_cv_repetitions = mc_cv_test_fraction, mc_cv_repetitions
+        self._splits: tuple[tuple[np.ndarray, LabeledDataset], ...] | None = None
+        self._splits_lock = threading.Lock()
+
+    @property
+    def splits(self) -> tuple[tuple[np.ndarray, LabeledDataset], ...]:
+        """(held-out rows, fit set) per repetition, none if a side would have no row;
+        built once, on the first read of any worker."""
+        with self._splits_lock:
+            if self._splits is None:
+                train, n = self.train, self.train.n
+                held = int(np.floor(n * self.mc_cv_test_fraction))
+                perms = [
+                    rng_from(self.seed, self.dataset_id, "mccv", rep).permutation(n)
+                    for rep in range(self.mc_cv_repetitions if 1 <= held < n else 0)
+                ]
+                self._splits = tuple(
+                    (train.features[perm[:held]], train.take(perm[held:], name=f"{train.name}/mccv{rep}"))
+                    for rep, perm in enumerate(perms)
+                )
+            return self._splits
 
 
 def mc_cv_fpr_rates(config: DetectorConfig, samples: DatasetSamples) -> list[float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .features import MetaDataset
-from .util import log_event, pmap, rng_from
+from .util import log_event, pmap, rng_from, write_text
 
 MODEL_FORMAT = "adselect-meta-model"
 MODEL_VERSION = 1
@@ -441,8 +441,7 @@ def save_model(model: MetaModel, path: str) -> None:
             ],
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_text(path, json.dumps(payload))
 
 
 def load_model(path: str) -> MetaModel:

@@ -6,7 +6,7 @@ master seed): worker counts only change scheduling, never bytes.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import hashlib
 import numbers
 import os
@@ -22,7 +22,6 @@ from .errors import ConfigError, DataError, FitError
 from .features import (
     DatasetSamples,
     DetectorFeatures,
-    LandmarkVector,
     MetaDataset,
     MetaInstance,
     assemble_meta_dataset,
@@ -33,7 +32,7 @@ from .features import (
     random_draw,
 )
 from .metamodel import MetaModel, load_model
-from .util import dump_json, fmt_float, load_json, log_event, pmap, rng_from
+from .util import csv_text, dump_json, load_json, log_event, pmap, rng_from, write_text
 
 
 def _has_type(value, kind) -> bool:
@@ -140,22 +139,6 @@ def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> ds.SemiSupervis
     return ds.scale_split(ds.strip_anomalies(split))
 
 
-def _write_landmarks_csv(path: str, lv: LandmarkVector) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(meta_columns()[:-2])
-        w.writerow(["" if np.isnan(v) else fmt_float(v) for v in lv.as_row()])
-
-
-def _write_detectors_csv(path: str, instances: list[MetaInstance]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["config_id", "detector_hv", "detector_fpr", "target_scaled_mcc"])
-        for inst in instances:
-            f = inst.detector
-            w.writerow([f.config_id, fmt_float(f.hypervolume), fmt_float(f.fpr), fmt_float(inst.target_scaled_mcc)])
-
-
 def _samples(train: ds.LabeledDataset, dataset_id: str, cfg: RunConfig) -> DatasetSamples:
     """The dataset's shared HV points and MC-CV splits under the run's settings."""
     return DatasetSamples(train, dataset_id, cfg.seed, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions)
@@ -178,7 +161,9 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
 
     Output files under <out_dir>/<dataset>/: split_manifest.json,
     landmarks.csv, detectors.csv, meta.csv, manifest.json. A rerun whose
-    manifest fingerprints match simply reloads meta.csv.
+    manifest fingerprints match simply reloads meta.csv. Otherwise the old
+    manifest is removed before any file is rewritten, and the new one is
+    written last, so a manifest only ever vouches for files of its own run.
     """
     out = os.path.join(cfg.out_dir, data.name)
     manifest_path = os.path.join(out, "manifest.json")
@@ -189,6 +174,8 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
         if previous.get("fingerprint") == fingerprint:
             log_event("assimilate_skipped", dataset=data.name, reason="manifest hit")
             return MetaDataset.from_csv(meta_path)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
 
     os.makedirs(out, exist_ok=True)
     split = assimilate_split(data, cfg)
@@ -204,8 +191,10 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     meta = assemble_meta_dataset(landmarks, instances)
 
     dump_json(ds.split_manifest(split, data.name, cfg.seed), os.path.join(out, "split_manifest.json"))
-    _write_landmarks_csv(os.path.join(out, "landmarks.csv"), landmarks)
-    _write_detectors_csv(os.path.join(out, "detectors.csv"), instances)
+    write_text(os.path.join(out, "landmarks.csv"), csv_text([meta_columns()[:-2], landmarks.as_row()]))
+    header = ["config_id", "detector_hv", "detector_fpr", "target_scaled_mcc"]
+    rows = [[i.detector.config_id, i.detector.hypervolume, i.detector.fpr, i.target_scaled_mcc] for i in instances]
+    write_text(os.path.join(out, "detectors.csv"), csv_text([header, *rows]))
     meta.to_csv(meta_path)
     dump_json(
         {
@@ -270,34 +259,16 @@ def write_evaluation_files(
         dump_json(report.to_dict(), p)
         paths[report.dataset_id] = p
 
-    table_path = os.path.join(out_dir, "table.csv")
-    header = ["dataset", "mcc_max", "mcc_mean", "mcc_min"]
-    for metric in ranking.METRICS:
-        for method in ranking.METHODS:
-            header.append(f"{_TABLE_METRIC_LABELS[metric]}_{method}")
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for report in reports:
-            row = [
-                report.dataset_id,
-                fmt_float(report.mcc_max),
-                fmt_float(report.mcc_mean),
-                fmt_float(report.mcc_min),
-            ]
-            for metric in ranking.METRICS:
-                for method in ranking.METHODS:
-                    value = report.metrics.get(method, {}).get(metric)
-                    row.append("" if value is None else fmt_float(value))
-            w.writerow(row)
-        for agg_name in ("mean", "median"):
-            row = [agg_name, "", "", ""]
-            for metric in ranking.METRICS:
-                for method in ranking.METHODS:
-                    value = aggregates[agg_name].get(method, {}).get(metric)
-                    row.append("" if value is None else fmt_float(value))
-            w.writerow(row)
-    paths["table"] = table_path
+    pairs = [(metric, method) for metric in ranking.METRICS for method in ranking.METHODS]
+
+    def cells(metrics: dict) -> list:  # None where a method has no value
+        return [metrics.get(method, {}).get(metric) for metric, method in pairs]
+
+    rows = [["dataset", "mcc_max", "mcc_mean", "mcc_min", *(f"{_TABLE_METRIC_LABELS[m]}_{k}" for m, k in pairs)]]
+    rows += [[r.dataset_id, r.mcc_max, r.mcc_mean, r.mcc_min, *cells(r.metrics)] for r in reports]
+    rows += [[name, None, None, None, *cells(aggregates[name])] for name in ("mean", "median")]
+    paths["table"] = os.path.join(out_dir, "table.csv")
+    write_text(paths["table"], csv_text(rows))
     dump_json(aggregates, os.path.join(out_dir, "aggregates.json"))
     paths["aggregates"] = os.path.join(out_dir, "aggregates.json")
     return paths

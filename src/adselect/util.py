@@ -1,10 +1,14 @@
-"""Shared plumbing: seed derivation, bounded parallelism, stable serialization."""
+"""Shared plumbing: seed derivation, bounded parallelism, stable serialization, artifact writes."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import logging
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
@@ -48,11 +52,42 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def write_text(path: str, text: str) -> None:
+    """Write an output file whole or not at all: the one writer of every artifact.
+
+    The text goes to ``<path>.tmp`` in the same directory, which then replaces
+    ``path`` by ``os.replace`` (an atomic rename). A process killed midway
+    leaves the previous file as it was; an exception also removes the
+    temporary file. Nothing is fsynced, so a power loss is not covered.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _cell(value: Any) -> Any:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else fmt_float(value)
+    return value  # csv writes None as an empty cell
+
+
+def csv_text(rows: Iterable[Sequence[Any]]) -> str:
+    """CSV text with "\n" line ends. A float cell is written with fmt_float,
+    NaN and None as an empty cell, any other value as csv writes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def dump_json(obj: Any, path: str) -> None:
     """Write JSON with sorted keys and stable float formatting (byte-reproducible)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def load_json(path: str) -> Any:

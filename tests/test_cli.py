@@ -2,12 +2,13 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from adselect import dataset, detectors, features, pipeline
+from adselect import dataset, detectors, features, pipeline, util
 from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 from adselect.corpus import write_corpus_csvs
 from adselect.errors import FitError
@@ -81,6 +82,35 @@ def test_assimilate_rerun_hits_manifest(tmp_path, corpus_dir):
     assert read(meta) == first
     events = [json.loads(line) for line in open(log) if line.strip()]
     assert any(e["event"] == "assimilate_skipped" for e in events)
+
+
+def test_assimilate_stopped_before_its_manifest_is_redone(tmp_path, corpus_dir, monkeypatch):
+    """A run stopped between the meta.csv and manifest.json writes leaves no
+    manifest that vouches for its meta.csv, so a rerun of the earlier
+    config recomputes."""
+    args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv")] + fast_flags(tmp_path)
+    meta = tmp_path / "run" / "halo" / "meta.csv"
+    assert main(args + ["--n-detectors", "2"]) == EXIT_OK
+
+    class Killed(Exception):
+        pass
+
+    real_dump = pipeline.dump_json
+
+    def dump_json(obj, path):
+        if os.path.basename(path) == "manifest.json":
+            raise Killed(path)
+        real_dump(obj, path)
+
+    monkeypatch.setattr(pipeline, "dump_json", dump_json)
+    with pytest.raises(Killed):
+        main(args + ["--n-detectors", "3"])
+    assert len(read(meta).splitlines()) == 1 + 3
+    monkeypatch.setattr(pipeline, "dump_json", real_dump)
+    log = tmp_path / "events.log"
+    assert main(args + ["--n-detectors", "2", "--log-file", str(log)]) == EXIT_OK
+    assert len(read(meta).splitlines()) == 1 + 2
+    assert not any(e["event"] == "assimilate_skipped" for e in log_events(log))
 
 
 def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monkeypatch):
@@ -462,6 +492,19 @@ def test_hv_estimate_json_contract(tmp_path, corpus_dir, capsys):
     assert set(payload["ball"]) == {"center", "radius"}
 
 
+def test_hv_estimate_draws_no_mc_cv_split(tmp_path, corpus_dir, monkeypatch, capsys):
+    """hv-estimate never reads the MC-CV splits, so it draws none; rank does."""
+    drawn = []
+    real_rng = features.rng_from
+    monkeypatch.setattr(features, "rng_from", lambda *parts: drawn.append(parts) or real_rng(*parts))
+    config = json.dumps({"algorithm": "hbos", "params": {"n_bins": 10}, "contamination": 0.1, "seed": 0})
+    common = ["--dataset", str(corpus_dir / "halo.csv"), "--seed", "2", "--out", str(tmp_path / "h")]
+    assert main(["hv-estimate", "--detector-config", config, "--samples", "1000"] + common) == EXIT_OK
+    assert not [parts for parts in drawn if "mccv" in parts]
+    assert main(["rank", "--n-candidates", "1", "--hv-samples", "1000"] + common) == EXIT_OK
+    assert [parts[-1] for parts in drawn if "mccv" in parts] == list(range(10))
+
+
 def test_hv_estimate_inline_config(tmp_path, corpus_dir, capsys):
     inline = json.dumps(
         {"algorithm": "hbos", "params": {"n_bins": 10}, "contamination": 0.1, "seed": 0}
@@ -558,3 +601,44 @@ def test_config_file_with_overrides(tmp_path, corpus_dir):
     rc = main(["assimilate", "--config", str(cfg), "--out", str(tmp_path / "cfgrun")])
     assert rc == EXIT_OK
     assert (tmp_path / "cfgrun" / "halo" / "meta.csv").exists()
+
+
+def test_every_output_file_is_written_by_write_text(tmp_path, monkeypatch, capsys):
+    """Each file a command creates, except the --log-file, goes through
+    util.write_text, so each is written to a temporary file and renamed."""
+    written = []
+    real_write = util.write_text
+
+    def recording(path, text):
+        written.append(str(path))
+        real_write(path, text)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("adselect") and getattr(module, "write_text", None) is real_write:
+            monkeypatch.setattr(module, "write_text", recording)
+    run = tmp_path / "run"
+    data, out, model = run / "data", run / "out", run / "model.json"
+    log = run / "events.log"
+    run.mkdir()
+    metas = [str(out / name / "meta.csv") for name in ("halo", "twin_blobs")]
+    small = ["--hv-samples", "1000", "--mc-cv-repetitions", "2"]
+    hbos = json.dumps({"algorithm": "hbos", "params": {"n_bins": 10}, "contamination": 0.1, "seed": 0})
+    commands = [
+        ["make-corpus", "--out", str(data), "--names", "halo", "twin_blobs"],
+        ["assimilate", "--datasets", str(data / "halo.csv"), str(data / "twin_blobs.csv"), "--out", str(out),
+         "--n-detectors", "2", *small],
+        ["evaluate", "--out", str(out)],
+        ["train-meta", "--meta-dataset", *metas, "--model-out", str(model)],
+        ["predict", "--model", str(model), "--instances", metas[0], "--predictions-out", str(run / "preds.csv")],
+        ["predict", "--model", str(model), "--instances", metas[1]],
+        ["rank", "--dataset", str(data / "halo.csv"), "--method", "meta", "--model", str(model),
+         "--n-candidates", "2", "--hv-samples", "1000", "--out", str(out)],
+        ["hv-estimate", "--dataset", str(data / "halo.csv"), "--samples", "1000", "--out", str(out),
+         "--detector-config", hbos],
+    ]
+    for argv in commands:
+        assert main(argv + ["--seed", "2", "--log-file", str(log)]) in (EXIT_OK, EXIT_PARTIAL), argv[0]
+    created = {os.path.join(d, f) for d, _, files in os.walk(run) for f in files} - {str(log)}
+    # 2 corpus CSVs, 5 files per dataset, the assimilation manifest, 2 reports, table, aggregates, model, predictions
+    assert len(created) == 2 + 2 * 5 + 1 + 2 + 2 + 1 + 1
+    assert created <= set(written)

@@ -1,4 +1,7 @@
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +92,29 @@ def test_fpr_needs_rows_on_both_sides():
     cfg = detectors.default_configs()[0]
     with pytest.raises(FitError, match="MC-CV"):
         mc_cv_fpr(cfg, samples_for(all_normal(2), mc_cv_test_fraction=0.3))
+
+
+def test_splits_are_drawn_once_on_first_read_by_concurrent_workers(monkeypatch):
+    drawn = []
+    real_rng = features.rng_from
+    monkeypatch.setattr(features, "rng_from", lambda *parts: drawn.append(parts) or real_rng(*parts))
+    samples = samples_for(all_normal(2000, dim=3), mc_cv_repetitions=4)
+    assert drawn == []
+    start = threading.Barrier(16)
+
+    def read(_):
+        start.wait(timeout=60)
+        return samples.splits
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            got = list(pool.map(read, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got[0]) == 4 and all(s is got[0] for s in got)
+    assert [parts[-1] for parts in drawn] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
