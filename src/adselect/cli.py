@@ -26,7 +26,7 @@ from .features import MetaDataset
 from .hypervolume import estimate_hypervolume
 from .metamodel import fit_meta_model, load_model, save_model
 from .pipeline import RunConfig
-from .util import csv_text, log_event, logger, write_text
+from .util import csv_text, log_event, logger, read_text, write_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,15 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args: argparse.Namespace, **extra) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "out_dir": args.out,
-        **{k: v for k, v in extra.items() if v is not None},
-    }
-    if getattr(args, "config", None):
-        return RunConfig.from_file(args.config, **overrides)
-    return RunConfig._normalized({k: v for k, v in overrides.items() if v is not None})
+    """The --config file under the flags given (None flags are not given)."""
+    return RunConfig.load(args.config or None, seed=args.seed, jobs=args.jobs, out_dir=args.out, **extra)
 
 
 def _setup_logging(args: argparse.Namespace) -> None:
@@ -121,6 +114,8 @@ def _setup_logging(args: argparse.Namespace) -> None:
     else:
         handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
+    for dropped in logger.handlers:
+        dropped.close()  # a FileHandler's file would otherwise stay open
     logger.handlers.clear()
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
@@ -251,8 +246,7 @@ def cmd_hv_estimate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args, label_column=args.label_column, hv_samples=args.samples)
     config_text = args.detector_config
     if os.path.exists(config_text):
-        with open(config_text, "r", encoding="utf-8") as fh:
-            config_text = fh.read()
+        config_text = read_text(config_text, ConfigError, "detector config")
     config = detectors.DetectorConfig.from_json(config_text)
 
     data = dataset.load_csv(args.dataset, cfg.label_column, labels_required=False)

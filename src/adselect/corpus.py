@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import LabeledDataset
+from .errors import ConfigError
 from .util import csv_text, rng_from, write_text
 
 
@@ -115,13 +116,12 @@ def toy_corpus(seed: int = 0, names: list[str] | None = None) -> list[LabeledDat
     chosen = names if names is not None else list(GENERATORS)
     unknown = set(chosen) - set(GENERATORS)
     if unknown:
-        raise ValueError(f"unknown corpus datasets {sorted(unknown)}; available: {list(GENERATORS)}")
+        raise ConfigError(f"unknown corpus datasets {sorted(unknown)}; available: {list(GENERATORS)}")
     return [GENERATORS[name](seed) for name in chosen]
 
 
 def write_corpus_csvs(out_dir: str, seed: int = 0, names: list[str] | None = None) -> list[str]:
     """Write each bundled dataset as a CSV (feature columns f0..fk, label)."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for ds in toy_corpus(seed=seed, names=names):
         path = os.path.join(out_dir, f"{ds.name}.csv")

@@ -9,7 +9,6 @@ interquartile range.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .util import log_event
+from .util import log_event, read_csv
 
 
 @dataclass(frozen=True)
@@ -112,69 +111,36 @@ def load_csv(path: str, label_column: str = "label", labels_required: bool = Tru
     0/1 values. Row order is preserved. With labels_required=False, a file
     without the label column loads as all-normal (labels all 0).
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if label_column in header:
-            label_idx = header.index(label_column)
-        elif labels_required:
-            raise DataError(f"{path}: label column {label_column!r} not found in header {header}")
-        else:
-            label_idx = -1
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    header, cells = read_csv(path, "dataset")
+    header = [h.strip() for h in header]
+    if label_column in header:
+        label_idx = header.index(label_column)
+    elif labels_required:
+        raise DataError(f"{path}: label column {label_column!r} not found in header {header}")
+    else:
+        label_idx = -1
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            feats = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_no}, column {header[i]!r}: non-numeric cell {cell!r}"
-                    ) from None
-            if label_idx < 0:
-                lab = 0.0
-            else:
-                try:
-                    lab = float(row[label_idx])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_no}, column {label_column!r}: non-numeric label {row[label_idx]!r}"
-                    ) from None
-                if lab not in (0.0, 1.0):
-                    raise DataError(
-                        f"{path}: row {row_no}, column {label_column!r}: label {row[label_idx]!r} outside {{0, 1}}"
-                    )
-            rows.append(feats)
-            labels.append(int(lab))
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    matrix = []
+    for row_no, row in cells:
+        values = []
+        for column, cell in zip(header, row):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}: row {row_no}, column {column!r}: non-numeric cell {cell!r}") from None
+        if label_idx >= 0 and values[label_idx] not in (0.0, 1.0):
+            raise DataError(f"{path}: row {row_no}, column {label_column!r}: label {row[label_idx]!r} outside {{0, 1}}")
+        matrix.append(values)
+    table = np.asarray(matrix, dtype=np.float64)
+    if label_idx < 0:
+        features, labels = table, np.zeros(len(table), dtype=np.int8)
+    else:
+        features, labels = np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int8)
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".csv"):
         name = name[:-4]
-    return LabeledDataset(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int8),
-        name=name,
-        feature_names=feature_names,
-    )
+    return LabeledDataset(features=features, labels=labels, name=name, feature_names=feature_names)
 
 
 def subsample_outliers(

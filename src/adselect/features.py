@@ -10,7 +10,6 @@ assembly puts the dataset's landmark row before each.
 
 from __future__ import annotations
 
-import csv
 import threading
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .detectors import ALGORITHMS, DetectorConfig, TrainedDetector
 from .errors import DataError, FitError
 from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
 from .ranking import confusion_counts, mcc, scaled_mcc
-from .util import csv_text, log_event, pmap, rng_from, seed_from, write_text
+from .util import csv_text, log_event, pmap, read_csv, rng_from, seed_from, write_text
 
 
 @dataclass(frozen=True)
@@ -116,37 +115,33 @@ class MetaDataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "MetaDataset":
-        try:
-            fh = open(path, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read meta-dataset file {path!r}: {exc}") from exc
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["dataset_id", "config_id"] or header[-1] != "target_scaled_mcc":
-                raise DataError(f"{path}: not a meta-dataset CSV")
-            columns = header[2:-1]
-            X_rows, y_vals, ds_ids, cfg_ids = [], [], [], []
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-                try:
-                    X_rows.append([np.nan if c == "" else float(c) for c in row[2:-1]])
-                    y_vals.append(float(row[-1]))
-                except ValueError as exc:
-                    raise DataError(f"{path}: row {row_no}: non-numeric cell: {exc}") from None
-                ds_ids.append(row[0])
-                cfg_ids.append(row[1])
-        if not X_rows:
-            raise DataError(f"{path}: no instances")
+        """Read a meta CSV as ``to_csv`` writes it.
+
+        The header must be ``dataset_id, config_id, *meta_columns(),
+        target_scaled_mcc``; every feature cell must be empty (absent) or in
+        [0, 1], and every target in [0, 1]. Any other file raises DataError.
+        """
+        header, rows = read_csv(path, "meta-dataset")
+        columns = meta_columns()
+        if header != ["dataset_id", "config_id", *columns, "target_scaled_mcc"]:
+            raise DataError(f"{path}: not a meta-dataset CSV; its header must be dataset_id, config_id, "
+                            f"{', '.join(columns)}, target_scaled_mcc")
+        X, y = [], []
+        for row_no, row in rows:
+            try:
+                values = [float(c) if c else np.nan for c in row[2:]]
+            except ValueError as exc:
+                raise DataError(f"{path}: row {row_no}: non-numeric cell: {exc}") from None
+            if not row[-1] or not all(0.0 <= v <= 1.0 for c, v in zip(row[2:], values) if c):
+                raise DataError(f"{path}: row {row_no}: a feature outside [0, 1], or a target missing or outside it")
+            X.append(values[:-1])
+            y.append(values[-1])
         return cls(
             columns=columns,
-            X=np.asarray(X_rows, dtype=np.float64),
-            y=np.asarray(y_vals, dtype=np.float64),
-            dataset_ids=ds_ids,
-            config_ids=cfg_ids,
+            X=np.asarray(X, dtype=np.float64),
+            y=np.asarray(y, dtype=np.float64),
+            dataset_ids=[row[0] for _, row in rows],
+            config_ids=[row[1] for _, row in rows],
         )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelFormatError
 from .features import MetaDataset
-from .util import log_event, pmap, rng_from, write_text
+from .util import log_event, pmap, read_json, rng_from, write_text
 
 MODEL_FORMAT = "adselect-meta-model"
 MODEL_VERSION = 1
@@ -445,15 +445,9 @@ def save_model(model: MetaModel, path: str) -> None:
 
 
 def load_model(path: str) -> MetaModel:
+    payload = read_json(path, ModelFormatError, "model")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
-    try:
-        if payload.get("format") != MODEL_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
         if payload.get("version") != MODEL_VERSION:
             raise ModelFormatError(

@@ -18,7 +18,7 @@ import numpy as np
 from . import dataset as ds
 from . import ranking
 from .detectors import PORTFOLIO_VERSION, DetectorConfig
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, ModelFormatError
 from .features import (
     DatasetSamples,
     DetectorFeatures,
@@ -32,7 +32,7 @@ from .features import (
     random_draw,
 )
 from .metamodel import MetaModel, load_model
-from .util import csv_text, dump_json, load_json, log_event, pmap, rng_from, write_text
+from .util import csv_text, dump_json, log_event, pmap, read_json, read_text, rng_from, write_text
 
 
 def _has_type(value, kind) -> bool:
@@ -87,19 +87,15 @@ class RunConfig:
             raise ConfigError("retries must be nonnegative")
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "RunConfig":
-        raw = load_json(path)
+    def load(cls, path: str | None = None, **overrides) -> "RunConfig":
+        """The config in the JSON file at ``path`` (defaults if None), under the overrides that are not None."""
+        raw = {} if path is None else read_json(path, ConfigError, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-        return cls._normalized(merged)
-
-    @classmethod
-    def _normalized(cls, values: dict) -> "RunConfig":
+        values = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
         for name in ("datasets", "split_fractions"):
             if isinstance(values.get(name), list):  # a JSON array
                 values[name] = tuple(values[name])
@@ -161,23 +157,28 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
 
     Output files under <out_dir>/<dataset>/: split_manifest.json,
     landmarks.csv, detectors.csv, meta.csv, manifest.json. A rerun whose
-    manifest fingerprints match simply reloads meta.csv. Otherwise the old
-    manifest is removed before any file is rewritten, and the new one is
-    written last, so a manifest only ever vouches for files of its own run.
+    manifest fingerprints match simply reloads meta.csv; a manifest or
+    meta.csv that cannot be read is logged as ``manifest_unreadable`` and
+    counts as a miss. On a miss the old manifest is removed before any file
+    is rewritten, and the new one is written last, so a manifest only ever
+    vouches for files of its own run.
     """
     out = os.path.join(cfg.out_dir, data.name)
     manifest_path = os.path.join(out, "manifest.json")
     meta_path = os.path.join(out, "meta.csv")
     fingerprint = {"input": _data_fingerprint(data), "config": cfg.fingerprint()}
     if os.path.exists(manifest_path) and os.path.exists(meta_path):
-        previous = load_json(manifest_path)
-        if previous.get("fingerprint") == fingerprint:
-            log_event("assimilate_skipped", dataset=data.name, reason="manifest hit")
-            return MetaDataset.from_csv(meta_path)
+        try:
+            previous = read_json(manifest_path, DataError, "manifest")
+            if isinstance(previous, dict) and previous.get("fingerprint") == fingerprint:
+                meta = MetaDataset.from_csv(meta_path)
+                log_event("assimilate_skipped", dataset=data.name, reason="manifest hit")
+                return meta
+        except DataError as exc:
+            log_event("manifest_unreadable", dataset=data.name, reason=str(exc))
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_path)
 
-    os.makedirs(out, exist_ok=True)
     split = assimilate_split(data, cfg)
     samples = _samples(split.train, data.name, cfg)
     landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
@@ -225,7 +226,6 @@ def assimilate_all(datasets: list[ds.LabeledDataset], cfg: RunConfig) -> list[Me
         raise DataError(f"all datasets failed: {failures}")
     if failures:
         log_event("assimilate_partial", failed=failures)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dump_json(
         {
             "datasets": sorted(m.dataset_ids[0] for m in metas),
@@ -252,7 +252,6 @@ _TABLE_METRIC_LABELS = {"regret1": "regret@1", "regret5": "regret@5", "ndcg": "n
 def write_evaluation_files(
     reports: list[ranking.RankingReport], aggregates: dict, out_dir: str
 ) -> dict[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for report in reports:
         p = os.path.join(out_dir, f"report_{report.dataset_id}.json")
@@ -346,8 +345,8 @@ def rank_candidates(
         if not model_path:
             raise ConfigError("method=meta requires --model")
         model = load_model(model_path)
-        with open(model_path, "rb") as fh:
-            provenance = hashlib.sha256(fh.read()).hexdigest()
+        # the text decoded as UTF-8 with line ends kept, so it encodes back to the file's bytes
+        provenance = hashlib.sha256(read_text(model_path, ModelFormatError, "model").encode("utf-8")).hexdigest()
 
     samples = normal_only_samples(data, cfg)
 

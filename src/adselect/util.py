@@ -1,4 +1,4 @@
-"""Shared plumbing: seed derivation, bounded parallelism, stable serialization, artifact writes."""
+"""Shared plumbing: seed derivation, bounded parallelism, stable serialization, input reads and artifact writes."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 logger = logging.getLogger("adselect")
 
@@ -56,10 +58,14 @@ def write_text(path: str, text: str) -> None:
     """Write an output file whole or not at all: the one writer of every artifact.
 
     The text goes to ``<path>.tmp`` in the same directory, which then replaces
-    ``path`` by ``os.replace`` (an atomic rename). A process killed midway
-    leaves the previous file as it was; an exception also removes the
-    temporary file. Nothing is fsynced, so a power loss is not covered.
+    ``path`` by ``os.replace`` (an atomic rename); a missing parent directory
+    is created first. A process killed midway leaves the previous file as it
+    was; an exception also removes the temporary file. Nothing is fsynced, so
+    a power loss is not covered.
     """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -90,9 +96,50 @@ def dump_json(obj: Any, path: str) -> None:
     write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def read_text(path: str, error: type[Exception], what: str) -> str:
+    """Read an input file whole as UTF-8: the one reader of every input.
+
+    Line ends are kept as written (``newline=""``), so the text encodes back
+    to the file's bytes. A file that cannot be opened or is not UTF-8 raises
+    ``error``, naming ``what`` the file is.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
+def read_json(path: str, error: type[Exception], what: str) -> Any:
+    """The JSON value of an input file; an unreadable file or invalid JSON raises ``error``."""
+    text = read_text(path, error, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: corrupt {what} file ({exc})") from exc
+
+
+def read_csv(path: str, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of a CSV input and the (row number, cells) of each non-empty row.
+
+    Raises DataError for an unreadable file, text the csv module rejects, a
+    missing header, no data row or a row whose width differs from the
+    header's. Row numbers count records from 1, the header's.
+    """
+    try:
+        records = list(csv.reader(io.StringIO(read_text(path, DataError, what), newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV ({exc})") from exc
+    if not records or not records[0]:
+        raise DataError(f"{path}: empty file, header row required")
+    header = records[0]
+    rows = [(row_no, row) for row_no, row in enumerate(records[1:], start=2) if row]
+    for row_no, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, rows
 
 
 def log_event(event: str, **fields: Any) -> None:

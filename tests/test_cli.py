@@ -80,7 +80,7 @@ def test_assimilate_rerun_hits_manifest(tmp_path, corpus_dir):
     log = tmp_path / "events.log"
     assert main(args + ["--log-file", str(log)]) == EXIT_OK
     assert read(meta) == first
-    events = [json.loads(line) for line in open(log) if line.strip()]
+    events = log_events(log)
     assert any(e["event"] == "assimilate_skipped" for e in events)
 
 
@@ -122,7 +122,7 @@ def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monke
     assert cfg.fingerprint() != current
     log = tmp_path / "events.log"
     assert main(args + ["--log-file", str(log)]) == EXIT_OK
-    events = [json.loads(line) for line in open(log) if line.strip()]
+    events = log_events(log)
     assert not any(e["event"] == "assimilate_skipped" for e in events)
 
 
@@ -149,7 +149,7 @@ def test_retries_and_budgets_change_invalidates_resume(tmp_path, corpus_dir, mon
     cfg.write_text(json.dumps({"retries": 1}))
     log = tmp_path / "events.log"
     assert main(args + ["--config", str(cfg), "--log-file", str(log)]) == EXIT_OK
-    events = [json.loads(line) for line in open(log) if line.strip()]
+    events = log_events(log)
     assert not any(e["event"] == "assimilate_skipped" for e in events)
     with open(tmp_path / "run" / "halo" / "meta.csv") as fh:
         assert len(fh.read().strip().splitlines()) == 1 + 3
@@ -188,9 +188,77 @@ def test_assimilate_missing_file_is_data_error(tmp_path):
     assert rc == EXIT_DATA
 
 
-def write_meta_csv(path, bad_row=None):
+def test_make_corpus_unknown_name_is_config_error(tmp_path, capsys):
+    assert main(["make-corpus", "--names", "nope", "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "c").exists()
+
+
+NOT_UTF8_JSON = b'{"algorithm": "caf\xe9"}'  # "\xe9" alone is no UTF-8 sequence
+ASSIMILATE = ["assimilate", "--datasets", "{halo}", "--config", "{bad}"]
+RANK_META = ["rank", "--dataset", "{halo}", "--method", "meta", "--model", "{bad}"]
+# case: (bytes of the file, None for no file; the command that reads it; its exit code)
+UNREADABLE_INPUTS = {
+    "config-missing": (None, ASSIMILATE, EXIT_CONFIG),
+    "config-not-json": (b"{", ASSIMILATE, EXIT_CONFIG),
+    "config-not-utf8": (NOT_UTF8_JSON, ASSIMILATE, EXIT_CONFIG),
+    "detector-config-not-utf8": (NOT_UTF8_JSON, ["hv-estimate", "--dataset", "{halo}", "--detector-config", "{bad}"],
+                                 EXIT_CONFIG),
+    "dataset-not-utf8": (b"x,y\n1,caf\xe9\n", ["rank", "--dataset", "{bad}"], EXIT_DATA),
+    "model-not-utf8": (NOT_UTF8_JSON, RANK_META, EXIT_CONFIG),
+    "model-not-object": (b"[]", RANK_META, EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_file_exit_code(tmp_path, corpus_dir, capsys, case):
+    """Each kind of input file that cannot be read ends in its kind's exit
+    code and a one-line message naming the file, not a traceback."""
+    content, argv, expected = UNREADABLE_INPUTS[case]
+    bad = tmp_path / "bad.input"
+    if content is not None:
+        bad.write_bytes(content)
+    argv = [arg.format(halo=corpus_dir / "halo.csv", bad=bad) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == expected
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad.input" in err
+
+
+@pytest.mark.parametrize("damage", ("manifest-not-json", "manifest-not-object", "meta-cut-mid-row"))
+def test_damaged_resume_state_is_recomputed(tmp_path, corpus_dir, damage):
+    """A manifest that is not a JSON object, or a meta.csv that no longer
+    reads under a matching manifest, counts as a manifest miss: the rerun
+    recomputes the dataset and writes what a fresh run writes."""
+    args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv")] + fast_flags(tmp_path)
+    assert main(args) == EXIT_OK
+    meta = tmp_path / "run" / "halo" / "meta.csv"
+    manifest = meta.with_name("manifest.json")
+    fresh, fresh_manifest = read(meta), read(manifest)
+    if damage == "meta-cut-mid-row":
+        meta.write_bytes(fresh[: fresh.rindex(b",")])
+    else:
+        manifest.write_text("{" if damage == "manifest-not-json" else "[]")
+    log = tmp_path / "events.log"
+    assert main(args + ["--log-file", str(log)]) == EXIT_OK
+    assert read(meta) == fresh and read(manifest) == fresh_manifest
+    events = [e["event"] for e in log_events(log)]
+    assert "assimilate_skipped" not in events
+    assert ("manifest_unreadable" in events) == (damage != "manifest-not-object")
+
+
+def test_log_file_of_an_earlier_call_is_closed(tmp_path):
+    """Each main call replaces the previous call's log handler and closes its file."""
+    assert main(["list-detectors", "--log-file", str(tmp_path / "first.log")]) == EXIT_OK
+    [first] = util.logger.handlers
+    stream = first.stream
+    assert main(["list-detectors", "--log-file", str(tmp_path / "second.log")]) == EXIT_OK
+    assert stream.closed
+    assert util.logger.handlers != [first]
+
+
+def write_meta_csv(path, bad_row=None, columns=None):
     """Six synthetic meta-instances in the assimilate output format, then ``bad_row`` if given."""
-    cols = features.meta_columns()
+    cols = features.meta_columns() if columns is None else columns
     rng = np.random.default_rng(0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -201,10 +269,23 @@ def write_meta_csv(path, bad_row=None):
             w.writerow([path.stem, "cfg-bad", *bad_row(len(cols) + 1)])
 
 
+def write_latin1_meta_csv(path):
+    write_meta_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"cfg-0", b"cfg-\xe9"))
+
+
+# each writes a bad meta CSV at its path, or none ("missing")
 META_PROBLEMS = {
-    "missing": None,
-    "non-numeric": lambda cells: ["0.5"] * (cells - 1) + ["high"],
-    "short-row": lambda cells: ["0.5"] * (cells - 1),
+    "missing": lambda path: None,
+    "non-numeric": lambda path: write_meta_csv(path, lambda cells: ["0.5"] * (cells - 1) + ["high"]),
+    "short-row": lambda path: write_meta_csv(path, lambda cells: ["0.5"] * (cells - 1)),
+    "target-inf": lambda path: write_meta_csv(path, lambda cells: ["0.5"] * (cells - 1) + ["inf"]),
+    "target-empty": lambda path: write_meta_csv(path, lambda cells: ["0.5"] * (cells - 1) + [""]),
+    "feature-above-one": lambda path: write_meta_csv(path, lambda cells: ["1.5"] + ["0.5"] * (cells - 1)),
+    "feature-nan": lambda path: write_meta_csv(path, lambda cells: ["nan"] + ["0.5"] * (cells - 1)),
+    # the model's and the other file's columns are meta_columns(); this file lacks one landmark pair
+    "other-columns": lambda path: write_meta_csv(path, columns=features.meta_columns()[2:]),
+    "not-utf8": write_latin1_meta_csv,
 }
 
 
@@ -213,8 +294,7 @@ META_PROBLEMS = {
 def test_unreadable_meta_dataset_is_data_error(tmp_path, capsys, command, problem):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     write_meta_csv(good)
-    if META_PROBLEMS[problem] is not None:
-        write_meta_csv(bad, bad_row=META_PROBLEMS[problem])
+    META_PROBLEMS[problem](bad)
     model = tmp_path / "model.json"
     assert main(["train-meta", "--meta-dataset", str(good), "--model-out", str(model)]) == EXIT_OK
     args = {
@@ -247,7 +327,7 @@ def test_full_evaluate_flow(tmp_path, corpus_dir, capsys):
     assert main(["evaluate", "--out", str(tmp_path / "run"), "--seed", "11"]) == EXIT_OK
     table = tmp_path / "run" / "evaluation" / "table.csv"
     assert table.exists()
-    lines = open(table).read().strip().splitlines()
+    lines = table.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:4] == ["dataset", "mcc_max", "mcc_mean", "mcc_min"]
     for metric in ("regret@1", "regret@5", "ndcg", "tau_b"):

@@ -413,16 +413,19 @@ def test_load_rejects_wrong_version(tmp_path):
     save_model(bundle, path)
     import json
 
-    payload = json.loads(open(path).read())
+    with open(path) as fh:
+        payload = json.load(fh)
     payload["version"] = 99
-    open(path, "w").write(json.dumps(payload))
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
 
 
 def test_load_rejects_wrong_format(tmp_path):
     path = str(tmp_path / "model.json")
-    open(path, "w").write('{"format": "something-else", "version": 1}')
+    with open(path, "w") as fh:
+        fh.write('{"format": "something-else", "version": 1}')
     with pytest.raises(ModelFormatError, match="not a"):
         load_model(path)
 
@@ -431,8 +434,10 @@ def test_load_rejects_truncated_file(tmp_path):
     bundle, _ = _toy_bundle()
     path = str(tmp_path / "model.json")
     save_model(bundle, path)
-    blob = open(path).read()
-    open(path, "w").write(blob[: len(blob) // 2])
+    with open(path) as fh:
+        blob = fh.read()
+    with open(path, "w") as fh:
+        fh.write(blob[: len(blob) // 2])
     with pytest.raises(ModelFormatError, match="corrupt"):
         load_model(path)
 
