@@ -2,7 +2,8 @@
 
 Subcommands: list-detectors, make-corpus, assimilate, train-meta, predict,
 rank, evaluate, hv-estimate. Global flags (--config, --seed, --jobs, --out)
-may appear after the subcommand name.
+may appear after the subcommand name. A flag whose dest is a RunConfig field
+overrides that key of the --config file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 partial
 failure (some datasets failed, instances or rank candidates were skipped, or
@@ -38,7 +39,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run-config file; flags override its values")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     p.add_argument("--jobs", type=int, default=None, help="worker pool size (default 1)")
-    p.add_argument("--out", default=None, help="output directory (default ./out)")
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory (default ./out)")
     p.add_argument("--log-file", default=None, help="write JSON event log here instead of stderr")
 
 
@@ -61,10 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", nargs="*", default=None, help="base dataset CSV paths")
     p.add_argument("--label-column", default=None)
     p.add_argument("--hv-samples", type=int, default=None)
-    p.add_argument("--n-detectors", type=int, default=None, help="random detectors per dataset")
+    p.add_argument("--n-detectors", dest="n_random_detectors", type=int, default=None, help="random detectors per dataset")
     p.add_argument("--mc-cv-repetitions", type=int, default=None)
-    p.add_argument("--landmark-budget", type=float, default=None, help="seconds per landmark detector")
-    p.add_argument("--detector-budget", type=float, default=None, help="seconds per random detector")
+    p.add_argument(
+        "--landmark-budget", dest="landmark_budget_s", type=float, default=None, help="seconds per landmark detector"
+    )
+    p.add_argument(
+        "--detector-budget", dest="detector_budget_s", type=float, default=None, help="seconds per random detector"
+    )
     _common_flags(p)
 
     p = sub.add_parser("train-meta", help="train and persist the meta-model")
@@ -95,16 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hv-estimate", help="estimate one detector's hypervolume on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--detector-config", required=True, help="JSON string or path to a JSON file")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", dest="hv_samples", type=int, default=None)
     p.add_argument("--label-column", default=None)
     _common_flags(p)
 
     return parser
 
 
-def _load_run_config(args: argparse.Namespace, **extra) -> RunConfig:
-    """The --config file under the flags given (None flags are not given)."""
-    return RunConfig.load(args.config or None, seed=args.seed, jobs=args.jobs, out_dir=args.out, **extra)
+def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file under every flag whose dest is a RunConfig field; a
+    flag left out (None) or given no values (an empty --datasets) keeps the
+    file's value."""
+    fields = RunConfig.__dataclass_fields__
+    return RunConfig.load(args.config or None, **{k: v for k, v in vars(args).items() if k in fields and v != []})
 
 
 def _setup_logging(args: argparse.Namespace) -> None:
@@ -152,16 +160,7 @@ def _lacks_landmark(meta: MetaDataset) -> bool:
 
 
 def cmd_assimilate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(
-        args,
-        datasets=tuple(args.datasets) if args.datasets else None,
-        label_column=args.label_column,
-        hv_samples=args.hv_samples,
-        n_random_detectors=args.n_detectors,
-        mc_cv_repetitions=args.mc_cv_repetitions,
-        landmark_budget_s=args.landmark_budget,
-        detector_budget_s=args.detector_budget,
-    )
+    cfg = _load_run_config(args)
     if not cfg.datasets:
         raise ConfigError("assimilate needs dataset paths (--datasets or config file)")
     loaded = []
@@ -210,7 +209,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     """Rank random candidates; one that takes over `detector_budget_s` (in --config) is replaced."""
-    cfg = _load_run_config(args, label_column=args.label_column, hv_samples=args.hv_samples)
+    cfg = _load_run_config(args)
     data = dataset.load_csv(args.dataset, cfg.label_column, labels_required=False)
     result = pipeline.rank_candidates(
         data, cfg, method=args.method, n_candidates=args.n_candidates, model_path=args.model
@@ -222,7 +221,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args, cherry_threshold=args.cherry_threshold)
+    cfg = _load_run_config(args)
     if args.meta_datasets:
         paths = list(args.meta_datasets)
     else:
@@ -243,7 +242,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_hv_estimate(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args, label_column=args.label_column, hv_samples=args.samples)
+    cfg = _load_run_config(args)
     config_text = args.detector_config
     if os.path.exists(config_text):
         config_text = read_text(config_text, ConfigError, "detector config")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
@@ -117,15 +117,7 @@ class DetectorConfig:
         return f"{self.algorithm}-{digest}"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "params": self.params,
-                "contamination": self.contamination,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DetectorConfig":
@@ -1104,7 +1096,6 @@ class TrainedDetector:
     config: DetectorConfig
     model: object
     threshold: float
-    trained_on: str
     dim: int
 
     def scores(self, X: np.ndarray, above: float | None = None, nearest: Callable | None = None) -> np.ndarray:
@@ -1156,26 +1147,7 @@ def fit(config: DetectorConfig, train: LabeledDataset) -> TrainedDetector:
     if not np.all(np.isfinite(train_scores)):
         raise FitError(f"{config.algorithm}: non-finite training scores")
     threshold = float(np.quantile(train_scores, 1.0 - config.contamination, method="linear"))
-    return TrainedDetector(
-        config=config, model=model, threshold=threshold, trained_on=train.name, dim=train.dim
-    )
-
-
-def _one_row(detector: TrainedDetector, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != detector.dim:
-        raise ValueError(f"expected a {detector.dim}-vector, got shape {x.shape}")
-    return x[None, :]
-
-
-def score(detector: TrainedDetector, x: np.ndarray) -> float:
-    """Anomaly score of a single feature vector (higher = more anomalous)."""
-    return float(detector.scores(_one_row(detector, x))[0])
-
-
-def predict(detector: TrainedDetector, x: np.ndarray) -> int:
-    """1 if x scores above the calibrated threshold (anomaly), else 0."""
-    return int(detector.predict_many(_one_row(detector, x))[0])
+    return TrainedDetector(config=config, model=model, threshold=threshold, dim=train.dim)
 
 
 def describe_portfolio() -> list[dict]:

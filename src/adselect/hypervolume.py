@@ -55,7 +55,6 @@ class HypervolumeEstimate:
     fraction: float
     n_samples: int
     std_error: float
-    seed: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fraction <= 1.0):
@@ -185,5 +184,4 @@ def estimate_hypervolume(detector: TrainedDetector, sample: BallSample, n: int, 
         fraction=fraction,
         n_samples=n,
         std_error=float(np.sqrt(fraction * (1.0 - fraction) / n)),
-        seed=sample.seed,
     )

@@ -398,9 +398,7 @@ class MetaModel:
 
     def predict(self, md: MetaDataset) -> np.ndarray:
         if md.columns != self.columns:
-            raise ValueError(
-                f"instance schema {md.columns} does not match model schema {self.columns}"
-            )
+            raise ModelFormatError(f"instance schema {md.columns} does not match model schema {self.columns}")
         X = self.scaler.transform(self.imputer.transform(md.X))
         return self.forest.predict(X)
 

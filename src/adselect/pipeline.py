@@ -11,7 +11,7 @@ import hashlib
 import numbers
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -304,17 +304,7 @@ class RecommendationResult:
             "method": self.method,
             "provenance": self.provenance,
             "candidates": [
-                {
-                    "rank": i + 1,
-                    "config": {
-                        "algorithm": c.algorithm,
-                        "params": c.params,
-                        "contamination": c.contamination,
-                        "seed": c.seed,
-                        "config_id": c.config_id,
-                    },
-                    "score": float(s),
-                }
+                {"rank": i + 1, "config": {**asdict(c), "config_id": c.config_id}, "score": float(s)}
                 for i, (c, s) in enumerate(self.entries)
             ],
         }

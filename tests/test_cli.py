@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -8,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from adselect import dataset, detectors, features, pipeline, util
-from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
+from adselect import cli, dataset, detectors, features, pipeline, util
+from adselect.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, build_parser, main
 from adselect.corpus import write_corpus_csvs
 from adselect.errors import FitError
 from adselect.hypervolume import estimate_hypervolume
@@ -306,6 +307,27 @@ def test_unreadable_meta_dataset_is_data_error(tmp_path, capsys, command, proble
     assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "bad.csv" in err
+
+
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_model_of_other_columns_is_model_error(tmp_path, corpus_dir, capsys, command):
+    """A model whose columns are not the instances' ends in exit 2 and a
+    one-line model error, not a traceback."""
+    meta, model = tmp_path / "meta.csv", tmp_path / "model.json"
+    write_meta_csv(meta)
+    assert main(["train-meta", "--meta-dataset", str(meta), "--model-out", str(model)]) == EXIT_OK
+    payload = json.loads(model.read_text())
+    payload["columns"] = payload["columns"][2:]
+    model.write_text(json.dumps(payload))
+    args = {
+        "predict": ["predict", "--model", str(model), "--instances", str(meta)],
+        "rank": ["rank", "--dataset", str(corpus_dir / "halo.csv"), "--method", "meta", "--model", str(model),
+                 "--n-candidates", "2", "--hv-samples", "1000", "--out", str(tmp_path / "r")],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("model error: instance schema") and "Traceback" not in err
 
 
 def test_evaluate_needs_two_meta_datasets(tmp_path, corpus_dir):
@@ -681,6 +703,42 @@ def test_config_file_with_overrides(tmp_path, corpus_dir):
     rc = main(["assimilate", "--config", str(cfg), "--out", str(tmp_path / "cfgrun")])
     assert rc == EXIT_OK
     assert (tmp_path / "cfgrun" / "halo" / "meta.csv").exists()
+
+
+def test_every_run_config_flag_overrides_its_config_key(tmp_path):
+    """Each flag of each command whose dest is a RunConfig field overrides
+    that key of a --config file, and leaves it be when not given; an empty
+    --datasets keeps the file's list."""
+    fields = pipeline.RunConfig.__dataclass_fields__
+    # per field type: the file's value and the flag's text, both valid for every field of the type
+    values = {int: (3, "7"), float: (0.25, "0.5"), str: ("from-file", "from-flag"), tuple: (["a.csv"], "b.csv")}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    checked = set()
+    for command, sub in commands.items():
+        required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "x")]
+        for action in sub._actions:
+            if action.dest not in fields:
+                continue
+            kind = type(fields[action.dest].default)
+            file_value, text = values[kind]
+            cfg = tmp_path / f"{command}-{action.dest}.json"
+            cfg.write_text(json.dumps({action.dest: file_value}))
+
+            def loaded(*flag):
+                args = parser.parse_args([command, *required, "--config", str(cfg), *flag])
+                return getattr(cli._load_run_config(args), action.dest)
+
+            flag = action.option_strings[0]
+            if kind is tuple:
+                assert loaded(flag, text) == (text,) and loaded(flag) == loaded() == tuple(file_value), command
+            else:
+                assert loaded(flag, text) == kind(text) and loaded() == file_value, (command, flag)
+            checked.add(action.dest)
+    assert checked == {
+        "datasets", "label_column", "seed", "hv_samples", "mc_cv_repetitions", "n_random_detectors",
+        "landmark_budget_s", "detector_budget_s", "cherry_threshold", "out_dir", "jobs",
+    }
 
 
 def test_every_output_file_is_written_by_write_text(tmp_path, monkeypatch, capsys):

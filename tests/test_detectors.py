@@ -14,9 +14,7 @@ from adselect.detectors import (
     DetectorConfig,
     default_configs,
     fit,
-    predict,
     sample_random_config,
-    score,
 )
 from adselect.errors import ConfigError, FitError
 
@@ -177,7 +175,7 @@ def test_lof_needs_more_rows_than_neighbors():
 def test_gaussian_accepts_origin_of_standard_normal():
     data = normals(300, dim=3, seed=4)
     det = fit(config_for("gaussian"), data)
-    assert predict(det, np.zeros(3)) == 0
+    assert det.predict_many(np.zeros(3)).tolist() == [0]  # a vector is one row
 
 
 def test_fit_warns_on_labeled_anomalies():
@@ -225,7 +223,7 @@ def test_permutation_invariance(algorithm):
 def test_knn_score_zero_at_training_point():
     data = normals(20, dim=2, seed=13)
     det = fit(config_for("knn", k=1), data)
-    assert score(det, data.features[4]) == 0.0
+    assert det.scores(data.features[4]).tolist() == [0.0]
 
 
 def test_gaussian_score_minimal_at_mean():
@@ -233,7 +231,7 @@ def test_gaussian_score_minimal_at_mean():
     det = fit(config_for("gaussian"), data)
     mean = data.features.mean(axis=0)
     probes = np.random.default_rng(15).standard_normal((200, 3)) * 3
-    assert score(det, mean) < det.scores(probes).min()
+    assert det.scores(mean)[0] < det.scores(probes).min()
 
 
 def test_iforest_scores_drop_toward_dense_center():
@@ -256,7 +254,9 @@ def test_iforest_scores_drop_toward_dense_center():
 def test_score_dimension_mismatch():
     det = fit(config_for("hbos"), normals(30, dim=3, seed=17))
     with pytest.raises(ValueError, match="3"):
-        score(det, np.zeros(2))
+        det.scores(np.zeros(2))
+    with pytest.raises(ValueError, match="3"):
+        det.predict_many(np.zeros(2))
     with pytest.raises(ValueError):
         det.scores(np.zeros((4, 5)))
 
@@ -264,16 +264,14 @@ def test_score_dimension_mismatch():
 def test_predict_threshold_semantics():
     data = normals(50, dim=2, seed=18)
     det = fit(config_for("kde"), data)
-    x = data.features[0]
-    assert predict(det, x) == int(score(det, x) > det.threshold)
+    x = data.features[:1]
+    assert det.predict_many(x).tolist() == [int(det.scores(x)[0] > det.threshold)]
 
 
 def test_predict_infinite_threshold_flags_nothing():
     data = normals(40, dim=2, seed=19)
     det = fit(config_for("knn"), data)
-    relaxed = type(det)(
-        config=det.config, model=det.model, threshold=np.inf, trained_on=det.trained_on, dim=det.dim
-    )
+    relaxed = dataclasses.replace(det, threshold=np.inf)
     probes = np.random.default_rng(20).standard_normal((100, 2)) * 10
     assert relaxed.predict_many(probes).sum() == 0
 
@@ -283,13 +281,7 @@ def test_raising_threshold_is_monotone():
     det = fit(config_for("lof"), data)
     probes = np.random.default_rng(22).standard_normal((100, 2)) * 4
     base = det.predict_many(probes)
-    raised = type(det)(
-        config=det.config,
-        model=det.model,
-        threshold=det.threshold * 2 + 1,
-        trained_on=det.trained_on,
-        dim=det.dim,
-    )
+    raised = dataclasses.replace(det, threshold=det.threshold * 2 + 1)
     after = raised.predict_many(probes)
     assert np.all(after <= base)
 
@@ -756,9 +748,10 @@ def test_predict_decision_agrees_with_predict_many(algorithm):
     if algorithm in ("knn", "kde", "lof"):  # both settled and refined points
         assert settled.any() and not settled.all()
     for x, want in zip(probes, many):
-        assert predict(det, x) == det.predict_many(x[None])[0] == int(score(det, x) > det.threshold)
+        one = det.predict_many(x[None])[0]
+        assert one == int(det.scores(x[None])[0] > det.threshold)
         if algorithm not in ("pca", "gaussian"):  # their BLAS and LAPACK products round by block shape
-            assert predict(det, x) == want
+            assert one == want
 
 
 def _lof_paths(model, Q, above, monkeypatch):
@@ -936,4 +929,4 @@ def test_pca_one_row_predict_matches_predict_many_on_rounding_noise():
     probes = np.random.default_rng(51).standard_normal((2000, 4)) * 3
     many = det.predict_many(probes)
     assert det.threshold == 0.0 and not det.scores(probes).any()
-    assert [predict(det, x) for x in probes] == many.tolist()
+    assert [det.predict_many(x[None])[0] for x in probes] == many.tolist()

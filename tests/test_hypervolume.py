@@ -215,4 +215,4 @@ def test_estimate_warns_in_high_dimension():
 
 def test_estimate_invalid_fraction_rejected():
     with pytest.raises(ValueError):
-        HypervolumeEstimate(fraction=1.5, n_samples=10, std_error=0.0, seed=0)
+        HypervolumeEstimate(fraction=1.5, n_samples=10, std_error=0.0)

@@ -450,7 +450,7 @@ def test_load_missing_file():
 def test_meta_model_schema_mismatch():
     bundle, _ = _toy_bundle()
     bad = make_meta(np.random.default_rng(2).random((5, 3)))
-    with pytest.raises(ValueError, match="schema"):
+    with pytest.raises(ModelFormatError, match="schema"):
         bundle.predict(bad)
 
 
