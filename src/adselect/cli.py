@@ -130,6 +130,7 @@ def _setup_logging(args: argparse.Namespace) -> None:
 
 
 def cmd_list_detectors(args: argparse.Namespace) -> int:
+    _load_run_config(args)  # checked like every command's, though nothing here reads it
     info = detectors.describe_portfolio()
     if args.json:
         print(json.dumps(info, indent=2, sort_keys=True))
@@ -193,6 +194,7 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _load_run_config(args)  # checked like every command's, though nothing here reads it
     model = load_model(args.model)
     instances = MetaDataset.from_csv(args.instances)
     preds = model.predict(instances)

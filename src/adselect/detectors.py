@@ -121,9 +121,16 @@ class DetectorConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DetectorConfig":
+        """The config a JSON object names. Unknown keys are refused; a
+        ``config_id`` (as ``rank`` prints one) must be the config's own."""
         try:
             raw = json.loads(text)
-            return cls(
+            if not isinstance(raw, dict):
+                raise TypeError("not a JSON object")
+            unknown = set(raw) - {"algorithm", "params", "contamination", "seed", "config_id"}
+            if unknown:
+                raise ConfigError(f"unknown detector config keys {sorted(unknown)}")
+            config = cls(
                 algorithm=raw["algorithm"],
                 params=raw["params"],
                 contamination=raw["contamination"],
@@ -131,6 +138,9 @@ class DetectorConfig:
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed detector config: {exc}") from exc
+        if raw.get("config_id", config.config_id) != config.config_id:
+            raise ConfigError(f"config_id {raw['config_id']!r} is not this config's id {config.config_id!r}")
+        return config
 
 
 def default_configs() -> list[DetectorConfig]:

@@ -1,6 +1,8 @@
-"""Surrogate model: imputation, [0,1] scaling, and a random-forest regressor.
+"""Surrogate model: mean imputation and a random-forest regressor.
 
-The forest is deliberately self-contained so its behavior is pinned down:
+The forest reads the imputed features in their own units: a per-feature
+increasing rescaling would not change how its splits divide the training
+rows, so none is applied. The forest is deliberately self-contained so its behavior is pinned down:
 100 trees, bootstrap with replacement of size n, all features considered at
 every split, variance-reduction criterion with midpoint candidate
 thresholds, unlimited depth, min 2 samples to split, and gain ties broken
@@ -14,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors import PORTFOLIO_VERSION
 from .errors import ModelFormatError
 from .features import MetaDataset
 from .util import log_event, pmap, read_json, rng_from, write_text
 
 MODEL_FORMAT = "adselect-meta-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +82,6 @@ class Imputer:
         return out
 
 
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Min-max scaling fitted on meta-train; degenerate columns map to 0.0.
-
-    Meta-test values may land outside [0, 1]; they are not clipped.
-    """
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    @classmethod
-    def fit(cls, X: np.ndarray) -> "FeatureScaler":
-        return cls(mins=X.min(axis=0), maxs=X.max(axis=0))
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        span = self.maxs - self.mins
-        out = np.zeros_like(X)
-        ok = span > 0
-        out[:, ok] = (X[:, ok] - self.mins[ok]) / span[ok]
-        return out
-
-
 # ---------------------------------------------------------------------------
 # regression trees and forest
 
@@ -117,9 +98,6 @@ class _Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray  # leaf mean (stored for every node)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _predict_trees([self], X)[0]
 
 
 def _predict_trees(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
@@ -194,16 +172,6 @@ def _best_splits(X, y, counts, sums, sqs, parent_sse) -> tuple[np.ndarray, np.nd
     thr = (lo + hi) / 2.0
     thr = np.where(thr >= hi, lo, thr)  # adjacent floats: midpoint rounded up, keep the split real
     return j, thr, gains[nodes, best] > 0.0
-
-
-def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-    """Best (feature, threshold) of one node: the one-node call of ``_best_splits``."""
-    m = X.shape[0]
-    if m < 2:
-        return None
-    counts = np.asarray([m])
-    j, thr, found = _best_splits(X.T[:, None], y[None], counts, *_node_stats(y, y * y, np.zeros(1, int), counts))
-    return (int(j[0]), float(thr[0])) if found[0] else None
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -389,38 +357,34 @@ def rf_fit(
 
 @dataclass
 class MetaModel:
-    """Everything needed to score new instances: schema, imputer, scaler, forest."""
+    """Everything needed to score new instances: schema, imputer, forest."""
 
     columns: list[str]
     imputer: Imputer
-    scaler: FeatureScaler
     forest: ForestModel
 
     def predict(self, md: MetaDataset) -> np.ndarray:
         if md.columns != self.columns:
             raise ModelFormatError(f"instance schema {md.columns} does not match model schema {self.columns}")
-        X = self.scaler.transform(self.imputer.transform(md.X))
-        return self.forest.predict(X)
+        return self.forest.predict(self.imputer.transform(md.X))
 
 
 def fit_meta_model(meta_train: MetaDataset, seed: int = 0, n_trees: int = 100, jobs: int = 1) -> MetaModel:
-    """Impute, scale to [0,1], and fit the forest on a meta-training set."""
+    """Fill absent values with the train means and fit the forest on the result."""
     imputer = Imputer.fit(meta_train.X)
-    imputed = imputer.transform(meta_train.X)
-    scaler = FeatureScaler.fit(imputed)
-    forest = rf_fit(scaler.transform(imputed), meta_train.y, seed=seed, n_trees=n_trees, jobs=jobs)
-    return MetaModel(columns=list(meta_train.columns), imputer=imputer, scaler=scaler, forest=forest)
+    forest = rf_fit(imputer.transform(meta_train.X), meta_train.y, seed=seed, n_trees=n_trees, jobs=jobs)
+    return MetaModel(columns=list(meta_train.columns), imputer=imputer, forest=forest)
 
 
 def save_model(model: MetaModel, path: str) -> None:
-    """Versioned JSON serialization; floats round-trip exactly."""
+    """Versioned JSON serialization; floats round-trip exactly. The bundle
+    names the detector portfolio whose features it was trained on."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
+        "portfolio_version": PORTFOLIO_VERSION,
         "columns": model.columns,
         "imputer_means": model.imputer.means.tolist(),
-        "scaler_mins": model.scaler.mins.tolist(),
-        "scaler_maxs": model.scaler.maxs.tolist(),
         "forest": {
             "seed": model.forest.seed,
             "n_trees": model.forest.n_trees,
@@ -443,13 +407,20 @@ def save_model(model: MetaModel, path: str) -> None:
 
 
 def load_model(path: str) -> MetaModel:
+    """The bundle at ``path``; one of another format version or detector
+    portfolio is refused, since its forest was fitted on other features."""
     payload = read_json(path, ModelFormatError, "model")
     try:
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
         if payload.get("version") != MODEL_VERSION:
             raise ModelFormatError(
-                f"{path}: model version {payload.get('version')!r}, expected {MODEL_VERSION}"
+                f"{path}: model version {payload.get('version')!r}, expected {MODEL_VERSION}; rerun train-meta"
+            )
+        if payload.get("portfolio_version") != PORTFOLIO_VERSION:
+            raise ModelFormatError(
+                f"{path}: trained on detector portfolio {payload.get('portfolio_version')!r}, "
+                f"expected {PORTFOLIO_VERSION!r}; rerun assimilate and train-meta"
             )
         f = payload["forest"]
         trees = [
@@ -473,10 +444,6 @@ def load_model(path: str) -> MetaModel:
         return MetaModel(
             columns=list(payload["columns"]),
             imputer=Imputer(means=np.asarray(payload["imputer_means"], dtype=np.float64)),
-            scaler=FeatureScaler(
-                mins=np.asarray(payload["scaler_mins"], dtype=np.float64),
-                maxs=np.asarray(payload["scaler_maxs"], dtype=np.float64),
-            ),
             forest=forest,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -288,7 +288,7 @@ def leave_one_out_evaluate(
     """Hold out each base dataset's meta-instances, train on the rest, rank.
 
     Per held-out dataset: empty landmark columns are dropped from both sides,
-    the imputer/scaler/forest are fitted on the merged remainder, and the
+    the imputer and forest are fitted on the merged remainder, and the
     held-out detectors are ranked by predicted MCC (M), by the linear
     combination of their features (L), and by the three baselines.
     """

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 
+from adselect import metamodel
 from adselect.util import rng_from
 
 
@@ -199,6 +200,23 @@ def best_split_per_feature(X: np.ndarray, y: np.ndarray):
                 thr = xs[k]
             best = (j, float(thr))
     return best
+
+
+def best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
+    """Best (feature, threshold) of one node: the one-node call of the forest's
+    batched ``metamodel._best_splits``."""
+    m = X.shape[0]
+    if m < 2:
+        return None
+    counts = np.asarray([m])
+    stats = metamodel._node_stats(y, y * y, np.zeros(1, int), counts)
+    j, thr, found = metamodel._best_splits(X.T[:, None], y[None], counts, *stats)
+    return (int(j[0]), float(thr[0])) if found[0] else None
+
+
+def tree_predict(tree, X: np.ndarray) -> np.ndarray:
+    """One tree's predictions: the one-tree call of ``metamodel._predict_trees``."""
+    return metamodel._predict_trees([tree], X)[0]
 
 
 def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, split=best_split_per_feature) -> dict:

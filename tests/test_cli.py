@@ -309,16 +309,13 @@ def test_unreadable_meta_dataset_is_data_error(tmp_path, capsys, command, proble
     assert err.startswith("data error:") and "bad.csv" in err
 
 
-@pytest.mark.parametrize("command", ("predict", "rank"))
-def test_model_of_other_columns_is_model_error(tmp_path, corpus_dir, capsys, command):
-    """A model whose columns are not the instances' ends in exit 2 and a
-    one-line model error, not a traceback."""
+def refused_model_line(tmp_path, corpus_dir, capsys, command, edit):
+    """The last stderr line of ``command`` run with a trained bundle whose JSON
+    payload ``edit`` changed; the command must exit 2 without a traceback."""
     meta, model = tmp_path / "meta.csv", tmp_path / "model.json"
     write_meta_csv(meta)
     assert main(["train-meta", "--meta-dataset", str(meta), "--model-out", str(model)]) == EXIT_OK
-    payload = json.loads(model.read_text())
-    payload["columns"] = payload["columns"][2:]
-    model.write_text(json.dumps(payload))
+    model.write_text(json.dumps(edit(json.loads(model.read_text()))))
     args = {
         "predict": ["predict", "--model", str(model), "--instances", str(meta)],
         "rank": ["rank", "--dataset", str(corpus_dir / "halo.csv"), "--method", "meta", "--model", str(model),
@@ -327,7 +324,55 @@ def test_model_of_other_columns_is_model_error(tmp_path, corpus_dir, capsys, com
     capsys.readouterr()
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("model error: instance schema") and "Traceback" not in err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_model_of_other_columns_is_model_error(tmp_path, corpus_dir, capsys, command):
+    """A model whose columns are not the instances' ends in exit 2 and a
+    one-line model error, not a traceback."""
+    line = refused_model_line(tmp_path, corpus_dir, capsys, command, lambda p: {**p, "columns": p["columns"][2:]})
+    assert line.startswith("model error: instance schema")
+
+
+def as_version_1(payload):
+    """A version-1 bundle: min-max scaler bounds and no portfolio version."""
+    old = {k: v for k, v in payload.items() if k != "portfolio_version"}
+    n = len(payload["columns"])
+    return {**old, "version": 1, "scaler_mins": [0.0] * n, "scaler_maxs": [1.0] * n}
+
+
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_version_1_bundle_is_model_error(tmp_path, corpus_dir, capsys, command):
+    line = refused_model_line(tmp_path, corpus_dir, capsys, command, as_version_1)
+    assert line.startswith("model error:") and "model version 1, expected 2; rerun train-meta" in line
+
+
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_bundle_of_another_portfolio_is_model_error(tmp_path, corpus_dir, capsys, command):
+    """A bundle trained on another detector portfolio's features is refused,
+    not used to score features this build computes."""
+    line = refused_model_line(
+        tmp_path, corpus_dir, capsys, command, lambda p: {**p, "portfolio_version": "native-7/1"}
+    )
+    assert line.startswith("model error:") and "detector portfolio 'native-7/1'" in line
+
+
+@pytest.mark.parametrize("flags", (["--config", "{missing}"], ["--jobs", "0"]))
+@pytest.mark.parametrize("command", ("list-detectors", "predict", "train-meta"))
+def test_every_command_checks_its_run_config(tmp_path, capsys, command, flags):
+    meta, model = tmp_path / "meta.csv", tmp_path / "model.json"
+    write_meta_csv(meta)
+    assert main(["train-meta", "--meta-dataset", str(meta), "--model-out", str(model)]) == EXIT_OK
+    args = {
+        "list-detectors": ["list-detectors"],
+        "predict": ["predict", "--model", str(model), "--instances", str(meta)],
+        "train-meta": ["train-meta", "--meta-dataset", str(meta), "--model-out", str(tmp_path / "other.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(args + [f.format(missing=tmp_path / "missing.json") for f in flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_evaluate_needs_two_meta_datasets(tmp_path, corpus_dir):
@@ -685,6 +730,19 @@ def test_hv_estimate_scores_the_points_rank_scores(tmp_path, capsys, monkeypatch
     [samples] = seen
     assert samples.train.n == 150
     assert fraction == estimate_hypervolume(detectors.fit(config, samples.train), samples.ball, 3000).fraction
+
+
+def test_rank_candidate_config_runs_in_hv_estimate(tmp_path, corpus_dir, capsys):
+    """A config as rank prints it, config_id included, passes to hv-estimate;
+    a misspelt key or another config's id is a config error."""
+    halo = str(corpus_dir / "halo.csv")
+    common = ["--dataset", halo, "--out", str(tmp_path / "r")]
+    assert main(["rank", *common, "--n-candidates", "1", "--hv-samples", "1000"]) == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["candidates"][0]["config"]
+    for change, expected in (({}, EXIT_OK), ({"sede": 3}, EXIT_CONFIG), ({"config_id": "knn-0"}, EXIT_CONFIG)):
+        argv = ["hv-estimate", *common, "--samples", "500", "--detector-config", json.dumps({**config, **change})]
+        assert main(argv) == expected, change
+    assert "config_id 'knn-0' is not this config's id" in capsys.readouterr().err
 
 
 def test_config_file_with_overrides(tmp_path, corpus_dir):

@@ -88,6 +88,22 @@ def test_config_json_roundtrip():
     again = DetectorConfig.from_json(cfg.to_json())
     assert again == cfg
     assert again.config_id == cfg.config_id
+    # a rank candidate's config carries its own id and reads back as the same config
+    assert DetectorConfig.from_json(json.dumps({**json.loads(cfg.to_json()), "config_id": cfg.config_id})) == cfg
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"sede": 3}, "unknown detector config keys \\['sede'\\]"),
+        ({"config_id": "kde-0123456789"}, "config_id 'kde-0123456789' is not this config's id"),
+    ],
+    ids=("misspelt-key", "foreign-id"),
+)
+def test_config_json_rejects_unknown_keys_and_foreign_ids(change, match):
+    cfg = config_for("kde", bandwidth=0.37, contamination=0.05, seed=9)
+    with pytest.raises(ConfigError, match=match):
+        DetectorConfig.from_json(json.dumps({**json.loads(cfg.to_json()), **change}))
 
 
 def test_sample_random_config_deterministic():

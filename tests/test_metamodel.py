@@ -7,7 +7,6 @@ from adselect import metamodel
 from adselect.errors import ModelFormatError
 from adselect.features import MetaDataset
 from adselect.metamodel import (
-    FeatureScaler,
     Imputer,
     drop_empty_landmarks,
     fit_meta_model,
@@ -16,7 +15,7 @@ from adselect.metamodel import (
     save_model,
 )
 
-from oracles import best_split_per_feature, rf_fit_nodewise
+from oracles import best_split, best_split_per_feature, rf_fit_nodewise, tree_predict
 
 
 def make_meta(X, y=None, columns=None, dataset="d"):
@@ -65,7 +64,7 @@ def test_detector_columns_never_dropped():
 
 
 # ---------------------------------------------------------------------------
-# imputer and scaler
+# imputer
 
 
 def test_imputer_mean_fill():
@@ -90,29 +89,12 @@ def test_imputer_leaves_present_values_untouched():
     assert np.array_equal(out[mask], X[mask])
 
 
-def test_scaler_min_max():
-    sc = FeatureScaler.fit(np.asarray([[0.0], [5.0], [10.0]]))
-    assert np.array_equal(sc.transform(np.asarray([[0.0], [5.0], [10.0]]))[:, 0], [0.0, 0.5, 1.0])
-
-
-def test_scaler_unclipped_outside_train_range():
-    sc = FeatureScaler.fit(np.asarray([[0.0], [10.0]]))
-    assert sc.transform(np.asarray([[12.0]]))[0, 0] == pytest.approx(1.2, abs=1e-15)
-
-
-def test_scaler_degenerate_column_maps_to_zero():
-    sc = FeatureScaler.fit(np.asarray([[4.0], [4.0]]))
-    assert sc.transform(np.asarray([[4.0], [9.0]]))[:, 0].tolist() == [0.0, 0.0]
-
-
 def test_preprocessing_is_fit_on_train_only():
     rng = np.random.default_rng(1)
     train = rng.random((30, 4))
     imp = Imputer.fit(train)
-    sc = FeatureScaler.fit(imp.transform(train))
     # shuffling or changing hypothetical test data cannot alter fitted params
     assert np.array_equal(Imputer.fit(train).means, imp.means)
-    assert np.array_equal(FeatureScaler.fit(imp.transform(train)).mins, sc.mins)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +141,7 @@ def test_forest_prediction_is_mean_of_trees():
     y = rng.random(40)
     model = rf_fit(X, y, seed=1, n_trees=10)
     probes = rng.random((15, 3))
-    stacked = np.stack([t.predict(probes) for t in model.trees])
+    stacked = np.stack([tree_predict(t, probes) for t in model.trees])
     assert np.allclose(model.predict(probes), stacked.mean(axis=0), rtol=0, atol=1e-15)
 
 
@@ -237,7 +219,7 @@ SPLIT_CASES = (
 def test_best_split_matches_per_feature_oracle(case):
     for seed in range(40):
         X, y = _split_case(case, seed)
-        got = metamodel._best_split(X, y)
+        got = best_split(X, y)
         assert got == best_split_per_feature(X, y), (case, seed)
         if got is not None:
             assert np.float64(got[1]).tobytes() == np.float64(best_split_per_feature(X, y)[1]).tobytes()
@@ -283,7 +265,7 @@ def test_forest_bitwise_equal_to_nodewise_grower(case):
         X, y = _split_case(case, seed)
         mss = 2 + seed % 2
         fast = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=mss)
-        slow = rf_fit_nodewise(X, y, seed=seed, n_trees=8, min_samples_split=mss, split=metamodel._best_split)
+        slow = rf_fit_nodewise(X, y, seed=seed, n_trees=8, min_samples_split=mss, split=best_split)
         _assert_forests_bitwise_equal(fast, slow)
 
 
@@ -326,7 +308,7 @@ def test_forest_bitwise_equal_on_chain_shaped_tree():
     assert len(tree.feature) == 2 * n - 1
     assert np.array_equal(tree.right[tree.feature >= 0], np.arange(2, 2 * n - 1, 2))
     assert np.all(tree.feature[tree.right[tree.feature >= 0]] == -1)
-    assert np.array_equal(tree.predict(X), y)
+    assert np.array_equal(tree_predict(tree, X), y)
 
 
 def test_forest_grouping_and_jobs_do_not_change_trees(monkeypatch):
@@ -346,7 +328,7 @@ def test_forest_predict_matches_per_point_walk():
     X = rng.random((60, 4))
     model = rf_fit(X, rng.random(60), seed=2, n_trees=15)
     probes = np.vstack([rng.random((30, 4)), X[:10]])
-    stacked = np.stack([t.predict(probes) for t in model.trees])
+    stacked = np.stack([tree_predict(t, probes) for t in model.trees])
     for t, row in zip(model.trees, stacked):
         for x, got in zip(probes, row):
             node = 0
@@ -454,11 +436,15 @@ def test_meta_model_schema_mismatch():
         bundle.predict(bad)
 
 
-def test_fit_meta_model_pipeline_order():
-    # imputation must happen before scaling: train columns map into [0, 1]
-    X = np.asarray([[0.0, np.nan], [5.0, 2.0], [10.0, 4.0]])
-    md = make_meta(X, y=[0.1, 0.2, 0.3])
-    bundle = fit_meta_model(md, seed=0, n_trees=5)
-    transformed = bundle.scaler.transform(bundle.imputer.transform(md.X))
-    assert transformed.min() >= 0.0
-    assert transformed.max() <= 1.0
+def test_fit_meta_model_fills_nans_with_train_means():
+    # the forest reads the imputed features themselves: a row with NaNs
+    # predicts as the same row filled with the train means
+    rng = np.random.default_rng(13)
+    X = rng.random((40, 4))
+    X[rng.random(X.shape) < 0.2] = np.nan
+    bundle = fit_meta_model(make_meta(X, y=rng.random(40)), seed=0, n_trees=10)
+    assert bundle.imputer.means.tolist() == [X[~np.isnan(X[:, j]), j].mean() for j in range(4)]
+    probes = np.vstack([X, rng.random((30, 4))])
+    probes[40:][rng.random((30, 4)) < 0.3] = np.nan
+    filled = np.where(np.isnan(probes), bundle.imputer.means, probes)
+    assert bundle.predict(make_meta(probes)).tobytes() == bundle.forest.predict(filled).tobytes()
