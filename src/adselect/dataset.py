@@ -9,7 +9,6 @@ interquartile range.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -150,8 +149,8 @@ def subsample_outliers(
 
     Keeps every normal row. If the original anomaly fraction is already <= hi
     the dataset is returned unchanged; otherwise a uniform subset of anomalies
-    of maximal size a with a / (n_normal + a) <= hi is retained. Emits a
-    warning if the achieved fraction falls below `lo`.
+    of maximal size a with a / (n_normal + a) <= hi is retained. Logs
+    ``anomaly_fraction_below_lo`` if the achieved fraction falls below `lo`.
     """
     if not (0 < lo <= hi < 1):
         raise ValueError(f"invalid outlier band ({lo}, {hi})")
@@ -170,10 +169,7 @@ def subsample_outliers(
     kept = np.flatnonzero(mask)  # preserves original row order
     result = data.take(kept)
     if keep / (n_norm + keep) < lo:
-        warnings.warn(
-            f"{data.name}: achieved anomaly fraction {keep / (n_norm + keep):.4f} below lo={lo}",
-            stacklevel=2,
-        )
+        log_event("anomaly_fraction_below_lo", dataset=data.name, fraction=keep / (n_norm + keep), lo=lo)
     return result
 
 

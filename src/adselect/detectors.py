@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
@@ -21,7 +20,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import ConfigError, FitError
-from .util import rng_from
+from .util import log_event, rng_from
 
 PORTFOLIO_VERSION = "native-8/1"
 
@@ -1147,10 +1146,7 @@ def fit(config: DetectorConfig, train: LabeledDataset) -> TrainedDetector:
     of training scores; for knn/lof those are leave-self-out scores.
     """
     if train.n_anomalies > 0:
-        warnings.warn(
-            f"{train.name}: training data contains {train.n_anomalies} labeled anomalies",
-            stacklevel=2,
-        )
+        log_event("labeled_anomalies_in_training", dataset=train.name, count=train.n_anomalies)
     rows = TrainingRows.of(train)
     model = _FITTERS[config.algorithm](rows, config.params, config.seed)
     train_scores = np.asarray(model.train_scores(rows.X), dtype=np.float64)

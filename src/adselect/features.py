@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -21,9 +21,12 @@ from . import detectors
 from .dataset import LabeledDataset
 from .detectors import ALGORITHMS, DetectorConfig, TrainedDetector
 from .errors import DataError, FitError
-from .hypervolume import BallSample, estimate_hypervolume, fit_enclosing_ball
+from .hypervolume import DIMENSION_WARN, BallSample, estimate_hypervolume, fit_enclosing_ball
 from .ranking import confusion_counts, mcc, scaled_mcc
-from .util import csv_text, log_event, pmap, read_csv, rng_from, seed_from, write_text
+from .util import csv_text, log_event, pmap, read_csv, rng_from, seed_from
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import RunConfig
 
 
 @dataclass(frozen=True)
@@ -109,19 +112,19 @@ class MetaDataset:
             config_ids=[c for p in parts for c in p.config_ids],
         )
 
-    def to_csv(self, path: str) -> None:
+    def csv_text(self) -> str:
         rows = [[d, c, *x, y] for d, c, x, y in zip(self.dataset_ids, self.config_ids, self.X, self.y)]
-        write_text(path, csv_text([["dataset_id", "config_id", *self.columns, "target_scaled_mcc"], *rows]))
+        return csv_text([["dataset_id", "config_id", *self.columns, "target_scaled_mcc"], *rows])
 
     @classmethod
-    def from_csv(cls, path: str) -> "MetaDataset":
-        """Read a meta CSV as ``to_csv`` writes it.
+    def from_csv(cls, path: str, text: str | None = None) -> "MetaDataset":
+        """Read a meta CSV, or ``text`` already read from it, as ``csv_text`` writes it.
 
         The header must be ``dataset_id, config_id, *meta_columns(),
         target_scaled_mcc``; every feature cell must be empty (absent) or in
         [0, 1], and every target in [0, 1]. Any other file raises DataError.
         """
-        header, rows = read_csv(path, "meta-dataset")
+        header, rows = read_csv(path, "meta-dataset", text)
         columns = meta_columns()
         if header != ["dataset_id", "config_id", *columns, "target_scaled_mcc"]:
             raise DataError(f"{path}: not a meta-dataset CSV; its header must be dataset_id, config_id, "
@@ -150,28 +153,29 @@ class MetaDataset:
 
 
 class DatasetSamples:
-    """The common random numbers of one dataset under one master seed.
+    """The common random numbers of one dataset under one run's settings.
 
-    Every featurization on the dataset (its landmarks, its random detectors,
-    its rank candidates) scores the same hypervolume points, ``ball``, a
-    ``BallSample`` of ``hv_samples`` points inside the minimal enclosing ball
-    of ``train``'s rows under the seed ``(seed, dataset_id, "hv")``, and
-    refits on the same MC-CV splits, repetition r drawn under ``(seed,
-    dataset_id, "mccv", r)``. Shared samples lower the variance of every
-    difference between two detectors' features, and let per-point work run
-    once per dataset. The ball is settled here, the splits on first read, and
-    ``BallSample`` is thread-safe, so one object serves every worker. Besides
-    the ball sample (see ``BallSample``) it holds each split's held-out and
-    fit rows once read, repetitions x n x d x 8 bytes.
+    ``cfg`` is the run's ``RunConfig``; every featurization reads its
+    settings from it. Every featurization on the dataset (its landmarks, its
+    random detectors, its rank candidates) scores the same hypervolume
+    points, ``ball``, a ``BallSample`` inside the minimal enclosing ball of
+    ``train``'s rows under the seed ``(cfg.seed, dataset_id, "hv")``, of
+    which it scores ``cfg.hv_samples``, and refits on the same MC-CV splits,
+    repetition r drawn under ``(cfg.seed, dataset_id, "mccv", r)``. Shared
+    samples lower the variance of every difference between two detectors'
+    features, and let per-point work run once per dataset. The ball is
+    settled here, the splits on first read, and ``BallSample`` is
+    thread-safe, so one object serves every worker. Besides the ball sample
+    (see ``BallSample``) it holds each split's held-out and fit rows once
+    read, repetitions x n x d x 8 bytes. Above d = ``DIMENSION_WARN`` it
+    logs ``hypervolume_high_dimension`` once.
     """
 
-    def __init__(
-        self, train: LabeledDataset, dataset_id: str, seed: int,
-        hv_samples: int, mc_cv_test_fraction: float, mc_cv_repetitions: int,
-    ):
-        self.train, self.dataset_id, self.seed, self.hv_samples = train, dataset_id, seed, hv_samples
-        self.ball = BallSample(fit_enclosing_ball(train.features), seed_from(seed, dataset_id, "hv"))
-        self.mc_cv_test_fraction, self.mc_cv_repetitions = mc_cv_test_fraction, mc_cv_repetitions
+    def __init__(self, train: LabeledDataset, dataset_id: str, cfg: RunConfig):
+        self.train, self.dataset_id, self.cfg = train, dataset_id, cfg
+        self.ball = BallSample(fit_enclosing_ball(train.features), seed_from(cfg.seed, dataset_id, "hv"))
+        if train.dim > DIMENSION_WARN:  # the ball's volume dwarfs the data's, so HV fractions tend to 0
+            log_event("hypervolume_high_dimension", dataset=dataset_id, dim=train.dim, above=DIMENSION_WARN)
         self._splits: tuple[tuple[np.ndarray, LabeledDataset], ...] | None = None
         self._splits_lock = threading.Lock()
 
@@ -181,11 +185,11 @@ class DatasetSamples:
         built once, on the first read of any worker."""
         with self._splits_lock:
             if self._splits is None:
-                train, n = self.train, self.train.n
-                held = int(np.floor(n * self.mc_cv_test_fraction))
+                train, n, cfg = self.train, self.train.n, self.cfg
+                held = int(np.floor(n * cfg.mc_cv_test_fraction))
                 perms = [
-                    rng_from(self.seed, self.dataset_id, "mccv", rep).permutation(n)
-                    for rep in range(self.mc_cv_repetitions if 1 <= held < n else 0)
+                    rng_from(cfg.seed, self.dataset_id, "mccv", rep).permutation(n)
+                    for rep in range(cfg.mc_cv_repetitions if 1 <= held < n else 0)
                 ]
                 self._splits = tuple(
                     (train.features[perm[:held]], train.take(perm[held:], name=f"{train.name}/mccv{rep}"))
@@ -203,7 +207,7 @@ def mc_cv_fpr_rates(config: DetectorConfig, samples: DatasetSamples) -> list[flo
     if not samples.splits:
         raise FitError(
             f"MC-CV needs at least one row on each side, n={samples.train.n}, "
-            f"test_fraction={samples.mc_cv_test_fraction}"
+            f"test_fraction={samples.cfg.mc_cv_test_fraction}"
         )
     return [int(detectors.fit(config, fit_set).predict_many(held).sum()) / len(held) for held, fit_set in samples.splits]
 
@@ -215,7 +219,7 @@ def mc_cv_fpr(config: DetectorConfig, samples: DatasetSamples) -> float:
 
 def _detector_features(config: DetectorConfig, samples: DatasetSamples) -> tuple[TrainedDetector, DetectorFeatures]:
     det = detectors.fit(config, samples.train)
-    hv = estimate_hypervolume(det, samples.ball, samples.hv_samples)
+    hv = estimate_hypervolume(det, samples.ball, samples.cfg.hv_samples)
     fpr = mc_cv_fpr(config, samples)
     return det, DetectorFeatures(hypervolume=hv.fraction, fpr=fpr, config_id=config.config_id)
 
@@ -234,19 +238,22 @@ def random_draw(seed: int, dataset_id: str, index: int, config_key: str) -> Call
 
 
 def featurize(
-    kind: str, draw: Callable[[int], DetectorConfig], samples: DatasetSamples,
-    retries: int, budget_s: float, **where,
+    kind: str, draw: Callable[[int], DetectorConfig], samples: DatasetSamples, **where,
 ) -> tuple[DetectorConfig, TrainedDetector, DetectorFeatures] | None:
-    """Features of the first drawn config that fits and finishes within budget_s.
+    """Features of the first drawn config that fits and finishes within the kind's budget.
 
     Attempt a featurizes ``draw(a)`` on the dataset's shared ``samples``. A
-    FitError, or a wall time over budget_s (checked once the attempt has
-    finished), logs the kind's failure or timeout event and moves on. After
-    retries + 1 failed attempts the kind's skip event is logged and None
-    returned. Every event names the dataset, and the `where` fields
+    landmark gets one attempt under ``landmark_budget_s``, a detector or a
+    candidate ``retries + 1`` under ``detector_budget_s``, all read from
+    ``samples.cfg``. A FitError, or a wall time over the budget (checked once
+    the attempt has finished), logs the kind's failure or timeout event and
+    moves on. Once the attempts run out the kind's skip event is logged and
+    None returned. Every event names the dataset, and the `where` fields
     (algorithm or index) too.
     """
     failed, timeout, skipped = _EVENTS[kind]
+    cfg = samples.cfg
+    retries, budget_s = (0, cfg.landmark_budget_s) if kind == "landmark" else (cfg.retries, cfg.detector_budget_s)
     where = {"dataset": samples.dataset_id, **where}
     for attempt in range(retries + 1):
         config = draw(attempt)
@@ -265,35 +272,32 @@ def featurize(
     return None
 
 
-def build_landmarks(samples: DatasetSamples, budget_s: float, jobs: int = 1) -> LandmarkVector:
-    """Hypervolume and FPR of every default-configured portfolio detector.
+def build_landmarks(samples: DatasetSamples) -> LandmarkVector:
+    """Hypervolume and FPR of every default-configured portfolio detector,
+    on ``samples.cfg.jobs`` workers.
 
     A detector that fails to fit or overruns its budget contributes an
     absent (None) entry; the others are unaffected.
     """
 
     def one(config: DetectorConfig) -> tuple[str, DetectorFeatures | None]:
-        got = featurize(
-            "landmark", lambda attempt: config, samples, retries=0, budget_s=budget_s, algorithm=config.algorithm
-        )
+        got = featurize("landmark", lambda attempt: config, samples, algorithm=config.algorithm)
         return config.algorithm, None if got is None else got[2]
 
-    results = pmap(one, detectors.default_configs(), jobs)
+    results = pmap(one, detectors.default_configs(), samples.cfg.jobs)
     return LandmarkVector(dataset_id=samples.dataset_id, entries=dict(results))
 
 
-def build_detector_instance(
-    samples: DatasetSamples, test: LabeledDataset, index: int, retries: int, budget_s: float
-) -> MetaInstance | None:
+def build_detector_instance(samples: DatasetSamples, test: LabeledDataset, index: int) -> MetaInstance | None:
     """One meta-instance from one randomly configured detector, its target
     measured on the labeled ``test`` partition.
 
-    On fit failure or an overrun of budget_s a freshly configured detector
-    replaces the old one, up to `retries` times; exhaustion skips the
-    instance with a logged reason.
+    On fit failure or an overrun of ``detector_budget_s`` a freshly
+    configured detector replaces the old one, up to ``retries`` times;
+    exhaustion skips the instance with a logged reason.
     """
-    draw = random_draw(samples.seed, samples.dataset_id, index, "detector")
-    got = featurize("detector", draw, samples, retries, budget_s, index=index)
+    draw = random_draw(samples.cfg.seed, samples.dataset_id, index, "detector")
+    got = featurize("detector", draw, samples, index=index)
     if got is None:
         return None
     _, det, feats = got

@@ -11,7 +11,6 @@ so every detector estimated on it scores the same points.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +20,7 @@ from .detectors import TrainedDetector, TrainingRows, canonical_rows
 from .util import chunk_ranges, pmap, rng_from
 
 SAMPLE_CHUNK = 65536  # fixed: part of the determinism contract
-DIMENSION_WARN = 12
+DIMENSION_WARN = 12  # above it an HV estimate is likely vacuous; DatasetSamples logs it
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,6 @@ def estimate_hypervolume(detector: TrainedDetector, sample: BallSample, n: int, 
         raise ValueError("n must be >= 1")
     if detector.dim != ball.dim:
         raise ValueError(f"detector dimension {detector.dim} != ball dimension {ball.dim}")
-    if ball.dim > DIMENSION_WARN:
-        warnings.warn(
-            f"hypervolume estimation in d={ball.dim} is likely vacuous "
-            f"(ball-to-data volume ratio explodes)",
-            stacklevel=2,
-        )
 
     def count_normal(task: tuple[int, int]) -> int:
         ci, size = task

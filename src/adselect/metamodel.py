@@ -19,7 +19,7 @@ import numpy as np
 from .detectors import PORTFOLIO_VERSION
 from .errors import ModelFormatError
 from .features import MetaDataset
-from .util import log_event, pmap, read_json, rng_from, write_text
+from .util import log_event, pmap, read_json, read_text, rng_from, sha256_text, write_text
 
 MODEL_FORMAT = "adselect-meta-model"
 MODEL_VERSION = 2
@@ -362,6 +362,7 @@ class MetaModel:
     columns: list[str]
     imputer: Imputer
     forest: ForestModel
+    sha256: str | None = None  # of the bundle text it was loaded from; None for a model fitted here
 
     def predict(self, md: MetaDataset) -> np.ndarray:
         if md.columns != self.columns:
@@ -407,9 +408,11 @@ def save_model(model: MetaModel, path: str) -> None:
 
 
 def load_model(path: str) -> MetaModel:
-    """The bundle at ``path``; one of another format version or detector
-    portfolio is refused, since its forest was fitted on other features."""
-    payload = read_json(path, ModelFormatError, "model")
+    """The bundle at ``path``, read once, with the sha256 of its text; one of
+    another format version or detector portfolio is refused, since its
+    forest was fitted on other features."""
+    text = read_text(path, ModelFormatError, "model")
+    payload = read_json(path, ModelFormatError, "model", text)
     try:
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
             raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -445,6 +448,7 @@ def load_model(path: str) -> MetaModel:
             columns=list(payload["columns"]),
             imputer=Imputer(means=np.asarray(payload["imputer_means"], dtype=np.float64)),
             forest=forest,
+            sha256=sha256_text(text),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

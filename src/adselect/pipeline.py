@@ -18,7 +18,7 @@ import numpy as np
 from . import dataset as ds
 from . import ranking
 from .detectors import PORTFOLIO_VERSION, DetectorConfig
-from .errors import ConfigError, DataError, FitError, ModelFormatError
+from .errors import ConfigError, DataError, FitError
 from .features import (
     DatasetSamples,
     DetectorFeatures,
@@ -32,7 +32,9 @@ from .features import (
     random_draw,
 )
 from .metamodel import MetaModel, load_model
-from .util import csv_text, dump_json, log_event, pmap, read_json, read_text, rng_from, write_text
+from .util import (
+    csv_text, dump_json, json_text, log_event, pmap, read_json, read_text, rng_from, sha256_text, write_text,
+)
 
 
 def _has_type(value, kind) -> bool:
@@ -104,21 +106,16 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def fingerprint(self) -> str:
-        relevant = (
-            self.label_column, self.seed, self.split_fractions, self.outlier_lo, self.outlier_hi,
-            self.hv_samples, self.mc_cv_test_fraction, self.mc_cv_repetitions,
-            self.n_random_detectors, self.retries, self.landmark_budget_s, self.detector_budget_s,
-            PORTFOLIO_VERSION,
-        )
-        return hashlib.sha256(repr(relevant).encode()).hexdigest()[:16]
+    def protocol(self) -> dict:
+        """The feature protocol, JSON-native: every setting that decides a
+        run's features and targets, and the detector portfolio. Both manifests
+        record it, and a resume compares it whole."""
+        kept = {k: v for k, v in asdict(self).items() if k not in RUN_ONLY}
+        return {**kept, "split_fractions": list(self.split_fractions), "portfolio_version": PORTFOLIO_VERSION}
 
 
-def _budgets(cfg: RunConfig) -> dict:
-    """The featurization budgets, as both manifests record them."""
-    return {
-        "landmark_timeout_s": cfg.landmark_budget_s, "detector_timeout_s": cfg.detector_budget_s, "retries": cfg.retries,
-    }
+# the settings that change no feature or target: where and how fast a run goes, and evaluation's threshold
+RUN_ONLY = frozenset({"datasets", "out_dir", "jobs", "cherry_threshold"})
 
 
 def _data_fingerprint(data: ds.LabeledDataset) -> str:
@@ -128,6 +125,22 @@ def _data_fingerprint(data: ds.LabeledDataset) -> str:
     return h.hexdigest()[:16]
 
 
+# the files a dataset's manifest vouches for
+_ARTIFACTS = ("split_manifest.json", "landmarks.csv", "detectors.csv", "meta.csv")
+
+
+def _vouched_texts(out: str, files: object) -> dict[str, str]:
+    """The text of each of a dataset's _ARTIFACTS, each read once; DataError
+    unless each hashes to the sha256 the manifest's ``files`` records."""
+    texts = {}
+    for name in _ARTIFACTS:
+        path = os.path.join(out, name)
+        texts[name] = read_text(path, DataError, "resumed artifact")
+        if not isinstance(files, dict) or files.get(name) != sha256_text(texts[name]):
+            raise DataError(f"{path}: its sha256 is not the one the manifest records")
+    return texts
+
+
 def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> ds.SemiSupervisedSplit:
     """Sub-sample outliers, stratified split, strip train anomalies, scale."""
     sub = ds.subsample_outliers(data, cfg.outlier_lo, cfg.outlier_hi, rng=rng_from(cfg.seed, data.name, "subsample"))
@@ -135,21 +148,16 @@ def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> ds.SemiSupervis
     return ds.scale_split(ds.strip_anomalies(split))
 
 
-def _samples(train: ds.LabeledDataset, dataset_id: str, cfg: RunConfig) -> DatasetSamples:
-    """The dataset's shared HV points and MC-CV splits under the run's settings."""
-    return DatasetSamples(train, dataset_id, cfg.seed, cfg.hv_samples, cfg.mc_cv_test_fraction, cfg.mc_cv_repetitions)
-
-
 def normal_only_samples(data: ds.LabeledDataset, cfg: RunConfig) -> DatasetSamples:
     """The samples of `data` taken as normal-only, as rank and hv-estimate see it.
 
     Every row is kept and scaled robustly on all rows; labeled anomalies are
-    ignored with a warning.
+    ignored with a logged event.
     """
     if data.n_anomalies > 0:
         log_event("labeled_anomalies_ignored", dataset=data.name, count=data.n_anomalies)
     normal_only = ds.LabeledDataset(data.features, np.zeros(data.n, dtype=np.int8), data.name, data.feature_names)
-    return _samples(ds.apply_scaler(ds.fit_robust_scaler(normal_only), normal_only), data.name, cfg)
+    return DatasetSamples(ds.apply_scaler(ds.fit_robust_scaler(normal_only), normal_only), data.name, cfg)
 
 
 def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
@@ -157,21 +165,23 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
 
     Output files under <out_dir>/<dataset>/: split_manifest.json,
     landmarks.csv, detectors.csv, meta.csv, manifest.json. A rerun whose
-    manifest fingerprints match simply reloads meta.csv; a manifest or
-    meta.csv that cannot be read is logged as ``manifest_unreadable`` and
-    counts as a miss. On a miss the old manifest is removed before any file
-    is rewritten, and the new one is written last, so a manifest only ever
-    vouches for files of its own run.
+    manifest records the same input digest and ``cfg.protocol()``, and whose
+    files still have the sha256 it records, simply reloads meta.csv; any
+    other manifest is a miss. A manifest that cannot be read, or a file that
+    is missing, has another sha256 or (meta.csv) does not read, is logged as
+    ``manifest_unreadable`` and counts as a miss. On a miss the old manifest
+    is removed before any file is rewritten, and the new one is written
+    last, so a manifest only ever vouches for files of its own run.
     """
     out = os.path.join(cfg.out_dir, data.name)
     manifest_path = os.path.join(out, "manifest.json")
-    meta_path = os.path.join(out, "meta.csv")
-    fingerprint = {"input": _data_fingerprint(data), "config": cfg.fingerprint()}
-    if os.path.exists(manifest_path) and os.path.exists(meta_path):
+    digest, protocol = _data_fingerprint(data), cfg.protocol()
+    if os.path.exists(manifest_path):
         try:
             previous = read_json(manifest_path, DataError, "manifest")
-            if isinstance(previous, dict) and previous.get("fingerprint") == fingerprint:
-                meta = MetaDataset.from_csv(meta_path)
+            if isinstance(previous, dict) and previous.get("input") == digest and previous.get("protocol") == protocol:
+                texts = _vouched_texts(out, previous.get("files"))
+                meta = MetaDataset.from_csv(os.path.join(out, "meta.csv"), texts["meta.csv"])
                 log_event("assimilate_skipped", dataset=data.name, reason="manifest hit")
                 return meta
         except DataError as exc:
@@ -180,36 +190,27 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
         os.remove(manifest_path)
 
     split = assimilate_split(data, cfg)
-    samples = _samples(split.train, data.name, cfg)
-    landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
-
-    def one(i: int):
-        return build_detector_instance(samples, split.test, i, cfg.retries, cfg.detector_budget_s)
-
-    instances = [r for r in pmap(one, list(range(cfg.n_random_detectors)), cfg.jobs) if r is not None]
+    samples = DatasetSamples(split.train, data.name, cfg)
+    landmarks = build_landmarks(samples)
+    indices = list(range(cfg.n_random_detectors))
+    instances = pmap(lambda i: build_detector_instance(samples, split.test, i), indices, cfg.jobs)
+    instances = [r for r in instances if r is not None]
     if not instances:
         raise DataError(f"{data.name}: every detector instance was skipped")
     meta = assemble_meta_dataset(landmarks, instances)
 
-    dump_json(ds.split_manifest(split, data.name, cfg.seed), os.path.join(out, "split_manifest.json"))
-    write_text(os.path.join(out, "landmarks.csv"), csv_text([meta_columns()[:-2], landmarks.as_row()]))
     header = ["config_id", "detector_hv", "detector_fpr", "target_scaled_mcc"]
     rows = [[i.detector.config_id, i.detector.hypervolume, i.detector.fpr, i.target_scaled_mcc] for i in instances]
-    write_text(os.path.join(out, "detectors.csv"), csv_text([header, *rows]))
-    meta.to_csv(meta_path)
-    dump_json(
-        {
-            "dataset": data.name,
-            "fingerprint": fingerprint,
-            "seed": cfg.seed,
-            "portfolio_version": PORTFOLIO_VERSION,
-            "budgets": _budgets(cfg),
-            "hv_samples": cfg.hv_samples,
-            "n_random_detectors": cfg.n_random_detectors,
-            "files": ["split_manifest.json", "landmarks.csv", "detectors.csv", "meta.csv"],
-        },
-        manifest_path,
-    )
+    texts = dict(zip(_ARTIFACTS, (
+        json_text(ds.split_manifest(split, data.name, cfg.seed)),
+        csv_text([meta_columns()[:-2], landmarks.as_row()]),
+        csv_text([header, *rows]),
+        meta.csv_text(),
+    )))
+    for name, text in texts.items():
+        write_text(os.path.join(out, name), text)
+    files = {name: sha256_text(text) for name, text in texts.items()}
+    dump_json({"dataset": data.name, "input": digest, "protocol": protocol, "files": files}, manifest_path)
     return meta
 
 
@@ -227,16 +228,7 @@ def assimilate_all(datasets: list[ds.LabeledDataset], cfg: RunConfig) -> list[Me
     if failures:
         log_event("assimilate_partial", failed=failures)
     dump_json(
-        {
-            "datasets": sorted(m.dataset_ids[0] for m in metas),
-            "failed": sorted(failures),
-            "portfolio_version": PORTFOLIO_VERSION,
-            "seed": cfg.seed,
-            "hv_samples": cfg.hv_samples,
-            "n_random_detectors": cfg.n_random_detectors,
-            "mc_cv": {"test_fraction": cfg.mc_cv_test_fraction, "repetitions": cfg.mc_cv_repetitions},
-            "budgets": _budgets(cfg),
-        },
+        {"datasets": sorted(m.dataset_ids[0] for m in metas), "failed": sorted(failures), "protocol": cfg.protocol()},
         os.path.join(cfg.out_dir, "assimilation_manifest.json"),
     )
     return metas
@@ -335,14 +327,13 @@ def rank_candidates(
         if not model_path:
             raise ConfigError("method=meta requires --model")
         model = load_model(model_path)
-        # the text decoded as UTF-8 with line ends kept, so it encodes back to the file's bytes
-        provenance = hashlib.sha256(read_text(model_path, ModelFormatError, "model").encode("utf-8")).hexdigest()
+        provenance = model.sha256
 
     samples = normal_only_samples(data, cfg)
 
     def candidate(index: int) -> tuple[DetectorConfig, DetectorFeatures] | None:
         draw = random_draw(cfg.seed, data.name, index, "candidate")
-        got = featurize("candidate", draw, samples, cfg.retries, cfg.detector_budget_s, index=index)
+        got = featurize("candidate", draw, samples, index=index)
         # keep the features only: the fitted models of all candidates are never held at once
         return None if got is None else (got[0], got[2])
 
@@ -354,7 +345,7 @@ def rank_candidates(
     if method == "linear":
         scored = [(config, ranking.lc_score(f.hypervolume, f.fpr)) for config, f in feats]
     else:
-        landmarks = build_landmarks(samples, cfg.landmark_budget_s, jobs=cfg.jobs)
+        landmarks = build_landmarks(samples)
         absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
         # a candidate's target is unknown; 0 stands in, and predict reads X only
         predictions = model.predict(assemble_meta_dataset(landmarks, [MetaInstance(f, 0.0) for _, f in feats]))

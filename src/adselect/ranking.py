@@ -8,13 +8,12 @@ tau-b, NDCG, plus the Matthews correlation coefficient utilities.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .util import rng_from, seed_from
+from .util import log_event, rng_from, seed_from
 
 METHODS = ("R", "FPR", "HV", "L", "M", "Mc")
 METRICS = ("regret1", "regret5", "ndcg", "tau_b")
@@ -111,7 +110,7 @@ def kendall_tau_b(predicted: Sequence[float], true: Sequence[float]) -> float:
 
     tau_b = (n_c - n_d) / sqrt((n0 - n1) (n0 - n2)) with n0 = n(n-1)/2 and
     n1/n2 the tied-pair counts of each list (pairs tied in both lists count
-    in both). Returns 0 with a warning when one list is entirely tied.
+    in both). Returns 0 when one list is entirely tied, where tau_b is undefined.
     """
     x = np.asarray(predicted, dtype=np.float64)
     y = np.asarray(true, dtype=np.float64)
@@ -131,7 +130,6 @@ def kendall_tau_b(predicted: Sequence[float], true: Sequence[float]) -> float:
     n2 = int(np.sum(dy[iu] == 0))
     denom = (n0 - n1) * (n0 - n2)
     if denom <= 0:
-        warnings.warn("tau_b undefined (one list entirely tied); returning 0", stacklevel=2)
         return 0.0
     return (n_c - n_d) / np.sqrt(denom)
 
@@ -223,7 +221,11 @@ def evaluate_methods(
     rng: np.random.Generator,
     cherry_threshold: float = 0.6,
 ) -> RankingReport:
-    """Score the R/FPR/HV/L/M(/Mc) rankings of one candidate set."""
+    """Score the R/FPR/HV/L/M(/Mc) rankings of one candidate set.
+
+    Logs ``tau_b_undefined`` once, naming the dataset and each method whose
+    tau_b is 0 because its scores or the true scores are entirely tied.
+    """
     true_vals = list(true_scaled_mcc.values())
     eligible = bool(np.mean(true_vals) >= cherry_threshold)
     rankings = {
@@ -245,6 +247,10 @@ def evaluate_methods(
         metrics["Mc"] = dict(m_metrics) if eligible else {m: None for m in METRICS}
         if eligible:
             rankings["Mc"] = Ranking(entries=rankings["M"].entries, method="Mc")
+    true_tied = len(set(true_vals)) == 1  # R's random rankings are never tied
+    tied = [m for m, r in rankings.items() if true_tied or len({s for _, s in r.entries}) == 1]
+    if tied:
+        log_event("tau_b_undefined", dataset=dataset_id, methods=["R"] * true_tied + tied)
     return RankingReport(
         dataset_id=dataset_id,
         mcc_max=float(np.max(true_vals)),

@@ -91,9 +91,18 @@ def csv_text(rows: Iterable[Sequence[Any]]) -> str:
     return buf.getvalue()
 
 
+def json_text(obj: Any) -> str:
+    """JSON with sorted keys and stable float formatting (byte-reproducible)."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def dump_json(obj: Any, path: str) -> None:
-    """Write JSON with sorted keys and stable float formatting (byte-reproducible)."""
-    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_text(path, json_text(obj))
+
+
+def sha256_text(text: str) -> str:
+    """The sha256 hex digest of text's UTF-8 bytes, the bytes write_text writes and read_text reads back."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read_text(path: str, error: type[Exception], what: str) -> str:
@@ -110,24 +119,29 @@ def read_text(path: str, error: type[Exception], what: str) -> str:
         raise error(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
-def read_json(path: str, error: type[Exception], what: str) -> Any:
-    """The JSON value of an input file; an unreadable file or invalid JSON raises ``error``."""
-    text = read_text(path, error, what)
+def read_json(path: str, error: type[Exception], what: str, text: str | None = None) -> Any:
+    """The JSON value of an input file, or of ``text`` already read from it;
+    an unreadable file or invalid JSON raises ``error``."""
+    if text is None:
+        text = read_text(path, error, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: corrupt {what} file ({exc})") from exc
 
 
-def read_csv(path: str, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header of a CSV input and the (row number, cells) of each non-empty row.
+def read_csv(path: str, what: str, text: str | None = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of a CSV input, or of ``text`` already read from it, and the
+    (row number, cells) of each non-empty row.
 
     Raises DataError for an unreadable file, text the csv module rejects, a
     missing header, no data row or a row whose width differs from the
     header's. Row numbers count records from 1, the header's.
     """
     try:
-        records = list(csv.reader(io.StringIO(read_text(path, DataError, what), newline="")))
+        if text is None:
+            text = read_text(path, DataError, what)
+        records = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV ({exc})") from exc
     if not records or not records[0]:

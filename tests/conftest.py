@@ -1,3 +1,6 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,13 @@ def gaussian_normals():
         labels=np.zeros(200, dtype=np.int8),
         name="gaussian_normals",
     )
+
+
+@pytest.fixture
+def logged_events(caplog):
+    """() -> the events util.log_event has logged so far in the test, as dicts."""
+    caplog.set_level(logging.INFO, logger="adselect")
+    return lambda: [json.loads(r.getMessage()) for r in caplog.records if r.name == "adselect"]
 
 
 def make_dataset(n_normal: int, n_anomaly: int, seed: int = 0, dim: int = 2, name: str = "toy"):

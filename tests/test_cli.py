@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -114,13 +115,51 @@ def test_assimilate_stopped_before_its_manifest_is_redone(tmp_path, corpus_dir, 
     assert not any(e["event"] == "assimilate_skipped" for e in log_events(log))
 
 
+# one valid value other than fast_flags' per RunConfig field of the protocol
+PROTOCOL_CHANGES = {
+    "label_column": "y", "seed": 12, "split_fractions": (0.6, 0.3, 0.1), "outlier_lo": 0.04, "outlier_hi": 0.2,
+    "hv_samples": 2001, "mc_cv_test_fraction": 0.25, "mc_cv_repetitions": 4, "n_random_detectors": 4,
+    "retries": 5, "landmark_budget_s": 1.5, "detector_budget_s": 1.5,
+}
+
+
+def test_protocol_names_every_setting_but_the_run_only_ones():
+    """Each RunConfig field either decides features, so a manifest records
+    it and a resume compares it, or is one of the named run-only ones."""
+    protocol = pipeline.RunConfig().protocol()
+    assert pipeline.RUN_ONLY == {"datasets", "out_dir", "jobs", "cherry_threshold"}
+    assert set(pipeline.RunConfig.__dataclass_fields__) == set(PROTOCOL_CHANGES) | pipeline.RUN_ONLY
+    assert set(protocol) == {*PROTOCOL_CHANGES, "portfolio_version"}
+    assert json.loads(json.dumps(protocol)) == protocol
+
+
 def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monkeypatch):
+    """A manifest vouches for its files under the protocol it records only:
+    another portfolio version, or any other protocol setting, recomputes."""
     args = ["assimilate", "--datasets", str(corpus_dir / "twin_blobs.csv")] + fast_flags(tmp_path)
     assert main(args) == EXIT_OK
-    cfg = pipeline.RunConfig(seed=11)
-    current = cfg.fingerprint()
+    manifest = tmp_path / "run" / "twin_blobs" / "manifest.json"
+    recorded = read(manifest)
+    data = dataset.load_csv(str(corpus_dir / "twin_blobs.csv"))
+    base = pipeline.RunConfig(seed=11, hv_samples=2000, n_random_detectors=3, mc_cv_repetitions=3,
+                              out_dir=str(tmp_path / "run"))
+    assert json.loads(recorded)["protocol"] == base.protocol()
+
+    class Recomputed(Exception):
+        pass
+
+    def recompute(*args):
+        raise Recomputed
+
+    monkeypatch.setattr(pipeline, "assimilate_split", recompute)
+    assert pipeline.assimilate_dataset(data, dataclasses.replace(base, jobs=2, cherry_threshold=0.9)).n == 3
+    for name, value in PROTOCOL_CHANGES.items():
+        manifest.write_bytes(recorded)  # a miss removes the manifest
+        with pytest.raises(Recomputed):
+            pipeline.assimilate_dataset(data, dataclasses.replace(base, **{name: value}))
+    monkeypatch.undo()
+    manifest.write_bytes(recorded)
     monkeypatch.setattr(pipeline, "PORTFOLIO_VERSION", "native-7/1")
-    assert cfg.fingerprint() != current
     log = tmp_path / "events.log"
     assert main(args + ["--log-file", str(log)]) == EXIT_OK
     events = log_events(log)
@@ -128,9 +167,6 @@ def test_portfolio_version_change_invalidates_resume(tmp_path, corpus_dir, monke
 
 
 def test_retries_and_budgets_change_invalidates_resume(tmp_path, corpus_dir, monkeypatch):
-    base = pipeline.RunConfig(seed=11)
-    for change in ({"retries": 5}, {"landmark_budget_s": 1.5}, {"detector_budget_s": 1.5}):
-        assert dataclasses.replace(base, **change).fingerprint() != base.fingerprint(), change
     real = features._detector_features
     default_ids = {c.config_id for c in detectors.default_configs()}
     injected = []
@@ -225,26 +261,41 @@ def test_unreadable_input_file_exit_code(tmp_path, corpus_dir, capsys, case):
     assert err.count("\n") == 1 and "bad.input" in err
 
 
-@pytest.mark.parametrize("damage", ("manifest-not-json", "manifest-not-object", "meta-cut-mid-row"))
+DAMAGES = (
+    "manifest-not-json", "manifest-not-object", "manifest-old-format", "meta-cut-mid-row", "meta-cut-at-row",
+    "detectors-csv-edited",
+)
+# the manifest written before the protocol was recorded whole
+OLD_MANIFEST = {"dataset": "halo", "fingerprint": {"input": "0" * 16, "config": "0" * 16}, "files": ["meta.csv"]}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
 def test_damaged_resume_state_is_recomputed(tmp_path, corpus_dir, damage):
-    """A manifest that is not a JSON object, or a meta.csv that no longer
-    reads under a matching manifest, counts as a manifest miss: the rerun
-    recomputes the dataset and writes what a fresh run writes."""
+    """A manifest that is not a JSON object or has the old format, or a file
+    that no longer has the sha256 a matching manifest records, counts as a
+    manifest miss: the rerun recomputes the dataset and writes what a fresh
+    run writes."""
     args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv")] + fast_flags(tmp_path)
     assert main(args) == EXIT_OK
-    meta = tmp_path / "run" / "halo" / "meta.csv"
-    manifest = meta.with_name("manifest.json")
-    fresh, fresh_manifest = read(meta), read(manifest)
+    out = tmp_path / "run" / "halo"
+    meta, manifest, detectors_csv = out / "meta.csv", out / "manifest.json", out / "detectors.csv"
+    fresh = {f: read(f) for f in out.iterdir()}
     if damage == "meta-cut-mid-row":
-        meta.write_bytes(fresh[: fresh.rindex(b",")])
+        meta.write_bytes(fresh[meta][: fresh[meta].rindex(b",")])
+    elif damage == "meta-cut-at-row":  # the rows left still read as a meta CSV
+        meta.write_bytes(fresh[meta][: fresh[meta].rindex(b"\n", 0, -1) + 1])
+    elif damage == "detectors-csv-edited":
+        detectors_csv.write_bytes(fresh[detectors_csv].replace(b"\n", b"\r\n"))
+    elif damage == "manifest-old-format":
+        manifest.write_text(json.dumps(OLD_MANIFEST))
     else:
         manifest.write_text("{" if damage == "manifest-not-json" else "[]")
     log = tmp_path / "events.log"
     assert main(args + ["--log-file", str(log)]) == EXIT_OK
-    assert read(meta) == fresh and read(manifest) == fresh_manifest
+    assert {f: read(f) for f in out.iterdir()} == fresh
     events = [e["event"] for e in log_events(log)]
     assert "assimilate_skipped" not in events
-    assert ("manifest_unreadable" in events) == (damage != "manifest-not-object")
+    assert ("manifest_unreadable" in events) == (damage not in ("manifest-not-object", "manifest-old-format"))
 
 
 def test_log_file_of_an_earlier_call_is_closed(tmp_path):
@@ -511,7 +562,8 @@ def test_rank_meta_requires_model(tmp_path, corpus_dir):
     assert rc == EXIT_CONFIG
 
 
-def test_rank_meta_with_model(tmp_path, corpus_dir, capsys):
+def test_rank_meta_with_model(tmp_path, corpus_dir, capsys, monkeypatch):
+    """rank --method meta reads its model file once, and names it by the sha256 of its bytes."""
     main(
         ["assimilate", "--datasets", str(corpus_dir / "twin_blobs.csv"), str(corpus_dir / "halo.csv")]
         + fast_flags(tmp_path)
@@ -526,6 +578,11 @@ def test_rank_meta_with_model(tmp_path, corpus_dir, capsys):
         ]
     )
     capsys.readouterr()
+    reads = []
+    real_read = util.read_text
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("adselect") and getattr(module, "read_text", None) is real_read:
+            monkeypatch.setattr(module, "read_text", lambda path, *a: reads.append(str(path)) or real_read(path, *a))
     rc = main(
         [
             "rank",
@@ -541,7 +598,8 @@ def test_rank_meta_with_model(tmp_path, corpus_dir, capsys):
     assert rc == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "meta"
-    assert len(payload["provenance"]) == 64  # sha256 of the model file
+    assert payload["provenance"] == hashlib.sha256(read(model)).hexdigest()
+    assert reads.count(str(model)) == 1
 
 
 def fail_family(monkeypatch, algorithm):
@@ -722,8 +780,8 @@ def test_hv_estimate_scores_the_points_rank_scores(tmp_path, capsys, monkeypatch
     assert ignored == ([{"event": "labeled_anomalies_ignored", "dataset": "field", "count": 15}] if labeled else [])
 
     seen = []
-    real_samples = pipeline._samples
-    monkeypatch.setattr(pipeline, "_samples", lambda *args: seen.append(real_samples(*args)) or seen[-1])
+    real_samples = pipeline.DatasetSamples
+    monkeypatch.setattr(pipeline, "DatasetSamples", lambda *args: seen.append(real_samples(*args)) or seen[-1])
     data = dataset.load_csv(str(path), "label", labels_required=False)
     cfg = pipeline.RunConfig(seed=4, hv_samples=3000, mc_cv_repetitions=2)
     pipeline.rank_candidates(data, cfg, "linear", n_candidates=1)

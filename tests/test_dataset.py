@@ -136,11 +136,11 @@ def test_subsample_already_low_is_unchanged():
     assert out is ds
 
 
-def test_subsample_warns_below_lo():
+def test_subsample_logs_below_lo(logged_events):
     ds = make_dataset(30, 40, seed=3)
-    with pytest.warns(UserWarning, match="below lo"):
-        out = subsample_outliers(ds, lo=0.12, hi=0.125, rng=np.random.default_rng(1))
+    out = subsample_outliers(ds, lo=0.12, hi=0.125, rng=np.random.default_rng(1))
     assert out.n_anomalies == 4  # floor(0.125*30/0.875) = 4; 4/34 ~ 0.1176 < 0.12
+    assert logged_events() == [{"event": "anomaly_fraction_below_lo", "dataset": "toy", "fraction": 4 / 34, "lo": 0.12}]
 
 
 def test_subsample_no_normals_errors():

@@ -194,10 +194,10 @@ def test_gaussian_accepts_origin_of_standard_normal():
     assert det.predict_many(np.zeros(3)).tolist() == [0]  # a vector is one row
 
 
-def test_fit_warns_on_labeled_anomalies():
+def test_fit_logs_labeled_anomalies(logged_events):
     ds = make_dataset(50, 5, seed=6)
-    with pytest.warns(UserWarning, match="anomalies"):
-        fit(config_for("hbos"), ds)
+    fit(config_for("hbos"), ds)
+    assert logged_events() == [{"event": "labeled_anomalies_in_training", "dataset": "toy", "count": 5}]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adselect import detectors, features, hypervolume
+from adselect import detectors, features, hypervolume, util
 from adselect.dataset import LabeledDataset
 from adselect.errors import DataError, FitError
 from adselect.features import (
@@ -37,12 +37,10 @@ def all_normal(n=100, dim=2, seed=0, name="train"):
     )
 
 
-RETRIES, BUDGET_S = 10, 300.0  # attempt settings generous enough never to bind
-
-
-def samples_for(data, seed=0, hv_samples=2000, mc_cv_repetitions=10, mc_cv_test_fraction=0.3, dataset_id="d"):
-    """The shared HV points and MC-CV splits of data, in its enclosing ball."""
-    return DatasetSamples(data, dataset_id, seed, hv_samples, mc_cv_test_fraction, mc_cv_repetitions)
+def samples_for(data, dataset_id="d", **settings):
+    """The shared HV points and MC-CV splits of data, in its enclosing ball, under
+    the RunConfig of `settings`; its default retries and budgets never bind."""
+    return DatasetSamples(data, dataset_id, RunConfig(**{"hv_samples": 2000, **settings}))
 
 
 def stub_fit(monkeypatch, flag_everything):
@@ -117,13 +115,22 @@ def test_splits_are_drawn_once_on_first_read_by_concurrent_workers(monkeypatch):
     assert [parts[-1] for parts in drawn] == [0, 1, 2, 3]
 
 
+def test_high_dimension_is_logged_once_per_dataset(logged_events):
+    samples = samples_for(all_normal(40, dim=13))
+    for _ in range(2):  # two detectors' estimates
+        hypervolume.estimate_hypervolume(ConstantDetector(13, False), samples.ball, 100)
+    assert logged_events() == [{"event": "hypervolume_high_dimension", "dataset": "d", "dim": 13, "above": 12}]
+    samples_for(all_normal(40, dim=12))
+    assert len(logged_events()) == 1
+
+
 # ---------------------------------------------------------------------------
 # landmarks
 
 
 def test_landmark_vector_has_two_slots_per_algorithm():
     data = all_normal(80, seed=6)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), BUDGET_S)
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
     row = lv.as_row()
     assert len(row) == 2 * len(detectors.ALGORITHMS)
     assert all(v is not None and 0 <= v <= 1 for v in row)
@@ -139,7 +146,7 @@ def test_landmark_failure_marks_absent(monkeypatch):
 
     monkeypatch.setattr(detectors, "fit", flaky)
     data = all_normal(80, seed=7)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3), BUDGET_S)
+    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
     assert lv.entries["lof"] is None
     assert lv.entries["knn"] is not None
 
@@ -154,7 +161,7 @@ def test_landmark_timeout_marks_absent(monkeypatch):
 
     monkeypatch.setattr(detectors, "fit", slow_on_kde)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2), budget_s=0.12)
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2, landmark_budget_s=0.12))
     assert lv.entries["kde"] is None
     present = [alg for alg, v in lv.entries.items() if v is not None]
     assert "knn" in present
@@ -162,10 +169,10 @@ def test_landmark_timeout_marks_absent(monkeypatch):
 
 def test_landmarks_deterministic():
     data = all_normal(70, seed=9)
-    a = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S)
-    b = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S)
+    a = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
+    b = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3))
     assert a == b
-    c = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3), BUDGET_S, jobs=4)
+    c = build_landmarks(samples_for(data, seed=2, hv_samples=3000, mc_cv_repetitions=3, jobs=4))
     assert a == c
 
 
@@ -188,8 +195,8 @@ def landmarks(dataset_id, hv=0.5, fpr=0.1, absent=()):
     )
 
 
-def toy_samples(split, seed, hv_samples=500):
-    return samples_for(split.train, seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, dataset_id="toy")
+def toy_samples(split, seed, hv_samples=500, **settings):
+    return samples_for(split.train, "toy", seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, **settings)
 
 
 def test_instance_from_perfect_detector(monkeypatch):
@@ -207,7 +214,7 @@ def test_instance_from_perfect_detector(monkeypatch):
         return Distance(train.features.mean(axis=0), 6.0, train.dim)
 
     monkeypatch.setattr(detectors, "fit", fit)
-    inst = build_detector_instance(toy_samples(split, 3), split.test, 0, RETRIES, BUDGET_S)
+    inst = build_detector_instance(toy_samples(split, 3), split.test, 0)
     assert inst is not None
     assert inst.target_scaled_mcc == 1.0
 
@@ -215,7 +222,7 @@ def test_instance_from_perfect_detector(monkeypatch):
 def test_instance_from_all_normal_detector_scores_half(monkeypatch):
     split = toy_split(2)
     stub_fit(monkeypatch, False)
-    inst = build_detector_instance(toy_samples(split, 3), split.test, 0, RETRIES, BUDGET_S)
+    inst = build_detector_instance(toy_samples(split, 3), split.test, 0)
     assert inst is not None
     assert inst.target_scaled_mcc == 0.5
     assert inst.detector.hypervolume == 1.0
@@ -234,7 +241,7 @@ def test_instance_replacement_after_failure(monkeypatch):
         return real_fit(config, train)
 
     monkeypatch.setattr(detectors, "fit", flaky)
-    inst = build_detector_instance(toy_samples(split, 4), split.test, 0, RETRIES, BUDGET_S)
+    inst = build_detector_instance(toy_samples(split, 4), split.test, 0)
     assert inst is not None
     assert calls["n"] >= 2
 
@@ -251,7 +258,8 @@ def test_instance_timeout_triggers_replacement(monkeypatch):
         return real_fit(config, train)
 
     monkeypatch.setattr(detectors, "fit", slow_once)
-    inst = build_detector_instance(toy_samples(split, 6, hv_samples=300), split.test, 0, retries=3, budget_s=1.0)
+    samples = toy_samples(split, 6, hv_samples=300, retries=3, detector_budget_s=1.0)
+    inst = build_detector_instance(samples, split.test, 0)
     # exactly one instance comes out of the timeout-then-replacement path
     assert inst is not None
     assert first_call["done"]
@@ -264,7 +272,7 @@ def test_instance_skipped_when_retries_exhausted(monkeypatch):
         raise FitError("nope")
 
     monkeypatch.setattr(detectors, "fit", always_fail)
-    inst = build_detector_instance(toy_samples(split, 5), split.test, 0, retries=2, budget_s=BUDGET_S)
+    inst = build_detector_instance(toy_samples(split, 5, retries=2), split.test, 0)
     assert inst is None
 
 
@@ -284,10 +292,10 @@ def test_patched_fit_sees_every_fit_of_an_attempt(monkeypatch, kind):
     monkeypatch.setattr(detectors, "fit", fit)
     if kind == "landmark":
         configs = detectors.default_configs()
-        assert None not in build_landmarks(samples, BUDGET_S).entries.values()
+        assert None not in build_landmarks(samples).entries.values()
     else:
-        configs = [random_draw(samples.seed, samples.dataset_id, 0, "detector")(0)]
-        assert build_detector_instance(samples, split.test, 0, 0, BUDGET_S) is not None
+        configs = [random_draw(samples.cfg.seed, samples.dataset_id, 0, "detector")(0)]
+        assert build_detector_instance(samples, split.test, 0) is not None
     expected = [samples.train] + [fit_set for _, fit_set in samples.splits]
     assert len(expected) == 3 and len(fits) == len(configs) * len(expected)
     for config in configs:
@@ -364,7 +372,7 @@ def test_landmark_events_name_the_algorithm(monkeypatch):
     scripted_fit(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
     events = recorded_events(monkeypatch)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2), budget_s=5.0)
+    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2, landmark_budget_s=5.0))
     assert [alg for alg, v in lv.entries.items() if v is None] == ["lof", "kde"]
     assert all(e["reason"] == "scripted failure" for e in events if e["event"] == "landmark_failed")
     assert without_reason(events) == [  # one attempt each, and no skip event
@@ -381,7 +389,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
     ids = [draw(a).config_id for a in range(3)]
     scripted_fit(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
     events = recorded_events(monkeypatch)
-    inst = build_detector_instance(toy_samples(split, 7), split.test, 2, retries=2, budget_s=5.0)
+    inst = build_detector_instance(toy_samples(split, 7, retries=2, detector_budget_s=5.0), split.test, 2)
     where = {"dataset": "toy", "index": 2}
     if exhausted:
         assert inst is None
@@ -453,7 +461,7 @@ def test_meta_csv_roundtrip(tmp_path):
         landmarks("a", hv=0.25, fpr=0.125, absent=("pca",)), [make_instance(f"c{i}", target=0.3 + i / 10) for i in range(4)]
     )
     path = str(tmp_path / "meta.csv")
-    md.to_csv(path)
+    util.write_text(path, md.csv_text())
     back = MetaDataset.from_csv(path)
     assert back.columns == md.columns
     assert back.dataset_ids == md.dataset_ids

@@ -207,12 +207,6 @@ def test_estimate_dimension_mismatch():
         estimate_hypervolume(BallDetector(np.zeros(2), 1.0), BallSample(ball, 0), 100)
 
 
-def test_estimate_warns_in_high_dimension():
-    ball = EnclosingBall(center=np.zeros(13), radius=1.0, epsilon=1e-3)
-    with pytest.warns(UserWarning, match="vacuous"):
-        estimate_hypervolume(ConstantDetector(13, False), BallSample(ball, 0), 100)
-
-
 def test_estimate_invalid_fraction_rejected():
     with pytest.raises(ValueError):
         HypervolumeEstimate(fraction=1.5, n_samples=10, std_error=0.0)

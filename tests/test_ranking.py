@@ -190,9 +190,9 @@ def test_tau_matches_bruteforce_with_ties():
         assert kendall_tau_b(x, y) == pytest.approx(kendall_tau_b_bruteforce(x, y), abs=1e-12)
 
 
-def test_tau_degenerate_returns_zero_with_warning():
-    with pytest.warns(UserWarning, match="tied"):
-        assert kendall_tau_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+def test_tau_degenerate_returns_zero(logged_events):
+    assert kendall_tau_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+    assert logged_events() == []  # its callers, which know the dataset, log it
 
 
 def test_tau_antisymmetric_without_ties():
@@ -257,15 +257,15 @@ def test_random_baseline_two_candidates_expectation():
     assert abs(result["regret1"] - exact) <= 3 * sigma
 
 
-def test_evaluate_methods_cherry_pick_flag():
+def test_evaluate_methods_cherry_pick_flag(logged_events):
     rng = np.random.default_rng(9)
     ids = [f"c{i}" for i in range(10)]
     hv = {c: float(v) for c, v in zip(ids, rng.random(10))}
     fpr = {c: float(v) for c, v in zip(ids, rng.random(10))}
-    # constant true scores: every tau_b against them is degenerate (warned)
+    # constant true scores: every tau_b against them is degenerate (logged once)
     low_true = {c: 0.55 for c in ids}
-    with pytest.warns(UserWarning, match="tied"):
-        report = evaluate_methods(hv, fpr, {c: 0.5 for c in ids}, low_true, "low", rng)
+    report = evaluate_methods(hv, fpr, {c: 0.5 for c in ids}, low_true, "low", rng)
+    assert logged_events() == [{"event": "tau_b_undefined", "dataset": "low", "methods": ["R", "FPR", "HV", "L", "M"]}]
     assert not report.cherry_pick_eligible
     assert all(v is None for v in report.metrics["Mc"].values())
 
@@ -274,6 +274,9 @@ def test_evaluate_methods_cherry_pick_flag():
     report2 = evaluate_methods(hv, fpr, pred, high_true, "high", rng)
     assert report2.cherry_pick_eligible
     assert report2.metrics["Mc"] == report2.metrics["M"]
+    assert len(logged_events()) == 1
+    evaluate_methods(hv, fpr, {c: 0.5 for c in ids}, high_true, "flat", rng)  # tied predictions only
+    assert logged_events()[1:] == [{"event": "tau_b_undefined", "dataset": "flat", "methods": ["M", "Mc"]}]
 
 
 def test_aggregate_reports_mc_over_eligible_only():
