@@ -25,7 +25,6 @@ class LabeledDataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int8, values in {0, 1}
     name: str
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -38,8 +37,6 @@ class LabeledDataset:
             raise DataError(f"{self.name}: labels must be 0 or 1")
         if not np.all(np.isfinite(feats)):
             raise DataError(f"{self.name}: feature values must be finite")
-        if self.feature_names is not None and len(self.feature_names) != feats.shape[1]:
-            raise DataError(f"{self.name}: {len(self.feature_names)} feature names for {feats.shape[1]} columns")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -62,7 +59,6 @@ class LabeledDataset:
             features=self.features[indices],
             labels=self.labels[indices],
             name=name if name is not None else self.name,
-            feature_names=self.feature_names,
         )
 
 
@@ -118,7 +114,6 @@ def load_csv(path: str, label_column: str = "label", labels_required: bool = Tru
         raise DataError(f"{path}: label column {label_column!r} not found in header {header}")
     else:
         label_idx = -1
-    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
     matrix = []
     for row_no, row in cells:
@@ -139,7 +134,7 @@ def load_csv(path: str, label_column: str = "label", labels_required: bool = Tru
     name = path.rsplit("/", 1)[-1]
     if name.endswith(".csv"):
         name = name[:-4]
-    return LabeledDataset(features=features, labels=labels, name=name, feature_names=feature_names)
+    return LabeledDataset(features=features, labels=labels, name=name)
 
 
 def subsample_outliers(
@@ -249,9 +244,7 @@ def apply_scaler(params: ScalingParams, data: LabeledDataset) -> LabeledDataset:
             f"scaler fitted on {len(params.means)} features, dataset {data.name} has {data.dim}"
         )
     scaled = (data.features - params.means) / params.iqrs
-    return LabeledDataset(
-        features=scaled, labels=data.labels, name=data.name, feature_names=data.feature_names
-    )
+    return LabeledDataset(features=scaled, labels=data.labels, name=data.name)
 
 
 def scale_split(split: SemiSupervisedSplit) -> SemiSupervisedSplit:

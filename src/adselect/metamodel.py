@@ -2,10 +2,11 @@
 
 The forest reads the imputed features in their own units: a per-feature
 increasing rescaling would not change how its splits divide the training
-rows, so none is applied. The forest is deliberately self-contained so its behavior is pinned down:
-100 trees, bootstrap with replacement of size n, all features considered at
+rows, so none is applied. The forest is deliberately self-contained and has
+one configuration, so its behavior is pinned down: ``N_TREES`` (100) trees,
+each on a bootstrap with replacement of size n, all features considered at
 every split, variance-reduction criterion with midpoint candidate
-thresholds, unlimited depth, min 2 samples to split, and gain ties broken
+thresholds, unlimited depth, 2 rows needed to split, and gain ties broken
 by lowest feature index then lowest threshold.
 """
 
@@ -22,7 +23,8 @@ from .features import MetaDataset
 from .util import log_event, pmap, read_json, read_text, rng_from, sha256_text, write_text
 
 MODEL_FORMAT = "adselect-meta-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+N_TREES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +96,9 @@ _FOREST_ELEMENTS = 1 << 16
 @dataclass
 class _Tree:
     feature: np.ndarray  # int32, -1 for leaves
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray  # leaf mean (stored for every node)
+    threshold: np.ndarray  # 0.0 at leaves
+    left: np.ndarray  # int32, -1 for leaves; a split's right child is left + 1
+    value: np.ndarray  # leaf mean; 0.0 at splits
 
 
 def _predict_trees(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
@@ -110,7 +111,7 @@ def _predict_trees(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
         return np.concatenate([getattr(t, name) for t in trees])
 
     feature, threshold, value = flat("feature"), flat("threshold"), flat("value")
-    left, right = flat("left") + shift, flat("right") + shift
+    left = flat("left") + shift
     node = np.repeat(roots[:, None], X.shape[0], axis=1)
     cols = np.arange(X.shape[0])
     while True:
@@ -119,7 +120,7 @@ def _predict_trees(trees: list[_Tree], X: np.ndarray) -> np.ndarray:
         if not inner.any():
             return value[node]
         go = X[cols, f] <= threshold[node]  # leaves read column -1; discarded below
-        node = np.where(inner, np.where(go, left[node], right[node]), node)
+        node = np.where(inner, left[node] + ~go, node)
 
 
 def _node_stats(y: np.ndarray, ysq: np.ndarray, starts, counts) -> tuple[np.ndarray, ...]:
@@ -180,7 +181,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(offsets - starts, counts)
 
 
-def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, min_samples_split: int) -> list[_Tree]:
+def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> list[_Tree]:
     """Grow one tree per row of ``rows`` (its sample of X), level by level.
 
     Every live node of every tree is split in one pass per depth. A node owns
@@ -191,24 +192,21 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, min_samples_spli
     than half of its padded rows. Trees are then numbered depth first: the
     i-th split in preorder owns nodes 2i+1 and 2i+2.
     """
-    n_trees, n = rows.shape
+    n = rows.shape[1]
     XT = X[rows.ravel()].T.copy()  # (features, rows); node rows are contiguous
     yc = y[rows.ravel()]
     ysq = yc * yc
-    starts, counts = np.arange(n_trees) * n, np.full(n_trees, n)
-    tree = np.arange(n_trees)
+    tree = np.arange(len(rows))
+    starts, counts = tree * n, np.full(len(rows), n)
     levels = []  # per depth: tree, value and split flag of each node; feature, threshold of each split
     while True:
         differ = np.logical_or.reduceat(
             yc[_ranges(starts, counts)] != np.repeat(yc[starts], counts), np.cumsum(counts) - counts
         )
-        splittable = counts >= max(min_samples_split, 2)
-        need = np.flatnonzero(differ | splittable)
-        sums, sqs, parent = _node_stats(yc, ysq, starts[need], counts[need])
+        cand = np.flatnonzero(counts >= 2)  # one row cannot split; nodes whose targets differ are among these
+        sums, sqs, parent = _node_stats(yc, ysq, starts[cand], counts[cand])
         value = yc[starts]  # every target equal: that value, exactly
-        value[differ] = (sums / counts[need])[differ[need]]
-        keep = splittable[need]
-        cand, sums, sqs, parent = need[keep], sums[keep], sqs[keep], parent[keep]
+        value[differ] = (sums / counts[cand])[differ[cand]]
         feature = np.zeros(cand.size, dtype=np.int64)
         threshold = np.zeros(cand.size)
         found = np.zeros(cand.size, dtype=bool)
@@ -246,14 +244,16 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, min_samples_spli
         starts = np.stack([s_starts, s_starts + n_left], axis=1).ravel()
         counts = np.stack([n_left, s_counts - n_left], axis=1).ravel()
         tree = np.repeat(tree[split], 2)
-    return _number_trees(levels, n_trees)
+    return _number_trees(levels)
 
 
-def _number_trees(levels: list, n_trees: int) -> list[_Tree]:
+def _number_trees(levels: list) -> list[_Tree]:
     """Node arrays in depth-first numbering from per-depth node records.
 
     The children of the i-th split node of a depth are nodes 2i and 2i+1 of
-    the next depth.
+    the next depth. In a tree, the i-th split in preorder gets the children
+    2i+1 and 2i+2, so its right child is always its left child + 1. Only
+    leaves keep their value.
     """
     below = [None] * len(levels)  # splits in each node's subtree, itself included
     for depth in reversed(range(len(levels))):
@@ -267,24 +267,22 @@ def _number_trees(levels: list, n_trees: int) -> list[_Tree]:
     feature = np.full(total, -1, dtype=np.int32)
     threshold = np.zeros(total)
     left = np.full(total, -1, dtype=np.int32)
-    right = np.full(total, -1, dtype=np.int32)
-    value = np.empty(total)
-    ids = np.zeros(n_trees, dtype=np.int64)
-    pre = np.zeros(n_trees, dtype=np.int64)  # preorder rank among splits
+    value = np.zeros(total)
+    ids = np.zeros(sizes.size, dtype=np.int64)
+    pre = np.zeros(sizes.size, dtype=np.int64)  # preorder rank among splits
     for depth, (tree, val, split, feat, thr) in enumerate(levels):
         at = offsets[tree] + ids
-        value[at] = val
+        value[at[~split]] = val[~split]
         p = pre[split]
         feature[at[split]] = feat
         threshold[at[split]] = thr
         left[at[split]] = 2 * p + 1
-        right[at[split]] = 2 * p + 2
         if split.any():
             left_splits = below[depth + 1][0::2]
             pre = np.stack([p + 1, p + 1 + left_splits], axis=1).ravel()
             ids = np.stack([2 * p + 1, 2 * p + 2], axis=1).ravel()
     return [
-        _Tree(feature=feature[a:b], threshold=threshold[a:b], left=left[a:b], right=right[a:b], value=value[a:b])
+        _Tree(feature=feature[a:b], threshold=threshold[a:b], left=left[a:b], value=value[a:b])
         for a, b in zip(offsets.tolist(), (offsets + sizes).tolist())
     ]
 
@@ -296,9 +294,6 @@ class ForestModel:
     trees: list[_Tree]
     n_features: int
     seed: int
-    n_trees: int = 100
-    bootstrap: bool = True
-    min_samples_split: int = 2
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -312,17 +307,10 @@ class ForestModel:
         return out
 
 
-def rf_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int = 0,
-    n_trees: int = 100,
-    bootstrap: bool = True,
-    min_samples_split: int = 2,
-    jobs: int = 1,
-) -> ForestModel:
-    """Fit the forest; tree t is grown on row t of the bootstraps, all drawn
-    from one stream under (seed, "forest") before any tree grows.
+def rf_fit(X: np.ndarray, y: np.ndarray, seed: int, jobs: int = 1) -> ForestModel:
+    """Fit the forest; tree t is grown on row t of the (N_TREES, n)
+    bootstraps, all drawn from one stream under (seed, "forest") before any
+    tree grows.
 
     Trees grow in groups of about ``_FOREST_ELEMENTS`` values, on ``jobs``
     workers. Trees are independent, so the grouping never changes a tree.
@@ -334,21 +322,11 @@ def rf_fit(
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("cannot fit on an empty training set or without features")
     n = X.shape[0]
-    if bootstrap:
-        rows = rng_from(seed, "forest").integers(0, n, size=(n_trees, n))
-    else:
-        rows = np.broadcast_to(np.arange(n), (n_trees, n))
+    rows = rng_from(seed, "forest").integers(0, n, size=(N_TREES, n))
     per_group = max(1, _FOREST_ELEMENTS // (n * X.shape[1]))
-    groups = [rows[s : s + per_group] for s in range(0, n_trees, per_group)]
-    grown = pmap(lambda g: _grow_trees(X, y, g, min_samples_split), groups, jobs)
-    return ForestModel(
-        trees=[t for group in grown for t in group],
-        n_features=X.shape[1],
-        seed=seed,
-        n_trees=n_trees,
-        bootstrap=bootstrap,
-        min_samples_split=min_samples_split,
-    )
+    groups = [rows[s : s + per_group] for s in range(0, N_TREES, per_group)]
+    grown = pmap(lambda g: _grow_trees(X, y, g), groups, jobs)
+    return ForestModel(trees=[t for group in grown for t in group], n_features=X.shape[1], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +348,17 @@ class MetaModel:
         return self.forest.predict(self.imputer.transform(md.X))
 
 
-def fit_meta_model(meta_train: MetaDataset, seed: int = 0, n_trees: int = 100, jobs: int = 1) -> MetaModel:
+def fit_meta_model(meta_train: MetaDataset, seed: int, jobs: int = 1) -> MetaModel:
     """Fill absent values with the train means and fit the forest on the result."""
     imputer = Imputer.fit(meta_train.X)
-    forest = rf_fit(imputer.transform(meta_train.X), meta_train.y, seed=seed, n_trees=n_trees, jobs=jobs)
+    forest = rf_fit(imputer.transform(meta_train.X), meta_train.y, seed=seed, jobs=jobs)
     return MetaModel(columns=list(meta_train.columns), imputer=imputer, forest=forest)
 
 
 def save_model(model: MetaModel, path: str) -> None:
     """Versioned JSON serialization; floats round-trip exactly. The bundle
-    names the detector portfolio whose features it was trained on."""
+    names the detector portfolio whose features it was trained on, and
+    keeps of each tree only the node arrays prediction reads."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -388,16 +367,11 @@ def save_model(model: MetaModel, path: str) -> None:
         "imputer_means": model.imputer.means.tolist(),
         "forest": {
             "seed": model.forest.seed,
-            "n_trees": model.forest.n_trees,
-            "bootstrap": model.forest.bootstrap,
-            "min_samples_split": model.forest.min_samples_split,
-            "n_features": model.forest.n_features,
             "trees": [
                 {
                     "feature": t.feature.tolist(),
                     "threshold": t.threshold.tolist(),
                     "left": t.left.tolist(),
-                    "right": t.right.tolist(),
                     "value": t.value.tolist(),
                 }
                 for t in model.forest.trees
@@ -425,27 +399,19 @@ def load_model(path: str) -> MetaModel:
                 f"{path}: trained on detector portfolio {payload.get('portfolio_version')!r}, "
                 f"expected {PORTFOLIO_VERSION!r}; rerun assimilate and train-meta"
             )
-        f = payload["forest"]
+        columns = list(payload["columns"])
         trees = [
             _Tree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
                 threshold=np.asarray(t["threshold"], dtype=np.float64),
                 left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
                 value=np.asarray(t["value"], dtype=np.float64),
             )
-            for t in f["trees"]
+            for t in payload["forest"]["trees"]
         ]
-        forest = ForestModel(
-            trees=trees,
-            n_features=int(f["n_features"]),
-            seed=int(f["seed"]),
-            n_trees=int(f["n_trees"]),
-            bootstrap=bool(f["bootstrap"]),
-            min_samples_split=int(f["min_samples_split"]),
-        )
+        forest = ForestModel(trees=trees, n_features=len(columns), seed=int(payload["forest"]["seed"]))
         return MetaModel(
-            columns=list(payload["columns"]),
+            columns=columns,
             imputer=Imputer(means=np.asarray(payload["imputer_means"], dtype=np.float64)),
             forest=forest,
             sha256=sha256_text(text),

@@ -80,8 +80,9 @@ class RunConfig:
             raise ConfigError(f"split fractions must be positive and sum to 1: {self.split_fractions}")
         if not (0 < self.outlier_lo <= self.outlier_hi < 1):
             raise ConfigError(f"invalid outlier band ({self.outlier_lo}, {self.outlier_hi})")
-        for name in ("hv_samples", "mc_cv_repetitions", "n_random_detectors", "jobs"):
-            if getattr(self, name) < 1:
+        for name in ("hv_samples", "mc_cv_repetitions", "n_random_detectors", "jobs", "landmark_budget_s",
+                     "detector_budget_s"):
+            if not getattr(self, name) > 0:  # a NaN budget is refused too
                 raise ConfigError(f"{name} must be positive")
         if not (0 < self.mc_cv_test_fraction < 1):
             raise ConfigError("mc_cv_test_fraction must be in (0, 1)")
@@ -156,7 +157,7 @@ def normal_only_samples(data: ds.LabeledDataset, cfg: RunConfig) -> DatasetSampl
     """
     if data.n_anomalies > 0:
         log_event("labeled_anomalies_ignored", dataset=data.name, count=data.n_anomalies)
-    normal_only = ds.LabeledDataset(data.features, np.zeros(data.n, dtype=np.int8), data.name, data.feature_names)
+    normal_only = ds.LabeledDataset(data.features, np.zeros(data.n, dtype=np.int8), data.name)
     return DatasetSamples(ds.apply_scaler(ds.fit_robust_scaler(normal_only), normal_only), data.name, cfg)
 
 
@@ -215,6 +216,12 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
 
 
 def assimilate_all(datasets: list[ds.LabeledDataset], cfg: RunConfig) -> list[MetaDataset]:
+    """Assimilate each dataset; ConfigError, before any is processed, if two
+    share a name, since both would write <out_dir>/<name>/."""
+    names = [data.name for data in datasets]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"more than one dataset named {repeated}: each dataset writes {cfg.out_dir}/<name>/")
     metas = []
     failures = []
     for data in datasets:

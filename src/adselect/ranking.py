@@ -288,7 +288,6 @@ def leave_one_out_evaluate(
     meta_datasets: Sequence,
     master_seed: int = 0,
     cherry_threshold: float = 0.6,
-    n_trees: int = 100,
     jobs: int = 1,
 ) -> tuple[list[RankingReport], dict]:
     """Hold out each base dataset's meta-instances, train on the rest, rank.
@@ -309,9 +308,7 @@ def leave_one_out_evaluate(
         meta_train = MetaDataset.concat(rest)
         meta_train, meta_test = drop_empty_landmarks(meta_train, held)
         dataset_id = held.dataset_ids[0]
-        model = fit_meta_model(
-            meta_train, seed=seed_from(master_seed, dataset_id, "forest"), n_trees=n_trees, jobs=jobs
-        )
+        model = fit_meta_model(meta_train, seed=seed_from(master_seed, dataset_id, "forest"), jobs=jobs)
         predicted = model.predict(meta_test)
 
         hv_col = meta_test.columns.index("detector_hv")

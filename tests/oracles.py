@@ -5,7 +5,6 @@ import sys
 import numpy as np
 
 from adselect import metamodel
-from adselect.util import rng_from
 
 
 def welzl_min_circle(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
@@ -219,12 +218,14 @@ def tree_predict(tree, X: np.ndarray) -> np.ndarray:
     return metamodel._predict_trees([tree], X)[0]
 
 
-def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, split=best_split_per_feature) -> dict:
+def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, split=best_split_per_feature) -> dict:
     """Regression tree grown depth first, one node record at a time.
 
     A split node's children are appended left then right; the left subtree
-    is grown first. A node's value is the mean of its targets, or the shared
-    value itself when all targets are equal. Returns the five node arrays.
+    is grown first. A node of two or more rows splits where ``split`` finds
+    a split. A node's value is the mean of its targets, or the shared value
+    itself when all targets are equal. Returns the five node arrays, each
+    node's ``right`` child and ``value`` included.
     """
     nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
@@ -240,7 +241,7 @@ def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, spl
     stack = [(new_node(np.arange(X.shape[0])), np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if len(rows) < min_samples_split:
+        if len(rows) < 2:
             continue
         found = split(X[rows], y[rows])
         if found is None:
@@ -262,28 +263,10 @@ def grow_tree_nodewise(X: np.ndarray, y: np.ndarray, min_samples_split: int, spl
     }
 
 
-def rf_fit_nodewise(
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    n_trees: int,
-    bootstrap: bool = True,
-    min_samples_split: int = 2,
-    split=best_split_per_feature,
-) -> list[dict]:
-    """Forest of node arrays, each tree grown alone by ``grow_tree_nodewise``.
-
-    Tree t is fit on row t of the (n_trees, n) bootstrap draws of
-    ``rng_from(seed, "forest")``, with replacement, or on every row in order
-    without bootstrap.
-    """
-    n = X.shape[0]
-    boot = rng_from(seed, "forest").integers(0, n, size=(n_trees, n))
-    trees = []
-    for t in range(n_trees):
-        rows = boot[t] if bootstrap else np.arange(n)
-        trees.append(grow_tree_nodewise(X[rows], y[rows], min_samples_split, split))
-    return trees
+def grow_trees_nodewise(X: np.ndarray, y: np.ndarray, rows: np.ndarray, split=best_split_per_feature) -> list[dict]:
+    """One tree per row of ``rows`` (its sample of X), each grown alone by
+    ``grow_tree_nodewise``: the oracle of ``metamodel._grow_trees``."""
+    return [grow_tree_nodewise(X[r], y[r], split) for r in rows]
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

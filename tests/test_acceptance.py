@@ -167,11 +167,11 @@ def test_forest_sanity(tmp_path):
     rng = np.random.default_rng(777)
     Xtr = rng.random((200, 3))
     Xte = rng.random((120, 3))
-    model = rf_fit(Xtr, Xtr[:, 0], seed=0, n_trees=100)
+    model = rf_fit(Xtr, Xtr[:, 0], seed=0)
     pred = model.predict(Xte)
     r2 = 1.0 - np.sum((Xte[:, 0] - pred) ** 2) / np.sum((Xte[:, 0] - Xte[:, 0].mean()) ** 2)
 
-    const_model = rf_fit(Xtr, np.full(200, 0.7), seed=1, n_trees=100)
+    const_model = rf_fit(Xtr, np.full(200, 0.7), seed=1)
     const_ok = bool(np.all(const_model.predict(Xte) == 0.7))
 
     md = MetaDataset(
@@ -181,7 +181,7 @@ def test_forest_sanity(tmp_path):
         dataset_ids=["d"] * 200,
         config_ids=[f"c{i}" for i in range(200)],
     )
-    bundle = fit_meta_model(md, seed=2, n_trees=50)
+    bundle = fit_meta_model(md, seed=2)
     path = str(tmp_path / "model.json")
     save_model(bundle, path)
     loaded = load_model(path)

@@ -397,7 +397,21 @@ def as_version_1(payload):
 @pytest.mark.parametrize("command", ("predict", "rank"))
 def test_version_1_bundle_is_model_error(tmp_path, corpus_dir, capsys, command):
     line = refused_model_line(tmp_path, corpus_dir, capsys, command, as_version_1)
-    assert line.startswith("model error:") and "model version 1, expected 2; rerun train-meta" in line
+    assert line.startswith("model error:") and "model version 1, expected 3; rerun train-meta" in line
+
+
+def as_version_2(payload):
+    """A version-2 bundle: the forest echoes its shape, and every tree keeps its right children."""
+    forest = payload["forest"]
+    trees = [{**t, "right": [c + 1 if c >= 0 else -1 for c in t["left"]]} for t in forest["trees"]]
+    shape = {"n_trees": len(trees), "bootstrap": True, "min_samples_split": 2, "n_features": len(payload["columns"])}
+    return {**payload, "version": 2, "forest": {**forest, **shape, "trees": trees}}
+
+
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_version_2_bundle_is_model_error(tmp_path, corpus_dir, capsys, command):
+    line = refused_model_line(tmp_path, corpus_dir, capsys, command, as_version_2)
+    assert line.startswith("model error:") and "model version 2, expected 3; rerun train-meta" in line
 
 
 @pytest.mark.parametrize("command", ("predict", "rank"))
@@ -754,6 +768,32 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, corpus_dir, key, v
     base = {"datasets": [str(corpus_dir / "halo.csv")], "hv_samples": 1000, "n_random_detectors": 2, "mc_cv_repetitions": 2}
     cfg.write_text(json.dumps({**base, key: value}))
     assert main(["assimilate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "nan"))
+@pytest.mark.parametrize(
+    "key, flag", (("landmark_budget_s", "--landmark-budget"), ("detector_budget_s", "--detector-budget"))
+)
+@pytest.mark.parametrize("source", ("config", "flag"))
+def test_budget_not_above_zero_is_config_error(tmp_path, corpus_dir, capsys, source, key, flag, value):
+    """A budget of 0 s or less would time out every attempt: it is refused before any work."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: float(value)} if source == "config" else {}))
+    args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv"), "--config", str(cfg), *fast_flags(tmp_path)]
+    assert main(args + ([flag, value] if source == "flag" else [])) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be positive")
+    assert not (tmp_path / "run" / "halo").exists()
+
+
+def test_two_datasets_of_one_name_are_config_error(tmp_path, corpus_dir, capsys):
+    """Both would write run/halo/: the run is refused before any dataset is assimilated."""
+    other = tmp_path / "other"
+    write_corpus_csvs(str(other), seed=6, names=["halo"])
+    datasets = [str(corpus_dir / "twin_blobs.csv"), str(corpus_dir / "halo.csv"), str(other / "halo.csv")]
+    assert main(["assimilate", "--datasets", *datasets, *fast_flags(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: more than one dataset named ['halo']")
+    assert not (tmp_path / "run" / "halo").exists() and not (tmp_path / "run" / "twin_blobs").exists()
 
 
 @pytest.mark.parametrize("labeled", (False, True))

@@ -58,7 +58,6 @@ def test_load_csv_roundtrip(tmp_path):
     ds = load_csv(str(p))
     assert ds.n == 4
     assert ds.n_anomalies == 1
-    assert ds.feature_names == ("a", "b")
     assert np.array_equal(ds.features[2], [5.0, 6.0])
     assert list(ds.labels) == [0, 0, 1, 0]
 

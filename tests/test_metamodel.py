@@ -14,8 +14,9 @@ from adselect.metamodel import (
     rf_fit,
     save_model,
 )
+from adselect.util import rng_from
 
-from oracles import best_split, best_split_per_feature, rf_fit_nodewise, tree_predict
+from oracles import best_split, best_split_per_feature, grow_trees_nodewise, tree_predict
 
 
 def make_meta(X, y=None, columns=None, dataset="d"):
@@ -104,31 +105,23 @@ def test_preprocessing_is_fit_on_train_only():
 def test_constant_target_predictions_exact():
     rng = np.random.default_rng(2)
     X = rng.random((60, 4))
-    model = rf_fit(X, np.full(60, 0.7), seed=0, n_trees=50)
+    model = rf_fit(X, np.full(60, 0.7), seed=0)
     assert np.all(model.predict(X) == 0.7)
-
-
-def test_stump_configuration_predicts_global_mean():
-    rng = np.random.default_rng(3)
-    X = rng.random((25, 3))
-    y = rng.random(25)
-    model = rf_fit(X, y, seed=0, n_trees=1, bootstrap=False, min_samples_split=len(y) + 1)
-    assert np.all(model.predict(X) == float(y.mean()))
 
 
 def test_single_tree_interpolates_distinct_inputs():
     rng = np.random.default_rng(4)
     X = rng.random((50, 2))
     y = rng.random(50)
-    model = rf_fit(X, y, seed=0, n_trees=1, bootstrap=False)
-    assert np.array_equal(model.predict(X), y)
+    (tree,) = metamodel._grow_trees(X, y, np.arange(50)[None])  # one tree on every row, no bootstrap
+    assert np.array_equal(tree_predict(tree, X), y)
 
 
 def test_forest_r2_on_linear_target():
     rng = np.random.default_rng(5)
     Xtr = rng.random((200, 3))
     Xte = rng.random((100, 3))
-    model = rf_fit(Xtr, Xtr[:, 0], seed=0, n_trees=100)
+    model = rf_fit(Xtr, Xtr[:, 0], seed=0)
     pred = model.predict(Xte)
     resid = np.sum((Xte[:, 0] - pred) ** 2)
     total = np.sum((Xte[:, 0] - Xte[:, 0].mean()) ** 2)
@@ -139,7 +132,7 @@ def test_forest_prediction_is_mean_of_trees():
     rng = np.random.default_rng(6)
     X = rng.random((40, 3))
     y = rng.random(40)
-    model = rf_fit(X, y, seed=1, n_trees=10)
+    model = rf_fit(X, y, seed=1)
     probes = rng.random((15, 3))
     stacked = np.stack([tree_predict(t, probes) for t in model.trees])
     assert np.allclose(model.predict(probes), stacked.mean(axis=0), rtol=0, atol=1e-15)
@@ -149,7 +142,7 @@ def test_forest_predictions_within_target_range():
     rng = np.random.default_rng(7)
     X = rng.random((80, 2))
     y = rng.random(80)
-    model = rf_fit(X, y, seed=2, n_trees=20)
+    model = rf_fit(X, y, seed=2)
     probes = rng.random((200, 2)) * 3 - 1
     pred = model.predict(probes)
     assert pred.min() >= y.min() - 1e-12
@@ -161,10 +154,10 @@ def test_forest_deterministic_given_seed():
     X = rng.random((50, 3))
     y = rng.random(50)
     probes = rng.random((20, 3))
-    a = rf_fit(X, y, seed=42, n_trees=12)
-    b = rf_fit(X, y, seed=42, n_trees=12)
+    a = rf_fit(X, y, seed=42)
+    b = rf_fit(X, y, seed=42)
     assert np.array_equal(a.predict(probes), b.predict(probes))
-    c = rf_fit(X, y, seed=43, n_trees=12)
+    c = rf_fit(X, y, seed=43)
     assert not np.array_equal(a.predict(probes), c.predict(probes))
 
 
@@ -173,8 +166,8 @@ def test_forest_jobs_do_not_change_predictions():
     X = rng.random((60, 3))
     y = rng.random(60)
     probes = rng.random((20, 3))
-    a = rf_fit(X, y, seed=3, n_trees=16, jobs=1)
-    b = rf_fit(X, y, seed=3, n_trees=16, jobs=4)
+    a = rf_fit(X, y, seed=3, jobs=1)
+    b = rf_fit(X, y, seed=3, jobs=4)
     assert np.array_equal(a.predict(probes), b.predict(probes))
 
 
@@ -182,9 +175,8 @@ def test_tie_breaking_prefers_lowest_feature_index():
     # two identical columns: the split must use column 0
     x = np.asarray([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.asarray([0.0, 0.0, 1.0, 1.0])
-    model = rf_fit(x, y, seed=0, n_trees=1, bootstrap=False)
-    root_feature = model.trees[0].feature[0]
-    assert root_feature == 0
+    (tree,) = metamodel._grow_trees(x, y, np.arange(4)[None])
+    assert tree.feature[0] == 0
 
 
 def _split_case(case, seed):
@@ -238,35 +230,48 @@ def test_node_stats_squares_the_sum_with_a_product():
     assert np.array_equal(parent, 0.0 - y * y / ones)
 
 
-def _forest_arrays(model):
-    return [{f: getattr(t, f) for f in ("feature", "threshold", "left", "right", "value")} for t in model.trees]
+def _bootstraps(seed, n, trees):
+    """``trees`` bootstrap samples of n rows, drawn as rf_fit draws its own."""
+    return rng_from(seed, "forest").integers(0, n, size=(trees, n))
 
 
-def _assert_forests_bitwise_equal(a, b):
-    trees_a = a if isinstance(a, list) else _forest_arrays(a)
-    trees_b = b if isinstance(b, list) else _forest_arrays(b)
-    for ta, tb in zip(trees_a, trees_b, strict=True):
-        for f in ta:
-            assert ta[f].dtype == tb[f].dtype and ta[f].shape == tb[f].shape, f
-            assert ta[f].tobytes() == tb[f].tobytes(), f
+def _oracle(X, y, rows, split=best_split_per_feature):
+    """The node-wise grower's trees, as the forest keeps them: the oracle
+    numbers its nodes in the order it appends them, and every split's right
+    child must be its left child + 1, so the forest stores no right array.
+    Nor does it keep a split node's value."""
+    trees = []
+    for t in grow_trees_nodewise(X, y, rows, split):
+        inner = t["feature"] >= 0
+        assert np.array_equal(t["right"], np.where(inner, t["left"] + 1, -1))
+        trees.append({**{f: t[f] for f in ("feature", "threshold", "left")}, "value": np.where(inner, 0.0, t["value"])})
+    return trees
+
+
+def _assert_trees_bitwise_equal(trees, expected):
+    """``trees`` (forest trees) against node-array dicts, field by field, bytes included."""
+    for tree, want in zip(trees, expected, strict=True):
+        assert vars(tree).keys() == want.keys()
+        for f, arr in want.items():
+            got = getattr(tree, f)
+            assert got.dtype == arr.dtype and got.shape == arr.shape, f
+            assert got.tobytes() == arr.tobytes(), f
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_forest_bitwise_equal_with_oracle_split(case):
     for seed in range(4):
         X, y = _split_case(case, seed)
-        fast = rf_fit(X, y, seed=seed, n_trees=8)
-        _assert_forests_bitwise_equal(fast, rf_fit_nodewise(X, y, seed=seed, n_trees=8))
+        rows = _bootstraps(seed, len(y), 8)
+        _assert_trees_bitwise_equal(metamodel._grow_trees(X, y, rows), _oracle(X, y, rows))
 
 
 @pytest.mark.parametrize("case", SPLIT_CASES)
 def test_forest_bitwise_equal_to_nodewise_grower(case):
     for seed in range(4):
         X, y = _split_case(case, seed)
-        mss = 2 + seed % 2
-        fast = rf_fit(X, y, seed=seed, n_trees=8, min_samples_split=mss)
-        slow = rf_fit_nodewise(X, y, seed=seed, n_trees=8, min_samples_split=mss, split=best_split)
-        _assert_forests_bitwise_equal(fast, slow)
+        rows = _bootstraps(seed, len(y), 8)
+        _assert_trees_bitwise_equal(metamodel._grow_trees(X, y, rows), _oracle(X, y, rows, split=best_split))
 
 
 def _edge_case(case, n, seed):
@@ -288,12 +293,8 @@ def _edge_case(case, n, seed):
 def test_forest_bitwise_equal_on_size_class_edges(n, case, bootstrap):
     # without bootstrap every root holds exactly n rows: one node per size-class edge
     X, y = _edge_case(case, n, seed=n)
-    for mss in (1, 2, 5, n + 1):
-        fast = rf_fit(X, y, seed=n, n_trees=6, bootstrap=bootstrap, min_samples_split=mss)
-        slow = rf_fit_nodewise(X, y, seed=n, n_trees=6, bootstrap=bootstrap, min_samples_split=mss)
-        _assert_forests_bitwise_equal(fast, slow)
-        if mss > n:
-            assert all(len(t.feature) == 1 for t in fast.trees)
+    rows = _bootstraps(n, n, 6) if bootstrap else np.broadcast_to(np.arange(n), (6, n))
+    _assert_trees_bitwise_equal(metamodel._grow_trees(X, y, rows), _oracle(X, y, rows))
 
 
 def test_forest_bitwise_equal_on_chain_shaped_tree():
@@ -301,46 +302,57 @@ def test_forest_bitwise_equal_on_chain_shaped_tree():
     n = 40
     X = np.arange(n, dtype=np.float64)[:, None]
     y = 4.0 ** np.arange(n)
-    fast = rf_fit(X, y, seed=0, n_trees=2, bootstrap=False)
-    slow = rf_fit_nodewise(X, y, seed=0, n_trees=2, bootstrap=False)
-    _assert_forests_bitwise_equal(fast, slow)
-    tree = fast.trees[0]
+    rows = np.broadcast_to(np.arange(n), (2, n))
+    fast = metamodel._grow_trees(X, y, rows)
+    _assert_trees_bitwise_equal(fast, _oracle(X, y, rows))
+    tree = fast[0]
     assert len(tree.feature) == 2 * n - 1
-    assert np.array_equal(tree.right[tree.feature >= 0], np.arange(2, 2 * n - 1, 2))
-    assert np.all(tree.feature[tree.right[tree.feature >= 0]] == -1)
+    right = tree.left[tree.feature >= 0] + 1
+    assert np.array_equal(right, np.arange(2, 2 * n - 1, 2))
+    assert np.all(tree.feature[right] == -1)
     assert np.array_equal(tree_predict(tree, X), y)
+
+
+def test_rf_fit_grows_a_tree_on_each_row_of_its_bootstrap_draw():
+    rng = np.random.default_rng(14)
+    X = rng.random((45, 3))
+    y = rng.random(45)
+    rows = _bootstraps(7, 45, metamodel.N_TREES)
+    model = rf_fit(X, y, seed=7)
+    assert len(model.trees) == metamodel.N_TREES == 100
+    _assert_trees_bitwise_equal(model.trees, [vars(t) for t in metamodel._grow_trees(X, y, rows)])
 
 
 def test_forest_grouping_and_jobs_do_not_change_trees(monkeypatch):
     rng = np.random.default_rng(10)
-    X = rng.integers(0, 6, (300, 16)).astype(np.float64)
-    y = rng.random(300)
-    one = rf_fit(X, y, seed=5, n_trees=20, jobs=1)
-    assert metamodel._FOREST_ELEMENTS // (300 * 16) < 20  # more than one tree group
-    _assert_forests_bitwise_equal(one, rf_fit(X, y, seed=5, n_trees=20, jobs=4))
-    _assert_forests_bitwise_equal(one, rf_fit_nodewise(X, y, seed=5, n_trees=20))
+    X = rng.integers(0, 6, (150, 16)).astype(np.float64)
+    y = rng.random(150)
+    one = rf_fit(X, y, seed=5, jobs=1)
+    assert metamodel._FOREST_ELEMENTS // (150 * 16) < metamodel.N_TREES  # more than one tree group
+    _assert_trees_bitwise_equal(one.trees, [vars(t) for t in rf_fit(X, y, seed=5, jobs=4).trees])
+    _assert_trees_bitwise_equal(one.trees[:10], _oracle(X, y, _bootstraps(5, 150, metamodel.N_TREES)[:10]))
     monkeypatch.setattr(metamodel, "_FOREST_ELEMENTS", 1)  # one tree per group
-    _assert_forests_bitwise_equal(one, rf_fit(X, y, seed=5, n_trees=20))
+    _assert_trees_bitwise_equal(one.trees, [vars(t) for t in rf_fit(X, y, seed=5).trees])
 
 
 def test_forest_predict_matches_per_point_walk():
     rng = np.random.default_rng(11)
     X = rng.random((60, 4))
-    model = rf_fit(X, rng.random(60), seed=2, n_trees=15)
+    model = rf_fit(X, rng.random(60), seed=2)
     probes = np.vstack([rng.random((30, 4)), X[:10]])
     stacked = np.stack([tree_predict(t, probes) for t in model.trees])
     for t, row in zip(model.trees, stacked):
         for x, got in zip(probes, row):
             node = 0
             while t.feature[node] >= 0:
-                node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.right[node]
+                node = t.left[node] if x[t.feature[node]] <= t.threshold[node] else t.left[node] + 1
             assert got.tobytes() == t.value[node].tobytes()
 
 
 def test_forest_split_search_stays_within_element_budget(monkeypatch):
     rng = np.random.default_rng(12)
-    X = rng.random((2000, 16))
-    y = rng.random(2000)
+    X = rng.random((256, 16))
+    y = rng.random(256)
     sizes = []
     search = metamodel._best_splits
 
@@ -351,23 +363,23 @@ def test_forest_split_search_stays_within_element_budget(monkeypatch):
     monkeypatch.setattr(metamodel, "_best_splits", recording)
     tracemalloc.start()
     try:
-        rf_fit(X, y, seed=0, n_trees=8)
+        rf_fit(X, y, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     budget = metamodel._FOREST_ELEMENTS
-    assert 2000 * 16 <= budget < 8 * 2000 * 16  # the 8 trees grow in several groups
+    assert 256 * 16 <= budget < metamodel.N_TREES * 256 * 16  # the trees grow in several groups
     assert max(sizes) < 2 * budget
     # a group's rows plus about fifteen split-search temporaries of that size;
-    # growing all 8 trees at once would hold about four times as much
+    # growing all the trees at once would hold about five times as much
     assert peak < 24 * 8 * budget, peak
 
 
 def test_rf_rejects_empty_training_set():
     with pytest.raises(ValueError):
-        rf_fit(np.empty((0, 2)), np.empty(0))
+        rf_fit(np.empty((0, 2)), np.empty(0), seed=0)
     with pytest.raises(ValueError):
-        rf_fit(np.empty((3, 0)), np.zeros(3))
+        rf_fit(np.empty((3, 0)), np.zeros(3), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +389,7 @@ def test_rf_rejects_empty_training_set():
 def _toy_bundle(seed=0):
     rng = np.random.default_rng(seed)
     md = make_meta(rng.random((60, 4)), y=rng.random(60))
-    return fit_meta_model(md, seed=seed, n_trees=20), md
+    return fit_meta_model(md, seed=seed), md
 
 
 def test_save_load_roundtrip_bitwise(tmp_path):
@@ -387,6 +399,25 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     loaded = load_model(path)
     probes = make_meta(np.random.default_rng(1).random((100, 4)))
     assert np.array_equal(bundle.predict(probes), loaded.predict(probes))
+
+
+def test_bundle_keeps_only_what_prediction_reads(tmp_path):
+    import json
+
+    bundle, _ = _toy_bundle()
+    path = str(tmp_path / "model.json")
+    save_model(bundle, path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["version"] == 3
+    assert payload["forest"].keys() == {"seed", "trees"}
+    assert len(payload["forest"]["trees"]) == metamodel.N_TREES
+    for tree in payload["forest"]["trees"]:
+        assert tree.keys() == {"feature", "threshold", "left", "value"}
+        inner = np.asarray(tree["feature"]) >= 0
+        assert np.all(np.asarray(tree["value"])[inner] == 0.0)
+        assert np.all(np.asarray(tree["threshold"])[~inner] == 0.0)
+    assert load_model(path).forest.n_features == len(payload["columns"])
 
 
 def test_load_rejects_wrong_version(tmp_path):
@@ -442,7 +473,7 @@ def test_fit_meta_model_fills_nans_with_train_means():
     rng = np.random.default_rng(13)
     X = rng.random((40, 4))
     X[rng.random(X.shape) < 0.2] = np.nan
-    bundle = fit_meta_model(make_meta(X, y=rng.random(40)), seed=0, n_trees=10)
+    bundle = fit_meta_model(make_meta(X, y=rng.random(40)), seed=0)
     assert bundle.imputer.means.tolist() == [X[~np.isnan(X[:, j]), j].mean() for j in range(4)]
     probes = np.vstack([X, rng.random((30, 4))])
     probes[40:][rng.random((30, 4)) < 0.3] = np.nan

@@ -324,10 +324,10 @@ def test_leave_one_out_structure_and_determinism():
     from adselect.ranking import leave_one_out_evaluate
 
     metas = [_toy_meta_dataset(f"d{i}", seed=i) for i in range(3)]
-    reports, aggregates = leave_one_out_evaluate(metas, master_seed=5, n_trees=10)
+    reports, aggregates = leave_one_out_evaluate(metas, master_seed=5)
     assert [r.dataset_id for r in reports] == ["d0", "d1", "d2"]
     assert set(aggregates) == {"mean", "median"}
-    again, _ = leave_one_out_evaluate(metas, master_seed=5, n_trees=10)
+    again, _ = leave_one_out_evaluate(metas, master_seed=5)
     for a, b in zip(reports, again):
         assert a.metrics == b.metrics
 
