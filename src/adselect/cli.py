@@ -19,8 +19,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import corpus, dataset, detectors, pipeline
 from .errors import ConfigError, DataError, FitError, ModelFormatError
 from .features import MetaDataset
@@ -154,12 +152,6 @@ def cmd_make_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _lacks_landmark(meta: MetaDataset) -> bool:
-    """True if a landmark is absent: its columns hold NaN."""
-    cols = [j for j, name in enumerate(meta.columns) if name.startswith("landmark_")]
-    return bool(np.isnan(meta.X[:, cols]).any())
-
-
 def cmd_assimilate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if not cfg.datasets:
@@ -178,7 +170,7 @@ def cmd_assimilate(args: argparse.Namespace) -> int:
     for meta in metas:
         print(os.path.join(cfg.out_dir, meta.dataset_ids[0], "meta.csv"))
     skipped = any(meta.n < cfg.n_random_detectors for meta in metas)
-    if failures or len(metas) < len(loaded) or skipped or any(map(_lacks_landmark, metas)):
+    if failures or len(metas) < len(loaded) or skipped or any(meta.absent_landmarks() for meta in metas):
         return EXIT_PARTIAL
     return EXIT_OK
 

@@ -1,11 +1,13 @@
-"""Detector features, landmark vectors, and meta-dataset assembly.
+"""Detector features, landmark rows, and the meta-dataset layout.
 
 A detector's features are its hypervolume and its Monte-Carlo
 cross-validated false-positive rate, both computable from normal-only data.
-A dataset's landmark vector stacks those two features for every
-default-configured portfolio detector. A meta-instance is one detector's
-features and its scaled-MCC target measured on the labeled test partition;
-assembly puts the dataset's landmark row before each.
+A dataset's landmark row stacks those two features for every
+default-configured portfolio detector. A meta-dataset row is that landmark
+row followed by one detector's features; its target is the detector's scaled
+MCC on the labeled test partition. This module is the one owner of that
+layout: ``meta_columns()`` fixes it, ``MetaDataset.of`` builds rows in it,
+and ``MetaDataset`` answers every question other modules ask about it.
 """
 
 from __future__ import annotations
@@ -40,46 +42,17 @@ class DetectorFeatures:
             raise ValueError("detector features must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class LandmarkVector:
-    """Features of every default-configured portfolio detector; None marks a failed landmark."""
-
-    dataset_id: str
-    entries: dict[str, DetectorFeatures | None]
-
-    def __post_init__(self) -> None:
-        missing = set(ALGORITHMS) - set(self.entries)
-        if missing:
-            raise ValueError(f"landmark vector lacks algorithms {sorted(missing)}")
-
-    def as_row(self) -> list[float]:
-        """The landmark columns of ``meta_columns()``, NaN where a landmark is absent."""
-        row: list[float] = []
-        for alg in ALGORITHMS:
-            entry = self.entries[alg]
-            row.extend((np.nan, np.nan) if entry is None else (entry.hypervolume, entry.fpr))
-        return row
+_LANDMARK = "landmark_"
+_DETECTOR = ("detector_hv", "detector_fpr")
 
 
-@dataclass(frozen=True)
-class MetaInstance:
-    """One random detector's features and its scaled MCC on the labeled test partition."""
-
-    detector: DetectorFeatures
-    target_scaled_mcc: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.target_scaled_mcc <= 1.0):
-            raise ValueError("target scaled MCC must lie in [0, 1]")
+def _landmark_pair(alg: str) -> tuple[str, str]:
+    return f"{_LANDMARK}hv_{alg}", f"{_LANDMARK}fpr_{alg}"
 
 
 def meta_columns() -> list[str]:
-    cols: list[str] = []
-    for alg in ALGORITHMS:
-        cols.append(f"landmark_hv_{alg}")
-        cols.append(f"landmark_fpr_{alg}")
-    cols.extend(["detector_hv", "detector_fpr"])
-    return cols
+    """A meta row's features: each algorithm's landmark HV and FPR, then the detector's."""
+    return [c for alg in ALGORITHMS for c in _landmark_pair(alg)] + list(_DETECTOR)
 
 
 @dataclass
@@ -95,6 +68,45 @@ class MetaDataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @classmethod
+    def of(cls, dataset_id: str, landmarks: Sequence[float],
+           instances: Sequence[tuple[DetectorFeatures, float]]) -> "MetaDataset":
+        """One dataset's (features, target) instances, each after the dataset's
+        landmark row (``build_landmarks``), in ``meta_columns()`` order."""
+        if not instances:
+            raise DataError("no instances to assemble")
+        return cls(
+            columns=meta_columns(),
+            X=np.asarray([[*landmarks, f.hypervolume, f.fpr] for f, _ in instances], dtype=np.float64),
+            y=np.asarray([target for _, target in instances], dtype=np.float64),
+            dataset_ids=[dataset_id] * len(instances),
+            config_ids=[f.config_id for f, _ in instances],
+        )
+
+    def landmark_columns(self) -> list[int]:
+        """Positions of the landmark columns among ``columns``, projected or not."""
+        return [j for j, name in enumerate(self.columns) if name.startswith(_LANDMARK)]
+
+    def absent_landmarks(self) -> tuple[str, ...]:
+        """The algorithms, in portfolio order, whose landmark is absent (NaN) in some row."""
+        absent = {self.columns[j] for j in np.flatnonzero(np.isnan(self.X).any(axis=0))}
+        return tuple(alg for alg in ALGORITHMS if absent.intersection(_landmark_pair(alg)))
+
+    def detector_features(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's detector hypervolume and FPR."""
+        hv, fpr = (self.columns.index(name) for name in _DETECTOR)
+        return self.X[:, hv], self.X[:, fpr]
+
+    def landmarks_csv_text(self) -> str:
+        """The landmark header and the first row's landmark values: one dataset's landmark row."""
+        cols = self.landmark_columns()
+        return csv_text([[self.columns[j] for j in cols], list(self.X[0, cols])])
+
+    def detectors_csv_text(self) -> str:
+        """Each row's config id, detector features and target."""
+        return csv_text([["config_id", *_DETECTOR, "target_scaled_mcc"],
+                         *zip(self.config_ids, *self.detector_features(), self.y)])
 
     @staticmethod
     def concat(parts: Sequence["MetaDataset"]) -> "MetaDataset":
@@ -272,25 +284,27 @@ def featurize(
     return None
 
 
-def build_landmarks(samples: DatasetSamples) -> LandmarkVector:
-    """Hypervolume and FPR of every default-configured portfolio detector,
-    on ``samples.cfg.jobs`` workers.
+def build_landmarks(samples: DatasetSamples) -> list[float]:
+    """The landmark row: hypervolume and FPR of every default-configured
+    portfolio detector, in ``meta_columns()`` order, on ``samples.cfg.jobs``
+    workers.
 
-    A detector that fails to fit or overruns its budget contributes an
-    absent (None) entry; the others are unaffected.
+    A detector that fails to fit or overruns its budget leaves a NaN pair;
+    the others are unaffected.
     """
 
-    def one(config: DetectorConfig) -> tuple[str, DetectorFeatures | None]:
+    def one(config: DetectorConfig) -> tuple[float, float]:
         got = featurize("landmark", lambda attempt: config, samples, algorithm=config.algorithm)
-        return config.algorithm, None if got is None else got[2]
+        return (np.nan, np.nan) if got is None else (got[2].hypervolume, got[2].fpr)
 
-    results = pmap(one, detectors.default_configs(), samples.cfg.jobs)
-    return LandmarkVector(dataset_id=samples.dataset_id, entries=dict(results))
+    return [v for pair in pmap(one, detectors.default_configs(), samples.cfg.jobs) for v in pair]
 
 
-def build_detector_instance(samples: DatasetSamples, test: LabeledDataset, index: int) -> MetaInstance | None:
-    """One meta-instance from one randomly configured detector, its target
-    measured on the labeled ``test`` partition.
+def build_detector_instance(
+    samples: DatasetSamples, test: LabeledDataset, index: int,
+) -> tuple[DetectorFeatures, float] | None:
+    """One randomly configured detector's features and its target, the scaled
+    MCC measured on the labeled ``test`` partition.
 
     On fit failure or an overrun of ``detector_budget_s`` a freshly
     configured detector replaces the old one, up to ``retries`` times;
@@ -302,18 +316,4 @@ def build_detector_instance(samples: DatasetSamples, test: LabeledDataset, index
         return None
     _, det, feats = got
     predicted = det.predict_many(test.features)
-    return MetaInstance(feats, scaled_mcc(mcc(confusion_counts(predicted, test.labels))))
-
-
-def assemble_meta_dataset(landmarks: LandmarkVector, instances: Sequence[MetaInstance]) -> MetaDataset:
-    """One dataset's instances, each after the dataset's landmark row, in ``meta_columns()`` order."""
-    if not instances:
-        raise DataError("no instances to assemble")
-    lm_row = landmarks.as_row()
-    return MetaDataset(
-        columns=meta_columns(),
-        X=np.asarray([lm_row + [i.detector.hypervolume, i.detector.fpr] for i in instances], dtype=np.float64),
-        y=np.asarray([i.target_scaled_mcc for i in instances], dtype=np.float64),
-        dataset_ids=[landmarks.dataset_id] * len(instances),
-        config_ids=[i.detector.config_id for i in instances],
-    )
+    return feats, scaled_mcc(mcc(confusion_counts(predicted, test.labels)))

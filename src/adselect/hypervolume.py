@@ -21,15 +21,15 @@ from .util import chunk_ranges, pmap, rng_from
 
 SAMPLE_CHUNK = 65536  # fixed: part of the determinism contract
 DIMENSION_WARN = 12  # above it an HV estimate is likely vacuous; DatasetSamples logs it
+BALL_EPSILON = 1e-3  # the fitted radius is within a factor 1 + BALL_EPSILON of the minimal one
 
 
 @dataclass(frozen=True)
 class EnclosingBall:
-    """Minimal enclosing hypersphere (within epsilon slack) of a point set."""
+    """Minimal enclosing hypersphere (within BALL_EPSILON slack) of a point set."""
 
     center: np.ndarray
     radius: float
-    epsilon: float
 
     def __post_init__(self) -> None:
         c = np.asarray(self.center, dtype=np.float64)
@@ -62,32 +62,31 @@ class HypervolumeEstimate:
             raise ValueError("n_samples must be positive")
 
 
-def fit_enclosing_ball(points: np.ndarray, epsilon: float = 1e-3) -> EnclosingBall:
+def fit_enclosing_ball(points: np.ndarray) -> EnclosingBall:
     """Badoiu-Clarkson core-set fit of the minimal enclosing ball.
 
     Update rule: c <- c + (p_far - c)/(t + 1), capped at ceil(1/epsilon^2)
-    iterations, which guarantees radius <= (1 + epsilon) * r_opt. The center
-    is an implicit convex combination of visited points, so the dual value
-    sum(w_i |p_i|^2) - |c|^2 <= r_opt^2 gives an O(1) certificate used to
-    exit as soon as the (1 + epsilon) factor is provably reached.
+    iterations (epsilon = BALL_EPSILON), which guarantees radius <=
+    (1 + epsilon) * r_opt. The center is an implicit convex combination of
+    visited points, so the dual value sum(w_i |p_i|^2) - |c|^2 <= r_opt^2
+    gives an O(1) certificate used to exit as soon as the (1 + epsilon)
+    factor is provably reached.
     """
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"need a (n>=1, d) point matrix, got shape {pts.shape}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     pts = canonical_rows(pts)  # exact row-order invariance
     sq_norms = np.einsum("ij,ij->i", pts, pts)
 
     c = pts[0].copy()
     s1 = float(sq_norms[0])  # running sum(w_i |p_i|^2) under the implicit weights
-    max_iter = int(np.ceil(1.0 / epsilon**2))
+    max_iter = int(np.ceil(1.0 / BALL_EPSILON**2))
     for t in range(1, max_iter + 1):
         d2 = sq_norms - 2.0 * (pts @ c) + float(c @ c)
         far = int(np.argmax(d2))
         r_ub = float(np.sqrt(max(d2[far], 0.0)))
         dual = s1 - float(c @ c)
-        if dual > 0 and r_ub <= (1.0 + epsilon) * np.sqrt(dual):
+        if dual > 0 and r_ub <= (1.0 + BALL_EPSILON) * np.sqrt(dual):
             break
         if r_ub == 0.0:
             break
@@ -97,7 +96,7 @@ def fit_enclosing_ball(points: np.ndarray, epsilon: float = 1e-3) -> EnclosingBa
 
     radius = float(np.sqrt(np.maximum(np.max(
         np.einsum("ij,ij->i", pts - c, pts - c)), 0.0)))
-    return EnclosingBall(center=c, radius=radius, epsilon=epsilon)
+    return EnclosingBall(center=c, radius=radius)
 
 
 def _chunk_points(ball: EnclosingBall, size: int, seed: int, chunk_index: int) -> np.ndarray:

@@ -38,18 +38,15 @@ def drop_empty_landmarks(meta_train: MetaDataset, meta_test: MetaDataset) -> tup
     """
     if meta_train.columns != meta_test.columns:
         raise ValueError("meta-train and meta-test schemas differ")
-    keep = []
-    for j, col in enumerate(meta_train.columns):
-        if col.startswith("landmark_") and np.all(np.isnan(meta_test.X[:, j])):
-            continue
-        keep.append(j)
-    keep_idx = np.asarray(keep, dtype=np.int64)
+    empty = np.all(np.isnan(meta_test.X), axis=0)
+    dropped = {j for j in meta_test.landmark_columns() if empty[j]}
+    keep = [j for j in range(len(meta_test.columns)) if j not in dropped]
     cols = [meta_train.columns[j] for j in keep]
 
     def project(md: MetaDataset) -> MetaDataset:
         return MetaDataset(
             columns=list(cols),
-            X=md.X[:, keep_idx].copy(),
+            X=md.X[:, keep].copy(),
             y=md.y.copy(),
             dataset_ids=list(md.dataset_ids),
             config_ids=list(md.config_ids),
@@ -381,10 +378,39 @@ def save_model(model: MetaModel, path: str) -> None:
     write_text(path, json.dumps(payload))
 
 
+def _checked_tree(t: dict, n_columns: int) -> _Tree:
+    """One bundle tree's node arrays; ValueError unless every descent ends.
+
+    The arrays must be one-dimensional, non-empty and of one length; every
+    feature in [-1, n_columns); every leaf's ``left`` -1; every split's
+    children after it and inside the tree; every threshold and value finite.
+    """
+    tree = _Tree(
+        feature=np.asarray(t["feature"], dtype=np.int32),
+        threshold=np.asarray(t["threshold"], dtype=np.float64),
+        left=np.asarray(t["left"], dtype=np.int32),
+        value=np.asarray(t["value"], dtype=np.float64),
+    )
+    arrays = (tree.feature, tree.threshold, tree.left, tree.value)
+    n = len(tree.feature)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise ValueError("a tree's node arrays are empty or of unequal lengths")
+    if not ((tree.feature >= -1) & (tree.feature < n_columns)).all():
+        raise ValueError(f"a split feature outside [-1, {n_columns})")
+    split = tree.feature >= 0
+    left = tree.left[split]
+    if (tree.left[~split] != -1).any() or (left <= np.flatnonzero(split)).any() or (left + 1 >= n).any():
+        raise ValueError("a leaf with a child, or a split whose children are not after it inside the tree")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ValueError("a threshold or value that is not finite")
+    return tree
+
+
 def load_model(path: str) -> MetaModel:
     """The bundle at ``path``, read once, with the sha256 of its text; one of
     another format version or detector portfolio is refused, since its
-    forest was fitted on other features."""
+    forest was fitted on other features, and so is one whose imputer or trees
+    do not fit its columns (``_checked_tree``)."""
     text = read_text(path, ModelFormatError, "model")
     payload = read_json(path, ModelFormatError, "model", text)
     try:
@@ -400,21 +426,13 @@ def load_model(path: str) -> MetaModel:
                 f"expected {PORTFOLIO_VERSION!r}; rerun assimilate and train-meta"
             )
         columns = list(payload["columns"])
-        trees = [
-            _Tree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                value=np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in payload["forest"]["trees"]
-        ]
+        means = np.asarray(payload["imputer_means"], dtype=np.float64)
+        if means.shape != (len(columns),) or not np.isfinite(means).all():
+            raise ValueError(f"imputer means must be {len(columns)} finite numbers, one per column")
+        trees = [_checked_tree(t, len(columns)) for t in payload["forest"]["trees"]]
+        if len(trees) != N_TREES:
+            raise ValueError(f"{len(trees)} trees, expected {N_TREES}")
         forest = ForestModel(trees=trees, n_features=len(columns), seed=int(payload["forest"]["seed"]))
-        return MetaModel(
-            columns=columns,
-            imputer=Imputer(means=np.asarray(payload["imputer_means"], dtype=np.float64)),
-            forest=forest,
-            sha256=sha256_text(text),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return MetaModel(columns=columns, imputer=Imputer(means=means), forest=forest, sha256=sha256_text(text))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

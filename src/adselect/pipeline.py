@@ -23,12 +23,9 @@ from .features import (
     DatasetSamples,
     DetectorFeatures,
     MetaDataset,
-    MetaInstance,
-    assemble_meta_dataset,
     build_detector_instance,
     build_landmarks,
     featurize,
-    meta_columns,
     random_draw,
 )
 from .metamodel import MetaModel, load_model
@@ -198,14 +195,11 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     instances = [r for r in instances if r is not None]
     if not instances:
         raise DataError(f"{data.name}: every detector instance was skipped")
-    meta = assemble_meta_dataset(landmarks, instances)
-
-    header = ["config_id", "detector_hv", "detector_fpr", "target_scaled_mcc"]
-    rows = [[i.detector.config_id, i.detector.hypervolume, i.detector.fpr, i.target_scaled_mcc] for i in instances]
+    meta = MetaDataset.of(data.name, landmarks, instances)
     texts = dict(zip(_ARTIFACTS, (
         json_text(ds.split_manifest(split, data.name, cfg.seed)),
-        csv_text([meta_columns()[:-2], landmarks.as_row()]),
-        csv_text([header, *rows]),
+        meta.landmarks_csv_text(),
+        meta.detectors_csv_text(),
         meta.csv_text(),
     )))
     for name, text in texts.items():
@@ -352,10 +346,10 @@ def rank_candidates(
     if method == "linear":
         scored = [(config, ranking.lc_score(f.hypervolume, f.fpr)) for config, f in feats]
     else:
-        landmarks = build_landmarks(samples)
-        absent = tuple(alg for alg, entry in landmarks.entries.items() if entry is None)
         # a candidate's target is unknown; 0 stands in, and predict reads X only
-        predictions = model.predict(assemble_meta_dataset(landmarks, [MetaInstance(f, 0.0) for _, f in feats]))
+        meta = MetaDataset.of(data.name, build_landmarks(samples), [(f, 0.0) for _, f in feats])
+        absent = meta.absent_landmarks()
+        predictions = model.predict(meta)
         scored = [(config, float(p)) for (config, _), p in zip(feats, predictions)]
 
     scored.sort(key=lambda cs: (-cs[1], cs[0].config_id))

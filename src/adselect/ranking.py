@@ -215,13 +215,14 @@ class RankingReport:
 def evaluate_methods(
     detector_hv: Mapping[str, float],
     detector_fpr: Mapping[str, float],
-    predicted_mcc: Mapping[str, float] | None,
+    predicted_mcc: Mapping[str, float],
     true_scaled_mcc: Mapping[str, float],
     dataset_id: str,
     rng: np.random.Generator,
     cherry_threshold: float = 0.6,
 ) -> RankingReport:
-    """Score the R/FPR/HV/L/M(/Mc) rankings of one candidate set.
+    """Score the R/FPR/HV/L/M/Mc rankings of one candidate set; Mc's metrics
+    are None unless the dataset is cherry-picked.
 
     Logs ``tau_b_undefined`` once, naming the dataset and each method whose
     tau_b is 0 because its scores or the true scores are entirely tied.
@@ -234,19 +235,16 @@ def evaluate_methods(
         "L": rank_by(
             {c: lc_score(detector_hv[c], detector_fpr[c]) for c in true_scaled_mcc}, "L"
         ),
+        "M": rank_by(dict(predicted_mcc), "M"),
     }
     metrics: dict[str, dict[str, float | None]] = {
         "R": dict(random_baseline_metrics(true_scaled_mcc, rng)),
     }
     for method, r in rankings.items():
         metrics[method] = dict(ranking_metrics(r, true_scaled_mcc))
-    if predicted_mcc is not None:
-        rankings["M"] = rank_by(dict(predicted_mcc), "M")
-        m_metrics = ranking_metrics(rankings["M"], true_scaled_mcc)
-        metrics["M"] = dict(m_metrics)
-        metrics["Mc"] = dict(m_metrics) if eligible else {m: None for m in METRICS}
-        if eligible:
-            rankings["Mc"] = Ranking(entries=rankings["M"].entries, method="Mc")
+    metrics["Mc"] = dict(metrics["M"]) if eligible else {m: None for m in METRICS}
+    if eligible:
+        rankings["Mc"] = Ranking(entries=rankings["M"].entries, method="Mc")
     true_tied = len(set(true_vals)) == 1  # R's random rankings are never tied
     tied = [m for m, r in rankings.items() if true_tied or len({s for _, s in r.entries}) == 1]
     if tied:
@@ -311,12 +309,11 @@ def leave_one_out_evaluate(
         model = fit_meta_model(meta_train, seed=seed_from(master_seed, dataset_id, "forest"), jobs=jobs)
         predicted = model.predict(meta_test)
 
-        hv_col = meta_test.columns.index("detector_hv")
-        fpr_col = meta_test.columns.index("detector_fpr")
+        hv, fpr = meta_test.detector_features()
         cids = meta_test.config_ids
         report = evaluate_methods(
-            detector_hv={c: float(meta_test.X[i, hv_col]) for i, c in enumerate(cids)},
-            detector_fpr={c: float(meta_test.X[i, fpr_col]) for i, c in enumerate(cids)},
+            detector_hv={c: float(hv[i]) for i, c in enumerate(cids)},
+            detector_fpr={c: float(fpr[i]) for i, c in enumerate(cids)},
             predicted_mcc={c: float(predicted[i]) for i, c in enumerate(cids)},
             true_scaled_mcc={c: float(meta_test.y[i]) for i, c in enumerate(cids)},
             dataset_id=dataset_id,

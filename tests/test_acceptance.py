@@ -61,7 +61,7 @@ def test_uniform_ball_sampling():
     details = []
     ok = True
     for d in (1, 2, 4, 8):
-        ball = EnclosingBall(center=np.zeros(d), radius=1.0, epsilon=1e-3)
+        ball = EnclosingBall(center=np.zeros(d), radius=1.0)
         t0 = time.perf_counter()
         pts = sample_uniform_in_ball(ball, n, seed=100 + d)
         frac = float(np.mean(np.linalg.norm(pts, axis=1) <= 0.5))
@@ -82,7 +82,7 @@ def test_enclosing_ball_accuracy():
     ok = True
     for i in range(50):
         pts = np.random.default_rng(i).standard_normal((100, 2))
-        ball = fit_enclosing_ball(pts, epsilon=1e-3)
+        ball = fit_enclosing_ball(pts)
         _, r_exact = welzl_min_circle(pts, seed=i)
         rel = ball.radius / r_exact - 1.0
         worst = max(worst, rel)
@@ -97,7 +97,7 @@ def test_enclosing_ball_accuracy():
 
 def test_hypervolume_nested_ball_oracle():
     n = 200_000
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     ok = True
     details = []
     for rho in (0.25, 0.5, 0.75):

@@ -383,8 +383,56 @@ def refused_model_line(tmp_path, corpus_dir, capsys, command, edit):
 def test_model_of_other_columns_is_model_error(tmp_path, corpus_dir, capsys, command):
     """A model whose columns are not the instances' ends in exit 2 and a
     one-line model error, not a traceback."""
-    line = refused_model_line(tmp_path, corpus_dir, capsys, command, lambda p: {**p, "columns": p["columns"][2:]})
+    line = refused_model_line(tmp_path, corpus_dir, capsys, command, lambda p: {**p, "columns": p["columns"][::-1]})
     assert line.startswith("model error: instance schema")
+
+
+# single node-array entries set in the largest tree: (array, node, value) of each defect, where node
+# "split" is the tree's last split node, "after" the node after it and "last" its last node, a leaf
+NODE_DEFECTS = {
+    "feature-99": ("feature", "split", 99),
+    "feature-below-leaf": ("feature", "split", -2),
+    "child-past-end": ("left", "split", "last"),
+    "leaf-with-child": ("left", "last", 0),
+    "threshold-nan": ("threshold", "split", float("nan")),
+    "value-inf": ("value", "after", float("inf")),
+}
+
+
+def damage(payload, defect):
+    """A copy of a trained bundle's payload with one defect that would crash
+    or mislead prediction; a tree defect goes into its largest tree."""
+    p = json.loads(json.dumps(payload))
+    tree = max(p["forest"]["trees"], key=lambda t: len(t["feature"]))
+    split = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    nodes = {"split": split, "after": split + 1, "last": len(tree["feature"]) - 1}
+    if defect in NODE_DEFECTS:
+        name, node, value = NODE_DEFECTS[defect]
+        tree[name][nodes[node]] = nodes.get(value, value)
+    elif defect == "value-cut-short":
+        tree["value"].pop()
+    elif defect == "empty-tree":
+        tree.update({name: [] for name in tree})
+    elif defect == "one-tree-short":
+        p["forest"]["trees"].pop()
+    elif defect == "imputer-short":
+        p["imputer_means"].pop()
+    else:
+        assert defect == "imputer-nan"
+        p["imputer_means"][0] = float("nan")
+    return p
+
+
+BUNDLE_DEFECTS = (*NODE_DEFECTS, "value-cut-short", "empty-tree", "one-tree-short", "imputer-short", "imputer-nan")
+
+
+@pytest.mark.parametrize("defect", BUNDLE_DEFECTS)
+@pytest.mark.parametrize("command", ("predict", "rank"))
+def test_damaged_bundle_is_model_error(tmp_path, corpus_dir, capsys, command, defect):
+    """A bundle whose node arrays or imputer do not fit its columns is refused
+    on load with a one-line model error, before any tree is read."""
+    line = refused_model_line(tmp_path, corpus_dir, capsys, command, lambda p: damage(p, defect))
+    assert line.startswith("model error:") and "malformed model payload" in line
 
 
 def as_version_1(payload):
@@ -631,17 +679,20 @@ def log_events(path):
 
 
 def test_assimilate_exits_partial_when_a_landmark_fails(tmp_path, corpus_dir, monkeypatch):
-    fail_family(monkeypatch, "hbos")
     log = tmp_path / "events.jsonl"
-    rc = main(
-        ["assimilate", "--datasets", str(corpus_dir / "halo.csv"), "--log-file", str(log)]
-        + fast_flags(tmp_path)
-    )
+    args = ["assimilate", "--datasets", str(corpus_dir / "halo.csv"), "--log-file", str(log)] + fast_flags(tmp_path)
+    with monkeypatch.context() as patched:
+        fail_family(patched, "hbos")
+        rc = main(args)
     failed = [e["algorithm"] for e in log_events(log) if e["event"] == "landmark_failed"]
     assert failed == ["hbos"]
     with open(tmp_path / "run" / "halo" / "meta.csv") as fh:
         assert len(fh.read().strip().splitlines()) == 1 + 3  # no instance skipped: the landmark alone
     assert rc == EXIT_PARTIAL
+    # hbos fits again, but the resume reloads meta.csv, whose hbos landmark is absent
+    log.unlink()
+    assert main(args) == EXIT_PARTIAL
+    assert [e["event"] for e in log_events(log)] == ["assimilate_skipped"]
 
 
 def test_rank_meta_exits_partial_when_a_landmark_fails(tmp_path, corpus_dir, capsys, monkeypatch):

@@ -13,10 +13,7 @@ from adselect.errors import DataError, FitError
 from adselect.features import (
     DatasetSamples,
     DetectorFeatures,
-    LandmarkVector,
     MetaDataset,
-    MetaInstance,
-    assemble_meta_dataset,
     build_detector_instance,
     build_landmarks,
     mc_cv_fpr,
@@ -41,6 +38,13 @@ def samples_for(data, dataset_id="d", **settings):
     """The shared HV points and MC-CV splits of data, in its enclosing ball, under
     the RunConfig of `settings`; its default retries and budgets never bind."""
     return DatasetSamples(data, dataset_id, RunConfig(**{"hv_samples": 2000, **settings}))
+
+
+def absent(row):
+    """The algorithms whose landmark pair is NaN in a landmark row; no other cell may be NaN."""
+    pairs = np.isnan(np.asarray(row, dtype=np.float64)).reshape(-1, 2)
+    assert len(pairs) == len(detectors.ALGORITHMS) and (pairs[:, 0] == pairs[:, 1]).all()
+    return [alg for alg, (hv, _) in zip(detectors.ALGORITHMS, pairs) if hv]
 
 
 def stub_fit(monkeypatch, flag_everything):
@@ -128,12 +132,11 @@ def test_high_dimension_is_logged_once_per_dataset(logged_events):
 # landmarks
 
 
-def test_landmark_vector_has_two_slots_per_algorithm():
+def test_landmark_row_has_two_slots_per_algorithm():
     data = all_normal(80, seed=6)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
-    row = lv.as_row()
+    row = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
     assert len(row) == 2 * len(detectors.ALGORITHMS)
-    assert all(v is not None and 0 <= v <= 1 for v in row)
+    assert all(0 <= v <= 1 for v in row)
 
 
 def test_landmark_failure_marks_absent(monkeypatch):
@@ -146,9 +149,8 @@ def test_landmark_failure_marks_absent(monkeypatch):
 
     monkeypatch.setattr(detectors, "fit", flaky)
     data = all_normal(80, seed=7)
-    lv = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
-    assert lv.entries["lof"] is None
-    assert lv.entries["knn"] is not None
+    row = build_landmarks(samples_for(data, seed=1, mc_cv_repetitions=3))
+    assert absent(row) == ["lof"]
 
 
 def test_landmark_timeout_marks_absent(monkeypatch):
@@ -161,10 +163,9 @@ def test_landmark_timeout_marks_absent(monkeypatch):
 
     monkeypatch.setattr(detectors, "fit", slow_on_kde)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2, landmark_budget_s=0.12))
-    assert lv.entries["kde"] is None
-    present = [alg for alg, v in lv.entries.items() if v is not None]
-    assert "knn" in present
+    row = build_landmarks(samples_for(data, seed=1, hv_samples=1000, mc_cv_repetitions=2, landmark_budget_s=0.12))
+    assert "kde" in absent(row)
+    assert "knn" not in absent(row)
 
 
 def test_landmarks_deterministic():
@@ -185,14 +186,9 @@ def toy_split(seed=0):
     return assimilate_split(make_dataset(130, 14, seed=seed), cfg)
 
 
-def landmarks(dataset_id, hv=0.5, fpr=0.1, absent=()):
-    return LandmarkVector(
-        dataset_id=dataset_id,
-        entries={
-            alg: None if alg in absent else DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=f"{alg}-default")
-            for alg in detectors.ALGORITHMS
-        },
-    )
+def landmarks(hv=0.5, fpr=0.1, missing=()):
+    """A landmark row as build_landmarks returns it, NaN pairs for the `missing` algorithms."""
+    return [v for alg in detectors.ALGORITHMS for v in ((np.nan, np.nan) if alg in missing else (hv, fpr))]
 
 
 def toy_samples(split, seed, hv_samples=500, **settings):
@@ -216,17 +212,16 @@ def test_instance_from_perfect_detector(monkeypatch):
     monkeypatch.setattr(detectors, "fit", fit)
     inst = build_detector_instance(toy_samples(split, 3), split.test, 0)
     assert inst is not None
-    assert inst.target_scaled_mcc == 1.0
+    assert inst[1] == 1.0
 
 
 def test_instance_from_all_normal_detector_scores_half(monkeypatch):
     split = toy_split(2)
     stub_fit(monkeypatch, False)
-    inst = build_detector_instance(toy_samples(split, 3), split.test, 0)
-    assert inst is not None
-    assert inst.target_scaled_mcc == 0.5
-    assert inst.detector.hypervolume == 1.0
-    assert inst.detector.fpr == 0.0
+    feats, target = build_detector_instance(toy_samples(split, 3), split.test, 0)
+    assert target == 0.5
+    assert feats.hypervolume == 1.0
+    assert feats.fpr == 0.0
 
 
 def test_instance_replacement_after_failure(monkeypatch):
@@ -292,7 +287,7 @@ def test_patched_fit_sees_every_fit_of_an_attempt(monkeypatch, kind):
     monkeypatch.setattr(detectors, "fit", fit)
     if kind == "landmark":
         configs = detectors.default_configs()
-        assert None not in build_landmarks(samples).entries.values()
+        assert absent(build_landmarks(samples)) == []
     else:
         configs = [random_draw(samples.cfg.seed, samples.dataset_id, 0, "detector")(0)]
         assert build_detector_instance(samples, split.test, 0) is not None
@@ -372,8 +367,8 @@ def test_landmark_events_name_the_algorithm(monkeypatch):
     scripted_fit(monkeypatch, fails={ids["lof"]}, slow={ids["kde"]})
     events = recorded_events(monkeypatch)
     data = all_normal(60, seed=8)
-    lv = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2, landmark_budget_s=5.0))
-    assert [alg for alg, v in lv.entries.items() if v is None] == ["lof", "kde"]
+    row = build_landmarks(samples_for(data, seed=1, hv_samples=500, mc_cv_repetitions=2, landmark_budget_s=5.0))
+    assert absent(row) == ["lof", "kde"]
     assert all(e["reason"] == "scripted failure" for e in events if e["event"] == "landmark_failed")
     assert without_reason(events) == [  # one attempt each, and no skip event
         {"event": "landmark_failed", "dataset": "d", "algorithm": "lof", "attempt": 0, "config": ids["lof"]},
@@ -397,7 +392,7 @@ def test_detector_events_name_each_attempt(monkeypatch, exhausted):
             {"event": "detector_replaced", **where, "attempt": a, "config": ids[a]} for a in range(3)
         ] + [{"event": "instance_skipped", **where, "retries": 2}]
     else:
-        assert inst.detector.config_id == ids[2]
+        assert inst[0].config_id == ids[2]
         assert without_reason(events) == [
             {"event": "detector_replaced", **where, "attempt": 0, "config": ids[0]},
             {"event": "detector_timeout", **where, "attempt": 1, "config": ids[1], "budget_s": 5.0},
@@ -425,20 +420,21 @@ def test_candidate_events_name_each_attempt(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# meta-dataset assembly
+# meta-dataset assembly and layout
 
 
 def make_instance(config_id, hv=0.4, fpr=0.2, target=0.7):
-    return MetaInstance(DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=config_id), target)
+    return DetectorFeatures(hypervolume=hv, fpr=fpr, config_id=config_id), target
 
 
 def test_assemble_joins_landmarks_per_dataset():
-    md_a = assemble_meta_dataset(landmarks("a"), [make_instance(f"a{i}") for i in range(3)])
-    md_b = assemble_meta_dataset(
-        landmarks("b", hv=0.9, fpr=0.05, absent=("kde",)), [make_instance(f"b{i}", hv=0.1 * i) for i in range(3)]
+    md_a = MetaDataset.of("a", landmarks(), [make_instance(f"a{i}") for i in range(3)])
+    md_b = MetaDataset.of(
+        "b", landmarks(hv=0.9, fpr=0.05, missing=("kde",)), [make_instance(f"b{i}", hv=0.1 * i) for i in range(3)]
     )
     md = MetaDataset.concat([md_a, md_b])
     assert md.n == 6
+    assert md.columns == meta_columns()
     assert md.dataset_ids == ["a"] * 3 + ["b"] * 3
     assert md.config_ids == ["a0", "a1", "a2", "b0", "b1", "b2"]
     assert len(md.columns) == 2 * len(detectors.ALGORITHMS) + 2
@@ -447,18 +443,21 @@ def test_assemble_joins_landmarks_per_dataset():
     assert np.array_equal(block_a[0], [0.5, 0.1] * len(detectors.ALGORITHMS))
     kde_col = md.columns.index("landmark_hv_kde")
     assert np.isnan(md.X[3:, kde_col]).all() and np.isnan(md.X[3:, kde_col + 1]).all()
+    assert np.isnan(md.X).sum() == 2 * 3
     assert np.array_equal(md.X[3:, -2:], [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]])
     assert np.array_equal(md.y, [0.7] * 6)
+    assert md_a.absent_landmarks() == () and md.absent_landmarks() == md_b.absent_landmarks() == ("kde",)
 
 
 def test_assemble_needs_instances():
     with pytest.raises(DataError, match="no instances"):
-        assemble_meta_dataset(landmarks("a"), [])
+        MetaDataset.of("a", landmarks(), [])
 
 
 def test_meta_csv_roundtrip(tmp_path):
-    md = assemble_meta_dataset(
-        landmarks("a", hv=0.25, fpr=0.125, absent=("pca",)), [make_instance(f"c{i}", target=0.3 + i / 10) for i in range(4)]
+    md = MetaDataset.of(
+        "a", landmarks(hv=0.25, fpr=0.125, missing=("pca",)),
+        [make_instance(f"c{i}", target=0.3 + i / 10) for i in range(4)],
     )
     path = str(tmp_path / "meta.csv")
     util.write_text(path, md.csv_text())
@@ -469,18 +468,56 @@ def test_meta_csv_roundtrip(tmp_path):
     assert np.array_equal(np.isnan(back.X), np.isnan(md.X))
     assert np.array_equal(back.X[~np.isnan(back.X)], md.X[~np.isnan(md.X)])
     assert np.array_equal(back.y, md.y)
+    assert back.absent_landmarks() == ("pca",)
 
 
 def test_meta_columns_schema():
     cols = meta_columns()
     assert cols[-2:] == ["detector_hv", "detector_fpr"]
     assert cols[0] == f"landmark_hv_{detectors.ALGORITHMS[0]}"
+    assert cols[1] == f"landmark_fpr_{detectors.ALGORITHMS[0]}"
     assert len(cols) == 2 * len(detectors.ALGORITHMS) + 2
+
+
+def test_layout_questions_read_projected_columns():
+    """Landmark positions, absent algorithms and detector features come from
+    the column names, so a meta-dataset with dropped columns answers them too."""
+    md = MetaDataset.of(
+        "a", landmarks(missing=("knn", "hbos")), [make_instance("c0", hv=0.3, fpr=0.6), make_instance("c1", hv=0.8)]
+    )
+    n_lm = 2 * len(detectors.ALGORITHMS)
+    assert md.landmark_columns() == list(range(n_lm))
+    assert md.absent_landmarks() == ("knn", "hbos")
+    hv, fpr = md.detector_features()
+    assert hv.tolist() == [0.3, 0.8] and fpr.tolist() == [0.6, 0.2]
+    keep = [j for j, c in enumerate(md.columns) if not c.endswith("_knn")][::-1]  # reordered too
+    projected = MetaDataset(
+        columns=[md.columns[j] for j in keep], X=md.X[:, keep], y=md.y, dataset_ids=md.dataset_ids,
+        config_ids=md.config_ids,
+    )
+    assert projected.landmark_columns() == list(range(2, n_lm))
+    assert projected.absent_landmarks() == ("hbos",)
+    assert [a.tolist() for a in projected.detector_features()] == [hv.tolist(), fpr.tolist()]
+
+
+def test_side_tables_hold_the_landmark_row_and_each_detector():
+    md = MetaDataset.of(
+        "a", landmarks(hv=0.25, fpr=0.125, missing=("pca",)), [make_instance("c0", target=0.5), make_instance("c1")]
+    )
+    header, row = md.landmarks_csv_text().splitlines()
+    assert header.split(",") == meta_columns()[:-2]
+    pca = detectors.ALGORITHMS.index("pca")
+    cells = row.split(",")
+    assert cells[2 * pca : 2 * pca + 2] == ["", ""]
+    assert cells[:2 * pca] + cells[2 * pca + 2 :] == ["0.25", "0.125"] * (len(detectors.ALGORITHMS) - 1)
+    assert md.detectors_csv_text() == (
+        "config_id,detector_hv,detector_fpr,target_scaled_mcc\nc0,0.4,0.2,0.5\nc1,0.4,0.2,0.7\n"
+    )
 
 
 def test_assemble_fifteen_datasets_fifty_detectors():
     md = MetaDataset.concat(
-        [assemble_meta_dataset(landmarks(f"ds{d}"), [make_instance(f"ds{d}-c{i}") for i in range(50)]) for d in range(15)]
+        [MetaDataset.of(f"ds{d}", landmarks(), [make_instance(f"ds{d}-c{i}") for i in range(50)]) for d in range(15)]
     )
     assert md.n == 750
     assert len(set(md.dataset_ids)) == 15

@@ -45,7 +45,7 @@ def test_ball_identical_points():
 def test_ball_close_to_welzl_on_random_sets():
     for i in range(5):
         pts = np.random.default_rng(i).standard_normal((100, 2))
-        b = fit_enclosing_ball(pts, epsilon=1e-3)
+        b = fit_enclosing_ball(pts)
         _, r_exact = welzl_min_circle(pts, seed=i)
         assert b.radius <= r_exact * (1.0 + 1e-3 * (1 + 1e-6))
         assert b.radius >= r_exact * (1.0 - 1e-9)
@@ -66,14 +66,14 @@ def test_ball_row_order_invariant():
 
 
 def test_samples_stay_inside_ball():
-    ball = EnclosingBall(center=np.asarray([1.0, -2.0]), radius=3.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.asarray([1.0, -2.0]), radius=3.0)
     pts = sample_uniform_in_ball(ball, 50_000, seed=1)
     r = np.linalg.norm(pts - ball.center, axis=1)
     assert np.all(r <= ball.radius * (1 + 1e-12))
 
 
 def test_sample_half_radius_fraction_d2():
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     n = 200_000
     pts = sample_uniform_in_ball(ball, n, seed=2)
     frac = float(np.mean(np.linalg.norm(pts, axis=1) <= ball.radius / 2))
@@ -82,7 +82,7 @@ def test_sample_half_radius_fraction_d2():
 
 
 def test_sample_mean_near_center():
-    ball = EnclosingBall(center=np.asarray([5.0, -1.0, 2.0]), radius=1.5, epsilon=1e-3)
+    ball = EnclosingBall(center=np.asarray([5.0, -1.0, 2.0]), radius=1.5)
     n = 100_000
     pts = sample_uniform_in_ball(ball, n, seed=3)
     # per-coordinate variance of uniform ball: R^2/(d+2)
@@ -91,7 +91,7 @@ def test_sample_mean_near_center():
 
 
 def test_sampling_deterministic_and_chunk_stable():
-    ball = EnclosingBall(center=np.zeros(2), radius=1.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=1.0)
     a = sample_uniform_in_ball(ball, SAMPLE_CHUNK + 17, seed=9)
     b = sample_uniform_in_ball(ball, SAMPLE_CHUNK + 17, seed=9)
     assert np.array_equal(a, b)
@@ -105,13 +105,13 @@ def test_sampling_deterministic_and_chunk_stable():
 
 
 def test_estimate_all_normal_and_all_anomalous():
-    ball = EnclosingBall(center=np.zeros(3), radius=1.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(3), radius=1.0)
     assert estimate_hypervolume(ConstantDetector(3, False), BallSample(ball, 4), 1000).fraction == 1.0
     assert estimate_hypervolume(ConstantDetector(3, True), BallSample(ball, 4), 1000).fraction == 0.0
 
 
 def test_estimate_nested_ball_oracle():
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     n = 200_000
     det = BallDetector(np.zeros(2), 1.0)  # rho = 1/2 -> area fraction 1/4
     est = estimate_hypervolume(det, BallSample(ball, 5), n)
@@ -121,7 +121,7 @@ def test_estimate_nested_ball_oracle():
 
 
 def test_estimate_monotone_for_nested_detectors():
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     small = BallDetector(np.zeros(2), 0.8)
     large = BallDetector(np.zeros(2), 1.4)  # superset of small's acceptance region
     f_small = estimate_hypervolume(small, BallSample(ball, 6), 50_000).fraction
@@ -130,7 +130,7 @@ def test_estimate_monotone_for_nested_detectors():
 
 
 def test_estimate_seed_stability():
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     det = BallDetector(np.zeros(2), 1.0)
     n = 100_000
     a = estimate_hypervolume(det, BallSample(ball, 7), n)
@@ -140,7 +140,7 @@ def test_estimate_seed_stability():
 
 
 def test_estimate_jobs_do_not_change_counts():
-    ball = EnclosingBall(center=np.zeros(2), radius=2.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(2), radius=2.0)
     det = BallDetector(np.asarray([0.3, -0.2]), 1.1)
     n = 3 * SAMPLE_CHUNK + 123
     a = estimate_hypervolume(det, BallSample(ball, 9), n, jobs=1)
@@ -202,7 +202,7 @@ def test_ball_sample_draws_each_chunk_and_bound_once_under_contention(monkeypatc
 
 
 def test_estimate_dimension_mismatch():
-    ball = EnclosingBall(center=np.zeros(3), radius=1.0, epsilon=1e-3)
+    ball = EnclosingBall(center=np.zeros(3), radius=1.0)
     with pytest.raises(ValueError, match="dimension"):
         estimate_hypervolume(BallDetector(np.zeros(2), 1.0), BallSample(ball, 0), 100)
 

@@ -420,6 +420,28 @@ def test_bundle_keeps_only_what_prediction_reads(tmp_path):
     assert load_model(path).forest.n_features == len(payload["columns"])
 
 
+@pytest.mark.parametrize("target", ("itself", "its parent", "the root"))
+def test_load_refuses_a_split_whose_child_is_not_after_it(tmp_path, target):
+    """A descent through such a split could revisit a node forever; the bundle
+    is refused on load, before prediction could loop."""
+    import json
+
+    bundle, _ = _toy_bundle()
+    path = str(tmp_path / "model.json")
+    save_model(bundle, path)
+    with open(path) as fh:
+        payload = json.load(fh)
+    tree = max(payload["forest"]["trees"], key=lambda t: len(t["feature"]))
+    root_left = tree["left"][0]
+    assert tree["feature"][root_left] >= 0  # the root's left child splits too
+    node = {"itself": root_left, "its parent": 0, "the root": 0}[target]
+    tree["left"][0 if target == "the root" else root_left] = node
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="malformed model payload .*children are not after it"):
+        load_model(path)
+
+
 def test_load_rejects_wrong_version(tmp_path):
     bundle, _ = _toy_bundle()
     path = str(tmp_path / "model.json")
