@@ -1,15 +1,17 @@
 """Labeled datasets and the assimilation steps that precede feature extraction.
 
 A base dataset carries a numeric feature matrix plus binary labels
-(0 = normal, 1 = anomaly). Assimilation sub-samples over-represented
-anomalies, shuffles and splits 70/20/10 stratified by class, strips anomalies
-from the train partition, and centers/scales each feature by the train
-interquartile range.
+(0 = normal, 1 = anomaly). Assimilation (``pipeline.assimilate_split``)
+sub-samples anomalies to at most ``OUTLIER_HI`` of the rows, shuffles and
+splits the kept rows by ``SPLIT_FRACTIONS`` (70/20/10) stratified by class,
+drops the anomalies from the train partition, and centers/scales each feature
+by the train interquartile range. The split steps here work on row indices,
+so each partition is a set of rows of the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,17 +90,6 @@ class ScalingParams:
         }
 
 
-@dataclass(frozen=True)
-class SemiSupervisedSplit:
-    """Train/test/holdout partition; train is anomaly-free once stripped."""
-
-    train: LabeledDataset
-    test: LabeledDataset
-    holdout: LabeledDataset
-    origin_indices: dict[str, np.ndarray]  # partition -> indices into the source dataset
-    scaler: ScalingParams | None = None
-
-
 def load_csv(path: str, label_column: str = "label", labels_required: bool = True) -> LabeledDataset:
     """Read a headered numeric CSV into a LabeledDataset.
 
@@ -137,35 +128,33 @@ def load_csv(path: str, label_column: str = "label", labels_required: bool = Tru
     return LabeledDataset(features=features, labels=labels, name=name)
 
 
-def subsample_outliers(
-    data: LabeledDataset, lo: float = 0.05, hi: float = 0.10, *, rng: np.random.Generator
-) -> LabeledDataset:
-    """Down-sample anomalies so they make up at most `hi` of the dataset.
+# the anomaly share below which sub-sampling logs, and the most it keeps
+OUTLIER_LO, OUTLIER_HI = 0.05, 0.10
 
-    Keeps every normal row. If the original anomaly fraction is already <= hi
-    the dataset is returned unchanged; otherwise a uniform subset of anomalies
-    of maximal size a with a / (n_normal + a) <= hi is retained. Logs
-    ``anomaly_fraction_below_lo`` if the achieved fraction falls below `lo`.
+
+def subsample_outliers(data: LabeledDataset, *, rng: np.random.Generator) -> np.ndarray:
+    """The rows of `data` to keep, in order, so anomalies make up at most ``OUTLIER_HI``.
+
+    Keeps every normal row. If the anomaly fraction is already at most
+    ``OUTLIER_HI`` every row is kept; otherwise a uniform subset of anomalies
+    of maximal size a with a / (n_normal + a) <= ``OUTLIER_HI``. Logs
+    ``anomaly_fraction_below_lo`` if the kept fraction falls below ``OUTLIER_LO``.
     """
-    if not (0 < lo <= hi < 1):
-        raise ValueError(f"invalid outlier band ({lo}, {hi})")
     n_anom = data.n_anomalies
     n_norm = data.n - n_anom
     if n_norm == 0:
         raise DataError(f"{data.name}: no normal rows, anomaly fraction undefined")
-    if n_anom / data.n <= hi:
-        return data
+    if n_anom / data.n <= OUTLIER_HI:
+        return np.arange(data.n)
     # maximal a with a/(n_norm + a) <= hi  <=>  a <= hi*n_norm/(1-hi)
-    keep = int(np.floor(hi * n_norm / (1.0 - hi)))
+    keep = int(np.floor(OUTLIER_HI * n_norm / (1.0 - OUTLIER_HI)))
     anom_idx = np.flatnonzero(data.labels == 1)
     chosen = rng.choice(anom_idx, size=keep, replace=False) if keep > 0 else np.empty(0, dtype=int)
     mask = data.labels == 0
     mask[chosen] = True
-    kept = np.flatnonzero(mask)  # preserves original row order
-    result = data.take(kept)
-    if keep / (n_norm + keep) < lo:
-        log_event("anomaly_fraction_below_lo", dataset=data.name, fraction=keep / (n_norm + keep), lo=lo)
-    return result
+    if keep / (n_norm + keep) < OUTLIER_LO:
+        log_event("anomaly_fraction_below_lo", dataset=data.name, fraction=keep / (n_norm + keep), lo=OUTLIER_LO)
+    return np.flatnonzero(mask)
 
 
 def _largest_remainder(count: int, fractions: Sequence[float]) -> list[int]:
@@ -179,47 +168,22 @@ def _largest_remainder(count: int, fractions: Sequence[float]) -> list[int]:
     return base
 
 
-def stratified_split(
-    data: LabeledDataset, fractions: tuple[float, float, float] = (0.70, 0.20, 0.10), *, rng: np.random.Generator
-) -> SemiSupervisedSplit:
-    """Shuffle, then split into train/test/holdout preserving class proportions.
+# each class's train, test and holdout shares
+SPLIT_FRACTIONS = (0.70, 0.20, 0.10)
+
+
+def stratified_split(labels: np.ndarray, *, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle the positions of `labels`, then split them into train, test and
+    holdout by ``SPLIT_FRACTIONS``, preserving class proportions.
 
     Per-class counts follow largest-remainder rounding, so each partition's
-    class count is within one row of the exact proportion. The returned split
-    is pre-strip and pre-scale.
+    class count is within one row of the exact proportion. Each partition
+    holds its normal positions, then its anomalous ones, in shuffled order.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
-    perm = rng.permutation(data.n)
-    parts: list[list[int]] = [[], [], []]
-    for cls in (0, 1):
-        members = [int(i) for i in perm if data.labels[i] == cls]
-        counts = _largest_remainder(len(members), fractions)
-        pos = 0
-        for p, c in enumerate(counts):
-            parts[p].extend(members[pos : pos + c])
-            pos += c
-    origin = {
-        "train": np.asarray(parts[0], dtype=np.int64),
-        "test": np.asarray(parts[1], dtype=np.int64),
-        "holdout": np.asarray(parts[2], dtype=np.int64),
-    }
-    return SemiSupervisedSplit(
-        train=data.take(origin["train"], name=f"{data.name}/train"),
-        test=data.take(origin["test"], name=f"{data.name}/test"),
-        holdout=data.take(origin["holdout"], name=f"{data.name}/holdout"),
-        origin_indices=origin,
-    )
-
-
-def strip_anomalies(split: SemiSupervisedSplit) -> SemiSupervisedSplit:
-    """Drop label-1 rows from train; test and holdout are untouched."""
-    keep = np.flatnonzero(split.train.labels == 0)
-    if len(keep) == split.train.n:
-        return split
-    origin = dict(split.origin_indices)
-    origin["train"] = origin["train"][keep]
-    return replace(split, train=split.train.take(keep), origin_indices=origin)
+    perm = rng.permutation(len(labels))
+    by_class = [perm[labels[perm] == cls] for cls in (0, 1)]
+    chunks = [np.split(m, np.cumsum(_largest_remainder(len(m), SPLIT_FRACTIONS))[:-1]) for m in by_class]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
 def fit_robust_scaler(train: LabeledDataset) -> ScalingParams:
@@ -245,25 +209,3 @@ def apply_scaler(params: ScalingParams, data: LabeledDataset) -> LabeledDataset:
         )
     scaled = (data.features - params.means) / params.iqrs
     return LabeledDataset(features=scaled, labels=data.labels, name=data.name)
-
-
-def scale_split(split: SemiSupervisedSplit) -> SemiSupervisedSplit:
-    """Fit the robust scaler on train and apply it to all three partitions."""
-    params = fit_robust_scaler(split.train)
-    return replace(
-        split,
-        train=apply_scaler(params, split.train),
-        test=apply_scaler(params, split.test),
-        holdout=apply_scaler(params, split.holdout),
-        scaler=params,
-    )
-
-
-def split_manifest(split: SemiSupervisedSplit, dataset_name: str, seed: int) -> dict:
-    """JSON-serializable record of a split: origin indices plus scaler params."""
-    return {
-        "dataset": dataset_name,
-        "seed": seed,
-        "origin_indices": {k: v.tolist() for k, v in split.origin_indices.items()},
-        "scaler": split.scaler.to_dict() if split.scaler is not None else None,
-    }

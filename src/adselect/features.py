@@ -164,6 +164,10 @@ class MetaDataset:
 # feature computation
 
 
+# the share of train rows each MC-CV repetition holds out
+MC_CV_TEST_FRACTION = 0.3
+
+
 class DatasetSamples:
     """The common random numbers of one dataset under one run's settings.
 
@@ -193,12 +197,13 @@ class DatasetSamples:
 
     @property
     def splits(self) -> tuple[tuple[np.ndarray, LabeledDataset], ...]:
-        """(held-out rows, fit set) per repetition, none if a side would have no row;
-        built once, on the first read of any worker."""
+        """(held-out rows, fit set) per repetition, the first ``MC_CV_TEST_FRACTION``
+        of a permutation held out; none if a side would have no row. Built
+        once, on the first read of any worker."""
         with self._splits_lock:
             if self._splits is None:
                 train, n, cfg = self.train, self.train.n, self.cfg
-                held = int(np.floor(n * cfg.mc_cv_test_fraction))
+                held = int(np.floor(n * MC_CV_TEST_FRACTION))
                 perms = [
                     rng_from(cfg.seed, self.dataset_id, "mccv", rep).permutation(n)
                     for rep in range(cfg.mc_cv_repetitions if 1 <= held < n else 0)
@@ -219,7 +224,7 @@ def mc_cv_fpr_rates(config: DetectorConfig, samples: DatasetSamples) -> list[flo
     if not samples.splits:
         raise FitError(
             f"MC-CV needs at least one row on each side, n={samples.train.n}, "
-            f"test_fraction={samples.cfg.mc_cv_test_fraction}"
+            f"test_fraction={MC_CV_TEST_FRACTION}"
         )
     return [int(detectors.fit(config, fit_set).predict_many(held).sum()) / len(held) for held, fit_set in samples.splits]
 

@@ -378,17 +378,26 @@ def save_model(model: MetaModel, path: str) -> None:
     write_text(path, json.dumps(payload))
 
 
+def _node_ids(values: list) -> np.ndarray:
+    """values as int32; ValueError unless each is a JSON integer, since a cast
+    would truncate a fraction and read ``true`` as 1."""
+    if not all(type(v) is int for v in values):
+        raise ValueError("a feature or left that is not an integer")
+    return np.asarray(values, dtype=np.int32)
+
+
 def _checked_tree(t: dict, n_columns: int) -> _Tree:
     """One bundle tree's node arrays; ValueError unless every descent ends.
 
     The arrays must be one-dimensional, non-empty and of one length; every
-    feature in [-1, n_columns); every leaf's ``left`` -1; every split's
-    children after it and inside the tree; every threshold and value finite.
+    feature and ``left`` an integer; every feature in [-1, n_columns); every
+    leaf's ``left`` -1; every split's children after it and inside the tree;
+    every threshold and value finite.
     """
     tree = _Tree(
-        feature=np.asarray(t["feature"], dtype=np.int32),
+        feature=_node_ids(t["feature"]),
         threshold=np.asarray(t["threshold"], dtype=np.float64),
-        left=np.asarray(t["left"], dtype=np.int32),
+        left=_node_ids(t["left"]),
         value=np.asarray(t["value"], dtype=np.float64),
     )
     arrays = (tree.feature, tree.threshold, tree.left, tree.value)

@@ -37,11 +37,7 @@ from .util import (
 def _has_type(value, kind) -> bool:
     """value is of the annotated type kind: a bool is no number, a float may be an int."""
     if typing.get_origin(kind) is tuple:
-        args = typing.get_args(kind)
-        return (
-            isinstance(value, tuple) and (args[-1] is Ellipsis or len(value) == len(args))
-            and all(_has_type(v, args[0]) for v in value)
-        )
+        return isinstance(value, tuple) and all(_has_type(v, typing.get_args(kind)[0]) for v in value)
     if isinstance(value, bool):
         return False
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
@@ -49,22 +45,23 @@ def _has_type(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All pipeline knobs, with the protocol's defaults."""
+    """All pipeline knobs, with the protocol's defaults.
+
+    The values the protocol fixes are constants, not knobs: the anomaly band
+    ``dataset.OUTLIER_LO``/``OUTLIER_HI``, the split ``dataset.SPLIT_FRACTIONS``
+    and the MC-CV holdout ``features.MC_CV_TEST_FRACTION``.
+    """
 
     datasets: tuple[str, ...] = ()
     label_column: str = "label"
     seed: int = 0
-    split_fractions: tuple[float, float, float] = (0.70, 0.20, 0.10)
-    outlier_lo: float = 0.05
-    outlier_hi: float = 0.10
     hv_samples: int = 200_000
-    mc_cv_test_fraction: float = 0.3
     mc_cv_repetitions: int = 10
     n_random_detectors: int = 50
     landmark_budget_s: float = 300.0
     detector_budget_s: float = 300.0
     retries: int = 10
-    cherry_threshold: float = 0.6
+    cherry_threshold: float = ranking.CHERRY_THRESHOLD
     out_dir: str = "out"
     jobs: int = 1
 
@@ -73,16 +70,10 @@ class RunConfig:
         for name, annotation in RunConfig.__annotations__.items():
             if not _has_type(getattr(self, name), kinds[name]):
                 raise ConfigError(f"{name} must be of type {annotation}, got {getattr(self, name)!r}")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or any(f <= 0 for f in self.split_fractions):
-            raise ConfigError(f"split fractions must be positive and sum to 1: {self.split_fractions}")
-        if not (0 < self.outlier_lo <= self.outlier_hi < 1):
-            raise ConfigError(f"invalid outlier band ({self.outlier_lo}, {self.outlier_hi})")
         for name in ("hv_samples", "mc_cv_repetitions", "n_random_detectors", "jobs", "landmark_budget_s",
                      "detector_budget_s"):
             if not getattr(self, name) > 0:  # a NaN budget is refused too
                 raise ConfigError(f"{name} must be positive")
-        if not (0 < self.mc_cv_test_fraction < 1):
-            raise ConfigError("mc_cv_test_fraction must be in (0, 1)")
         if self.retries < 0:
             raise ConfigError("retries must be nonnegative")
 
@@ -96,9 +87,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         values = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-        for name in ("datasets", "split_fractions"):
-            if isinstance(values.get(name), list):  # a JSON array
-                values[name] = tuple(values[name])
+        if isinstance(values.get("datasets"), list):  # a JSON array
+            values["datasets"] = tuple(values["datasets"])
         try:
             return cls(**values)
         except TypeError as exc:
@@ -109,7 +99,7 @@ class RunConfig:
         run's features and targets, and the detector portfolio. Both manifests
         record it, and a resume compares it whole."""
         kept = {k: v for k, v in asdict(self).items() if k not in RUN_ONLY}
-        return {**kept, "split_fractions": list(self.split_fractions), "portfolio_version": PORTFOLIO_VERSION}
+        return {**kept, "portfolio_version": PORTFOLIO_VERSION}
 
 
 # the settings that change no feature or target: where and how fast a run goes, and evaluation's threshold
@@ -139,11 +129,27 @@ def _vouched_texts(out: str, files: object) -> dict[str, str]:
     return texts
 
 
-def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> ds.SemiSupervisedSplit:
-    """Sub-sample outliers, stratified split, strip train anomalies, scale."""
-    sub = ds.subsample_outliers(data, cfg.outlier_lo, cfg.outlier_hi, rng=rng_from(cfg.seed, data.name, "subsample"))
-    split = ds.stratified_split(sub, cfg.split_fractions, rng=rng_from(cfg.seed, data.name, "split"))
-    return ds.scale_split(ds.strip_anomalies(split))
+def assimilate_split(data: ds.LabeledDataset, cfg: RunConfig) -> tuple[ds.LabeledDataset, ds.LabeledDataset, dict]:
+    """The scaled train and test partitions of `data`, and its split manifest.
+
+    Anomalies are sub-sampled, the kept rows split stratified, the train
+    anomalies dropped, and both partitions scaled by the robust scaler fitted
+    on train. The manifest records the scaler and, per partition (holdout
+    too, which is not taken), the rows of `data` it holds.
+    """
+    kept = ds.subsample_outliers(data, rng=rng_from(cfg.seed, data.name, "subsample"))
+    split = ds.stratified_split(data.labels[kept], rng=rng_from(cfg.seed, data.name, "split"))
+    train, test, holdout = (kept[p] for p in split)
+    train = train[data.labels[train] == 0]
+    train_rows, test_rows = data.take(train, name=f"{data.name}/train"), data.take(test, name=f"{data.name}/test")
+    scaler = ds.fit_robust_scaler(train_rows)
+    manifest = {
+        "dataset": data.name,
+        "seed": cfg.seed,
+        "origin_indices": {"train": train.tolist(), "test": test.tolist(), "holdout": holdout.tolist()},
+        "scaler": scaler.to_dict(),
+    }
+    return ds.apply_scaler(scaler, train_rows), ds.apply_scaler(scaler, test_rows), manifest
 
 
 def normal_only_samples(data: ds.LabeledDataset, cfg: RunConfig) -> DatasetSamples:
@@ -187,17 +193,17 @@ def assimilate_dataset(data: ds.LabeledDataset, cfg: RunConfig) -> MetaDataset:
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_path)
 
-    split = assimilate_split(data, cfg)
-    samples = DatasetSamples(split.train, data.name, cfg)
+    train, test, split_manifest = assimilate_split(data, cfg)
+    samples = DatasetSamples(train, data.name, cfg)
     landmarks = build_landmarks(samples)
     indices = list(range(cfg.n_random_detectors))
-    instances = pmap(lambda i: build_detector_instance(samples, split.test, i), indices, cfg.jobs)
+    instances = pmap(lambda i: build_detector_instance(samples, test, i), indices, cfg.jobs)
     instances = [r for r in instances if r is not None]
     if not instances:
         raise DataError(f"{data.name}: every detector instance was skipped")
     meta = MetaDataset.of(data.name, landmarks, instances)
     texts = dict(zip(_ARTIFACTS, (
-        json_text(ds.split_manifest(split, data.name, cfg.seed)),
+        json_text(split_manifest),
         meta.landmarks_csv_text(),
         meta.detectors_csv_text(),
         meta.csv_text(),

@@ -18,6 +18,8 @@ from .util import log_event, rng_from, seed_from
 METHODS = ("R", "FPR", "HV", "L", "M", "Mc")
 METRICS = ("regret1", "regret5", "ndcg", "tau_b")
 RANDOM_BASELINE_DRAWS = 50
+# the mean true scaled MCC from which a dataset is cherry-picked for Mc
+CHERRY_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def evaluate_methods(
     true_scaled_mcc: Mapping[str, float],
     dataset_id: str,
     rng: np.random.Generator,
-    cherry_threshold: float = 0.6,
+    cherry_threshold: float = CHERRY_THRESHOLD,
 ) -> RankingReport:
     """Score the R/FPR/HV/L/M/Mc rankings of one candidate set; Mc's metrics
     are None unless the dataset is cherry-picked.
@@ -285,7 +287,7 @@ def aggregate_reports(reports: Sequence[RankingReport]) -> dict[str, dict[str, d
 def leave_one_out_evaluate(
     meta_datasets: Sequence,
     master_seed: int = 0,
-    cherry_threshold: float = 0.6,
+    cherry_threshold: float = CHERRY_THRESHOLD,
     jobs: int = 1,
 ) -> tuple[list[RankingReport], dict]:
     """Hold out each base dataset's meta-instances, train on the rest, rank.

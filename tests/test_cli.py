@@ -115,10 +115,32 @@ def test_assimilate_stopped_before_its_manifest_is_redone(tmp_path, corpus_dir, 
     assert not any(e["event"] == "assimilate_skipped" for e in log_events(log))
 
 
+def test_split_manifest_names_rows_of_the_input(tmp_path, corpus_dir):
+    """split_manifest.json's train and test rows, read from the input CSV and
+    scaled by the recorded scaler, are bit for bit the partitions
+    assimilate_split returns; train holds no anomaly, and the three
+    partitions share no row."""
+    path = corpus_dir / "halo.csv"
+    assert main(["assimilate", "--datasets", str(path)] + fast_flags(tmp_path)) == EXIT_OK
+    manifest = json.loads((tmp_path / "run" / "halo" / "split_manifest.json").read_text())
+    with open(path, newline="") as fh:
+        header, *cells = csv.reader(fh)
+    table = np.asarray(cells, dtype=np.float64)
+    X, y = np.delete(table, header.index("label"), axis=1), table[:, header.index("label")]
+    assert y.mean() > dataset.OUTLIER_HI  # anomalies are sub-sampled, so kept rows are not input rows
+    rows = manifest["origin_indices"]
+    assert len(set().union(*rows.values())) == sum(len(r) for r in rows.values())
+    assert not y[rows["train"]].any()
+    train, test, _ = pipeline.assimilate_split(dataset.load_csv(str(path)), pipeline.RunConfig(seed=11))
+    means, iqrs = np.asarray(manifest["scaler"]["means"]), np.asarray(manifest["scaler"]["iqrs"])
+    for got, part in ((train, "train"), (test, "test")):
+        assert ((X[rows[part]] - means) / iqrs).tobytes() == got.features.tobytes(), part
+        assert np.array_equal(y[rows[part]], got.labels), part
+
+
 # one valid value other than fast_flags' per RunConfig field of the protocol
 PROTOCOL_CHANGES = {
-    "label_column": "y", "seed": 12, "split_fractions": (0.6, 0.3, 0.1), "outlier_lo": 0.04, "outlier_hi": 0.2,
-    "hv_samples": 2001, "mc_cv_test_fraction": 0.25, "mc_cv_repetitions": 4, "n_random_detectors": 4,
+    "label_column": "y", "seed": 12, "hv_samples": 2001, "mc_cv_repetitions": 4, "n_random_detectors": 4,
     "retries": 5, "landmark_budget_s": 1.5, "detector_budget_s": 1.5,
 }
 
@@ -396,6 +418,10 @@ NODE_DEFECTS = {
     "leaf-with-child": ("left", "last", 0),
     "threshold-nan": ("threshold", "split", float("nan")),
     "value-inf": ("value", "after", float("inf")),
+    # a fraction or a boolean, which an integer cast would truncate to a node id in range
+    "feature-fraction": ("feature", "split", 14.5),
+    "feature-true": ("feature", "split", True),
+    "child-fraction": ("left", "split", "left+0.7"),
 }
 
 
@@ -406,6 +432,7 @@ def damage(payload, defect):
     tree = max(p["forest"]["trees"], key=lambda t: len(t["feature"]))
     split = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
     nodes = {"split": split, "after": split + 1, "last": len(tree["feature"]) - 1}
+    nodes["left+0.7"] = tree["left"][split] + 0.7
     if defect in NODE_DEFECTS:
         name, node, value = NODE_DEFECTS[defect]
         tree[name][nodes[node]] = nodes.get(value, value)
@@ -791,10 +818,19 @@ def test_hv_estimate_inline_config(tmp_path, corpus_dir, capsys):
     assert rc == EXIT_OK
 
 
-def test_bad_config_file_is_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "key, value",
+    (("unknown_key", 1), ("split_fractions", [0.7, 0.2, 0.1]), ("outlier_lo", 0.05), ("outlier_hi", 0.10),
+     ("mc_cv_test_fraction", 0.3)),
+)
+def test_bad_config_file_is_config_error(tmp_path, capsys, key, value):
+    """An unknown key is refused; so is one of the values the protocol fixes
+    (anomaly band, split, MC-CV holdout), even set to its fixed value."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"unknown_key": 1}))
+    cfg.write_text(json.dumps({key: value}))
     assert main(["assimilate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and repr(key) in err
 
 
 @pytest.mark.parametrize(
@@ -809,8 +845,6 @@ def test_bad_config_file_is_config_error(tmp_path):
         ("label_column", 5),
         ("jobs", 1.5),
         ("seed", 1.5),
-        ("split_fractions", [0.5, 0.5]),
-        ("split_fractions", 0.7),
         ("datasets", "halo.csv"),
     ],
 )

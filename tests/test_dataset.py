@@ -6,12 +6,11 @@ from adselect.dataset import (
     apply_scaler,
     fit_robust_scaler,
     load_csv,
-    scale_split,
-    strip_anomalies,
     stratified_split,
     subsample_outliers,
 )
 from adselect.errors import DataError
+from adselect.pipeline import RunConfig, assimilate_split
 
 from conftest import make_dataset
 
@@ -124,22 +123,21 @@ def test_labeled_dataset_invariants():
 def test_subsample_matches_enumeration_oracle(n_norm, n_anom, expected):
     assert max_anomalies_oracle(n_norm, n_anom, 0.10) == expected
     ds = make_dataset(n_norm, n_anom, seed=1)
-    out = subsample_outliers(ds, rng=np.random.default_rng(5))
-    assert out.n_anomalies == expected
-    assert out.n - out.n_anomalies == n_norm
+    kept = subsample_outliers(ds, rng=np.random.default_rng(5))
+    assert ds.labels[kept].sum() == expected
+    assert (ds.labels[kept] == 0).sum() == n_norm
 
 
-def test_subsample_already_low_is_unchanged():
+def test_subsample_already_low_keeps_every_row():
     ds = make_dataset(95, 5, seed=2)
-    out = subsample_outliers(ds, rng=np.random.default_rng(0))
-    assert out is ds
+    assert subsample_outliers(ds, rng=np.random.default_rng(0)).tolist() == list(range(ds.n))
 
 
 def test_subsample_logs_below_lo(logged_events):
-    ds = make_dataset(30, 40, seed=3)
-    out = subsample_outliers(ds, lo=0.12, hi=0.125, rng=np.random.default_rng(1))
-    assert out.n_anomalies == 4  # floor(0.125*30/0.875) = 4; 4/34 ~ 0.1176 < 0.12
-    assert logged_events() == [{"event": "anomaly_fraction_below_lo", "dataset": "toy", "fraction": 4 / 34, "lo": 0.12}]
+    ds = make_dataset(8, 4, seed=3)
+    kept = subsample_outliers(ds, rng=np.random.default_rng(1))
+    assert ds.labels[kept].sum() == 0  # floor(0.10*8/0.90) = 0; 0/8 < 0.05
+    assert logged_events() == [{"event": "anomaly_fraction_below_lo", "dataset": "toy", "fraction": 0.0, "lo": 0.05}]
 
 
 def test_subsample_no_normals_errors():
@@ -154,13 +152,11 @@ def test_subsample_properties_and_determinism():
     ds = make_dataset(50, 40, seed=4)
     a = subsample_outliers(ds, rng=np.random.default_rng(9))
     b = subsample_outliers(ds, rng=np.random.default_rng(9))
-    assert np.array_equal(a.features, b.features)
-    # no normal row removed, anomaly count not increased
-    assert a.n - a.n_anomalies == 50
-    assert a.n_anomalies <= 40
-    normal_rows = ds.features[ds.labels == 0]
-    kept_normals = a.features[a.labels == 0]
-    assert np.array_equal(np.sort(normal_rows, axis=0), np.sort(kept_normals, axis=0))
+    assert np.array_equal(a, b)
+    # rows of the input in their order; no normal row removed, anomaly count not increased
+    assert (np.diff(a) > 0).all()
+    assert np.array_equal(a[ds.labels[a] == 0], np.flatnonzero(ds.labels == 0))
+    assert ds.labels[a].sum() <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -168,37 +164,34 @@ def test_subsample_properties_and_determinism():
 
 
 def test_split_counts_100_rows():
-    ds = make_dataset(90, 10, seed=5)
-    split = stratified_split(ds, rng=np.random.default_rng(0))
-    assert (split.train.n, split.test.n, split.holdout.n) == (70, 20, 10)
-    assert (split.train.n_anomalies, split.test.n_anomalies, split.holdout.n_anomalies) == (7, 2, 1)
+    labels = make_dataset(90, 10, seed=5).labels
+    parts = stratified_split(labels, rng=np.random.default_rng(0))
+    assert [len(p) for p in parts] == [70, 20, 10]
+    assert [int(labels[p].sum()) for p in parts] == [7, 2, 1]
 
 
 def test_split_deterministic():
-    ds = make_dataset(80, 10, seed=6)
-    a = stratified_split(ds, rng=np.random.default_rng(3))
-    b = stratified_split(ds, rng=np.random.default_rng(3))
-    for part in ("train", "test", "holdout"):
-        assert np.array_equal(a.origin_indices[part], b.origin_indices[part])
+    labels = make_dataset(80, 10, seed=6).labels
+    a = stratified_split(labels, rng=np.random.default_rng(3))
+    b = stratified_split(labels, rng=np.random.default_rng(3))
+    for pa, pb in zip(a, b):
+        assert np.array_equal(pa, pb)
 
 
 def test_split_ten_rows_one_anomaly_matches_rounding_oracle():
     # largest-remainder oracle: 9 normals -> 6/2/1, 1 anomaly -> train
     assert largest_remainder_oracle(9, (0.7, 0.2, 0.1)) == [6, 2, 1]
     assert largest_remainder_oracle(1, (0.7, 0.2, 0.1)) == [1, 0, 0]
-    ds = make_dataset(9, 1, seed=7)
-    split = stratified_split(ds, rng=np.random.default_rng(2))
-    assert (split.train.n, split.test.n, split.holdout.n) == (7, 2, 1)
-    anomaly_counts = [split.train.n_anomalies, split.test.n_anomalies, split.holdout.n_anomalies]
-    assert sum(anomaly_counts) == 1
-    assert anomaly_counts == [1, 0, 0]
+    labels = make_dataset(9, 1, seed=7).labels
+    parts = stratified_split(labels, rng=np.random.default_rng(2))
+    assert [len(p) for p in parts] == [7, 2, 1]
+    assert [int(labels[p].sum()) for p in parts] == [1, 0, 0]
 
 
 def test_split_is_permutation_partition():
     ds = make_dataset(77, 13, seed=8)
-    split = stratified_split(ds, rng=np.random.default_rng(4))
-    all_idx = np.concatenate([split.origin_indices[p] for p in ("train", "test", "holdout")])
-    assert sorted(all_idx.tolist()) == list(range(ds.n))
+    parts = stratified_split(ds.labels, rng=np.random.default_rng(4))
+    assert sorted(np.concatenate(parts).tolist()) == list(range(ds.n))
 
 
 def test_take_of_no_rows_errors():
@@ -209,23 +202,20 @@ def test_take_of_no_rows_errors():
 
 
 # ---------------------------------------------------------------------------
-# strip_anomalies
+# assimilate_split
 
 
-def test_strip_removes_train_anomalies_only():
-    ds = make_dataset(90, 10, seed=9)
-    split = stratified_split(ds, rng=np.random.default_rng(1))
-    stripped = strip_anomalies(split)
-    assert stripped.train.n == 63
-    assert stripped.train.n_anomalies == 0
-    assert stripped.test.n_anomalies == split.test.n_anomalies == 2
-    assert stripped.holdout.n == split.holdout.n
-
-
-def test_strip_idempotent():
-    ds = make_dataset(50, 0, seed=10)
-    split = stratified_split(ds, rng=np.random.default_rng(1))
-    assert strip_anomalies(split) is split
+def test_assimilate_split_partitions_the_kept_rows_and_strips_train_anomalies_only():
+    ds = make_dataset(90, 20, seed=9)  # 20/110 anomalies: 10 kept, so 100 rows split 70/20/10
+    train, test, manifest = assimilate_split(ds, RunConfig(seed=1))
+    rows = manifest["origin_indices"]
+    assert (train.n, test.n, len(rows["holdout"])) == (63, 20, 10)
+    kept = sorted(rows["train"] + rows["test"] + rows["holdout"])
+    assert len(set(kept)) == len(kept) and set(np.flatnonzero(ds.labels == 0)) <= set(kept)
+    assert train.n_anomalies == 0 and not ds.labels[rows["train"]].any()
+    assert test.n_anomalies == ds.labels[rows["test"]].sum() == 2
+    assert ds.labels[rows["holdout"]].sum() == 1
+    assert np.array_equal(test.labels, ds.labels[rows["test"]])
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +267,12 @@ def test_scaler_roundtrip_mean_zero():
     assert np.all(np.abs(scaled.features.mean(axis=0)) < 1e-9)
 
 
-def test_scale_split_fits_on_train_only():
+def test_assimilate_split_fits_scaler_on_train_only():
     ds = make_dataset(90, 10, seed=12)
-    split = strip_anomalies(stratified_split(ds, rng=np.random.default_rng(0)))
-    scaled = scale_split(split)
-    assert scaled.scaler is not None
-    assert scaled.scaler.fitted_on == split.train.name
-    refit = fit_robust_scaler(split.train)
-    assert np.array_equal(refit.means, scaled.scaler.means)
+    train, test, manifest = assimilate_split(ds, RunConfig())
+    rows = manifest["origin_indices"]
+    refit = fit_robust_scaler(ds.take(np.asarray(rows["train"]), name="toy/train"))
+    assert manifest["scaler"] == refit.to_dict()
+    assert manifest["scaler"]["fitted_on"] == "toy/train"
+    assert np.array_equal(train.features, apply_scaler(refit, ds.take(np.asarray(rows["train"]))).features)
+    assert np.array_equal(test.features, apply_scaler(refit, ds.take(np.asarray(rows["test"]))).features)

@@ -93,7 +93,7 @@ def test_fpr_deterministic():
 def test_fpr_needs_rows_on_both_sides():
     cfg = detectors.default_configs()[0]
     with pytest.raises(FitError, match="MC-CV"):
-        mc_cv_fpr(cfg, samples_for(all_normal(2), mc_cv_test_fraction=0.3))
+        mc_cv_fpr(cfg, samples_for(all_normal(2)))
 
 
 def test_splits_are_drawn_once_on_first_read_by_concurrent_workers(monkeypatch):
@@ -182,8 +182,10 @@ def test_landmarks_deterministic():
 
 
 def toy_split(seed=0):
+    """The scaled train and test partitions of a toy dataset."""
     cfg = RunConfig(hv_samples=1000, mc_cv_repetitions=2, n_random_detectors=2, seed=seed)
-    return assimilate_split(make_dataset(130, 14, seed=seed), cfg)
+    train, test, _ = assimilate_split(make_dataset(130, 14, seed=seed), cfg)
+    return train, test
 
 
 def landmarks(hv=0.5, fpr=0.1, missing=()):
@@ -191,12 +193,12 @@ def landmarks(hv=0.5, fpr=0.1, missing=()):
     return [v for alg in detectors.ALGORITHMS for v in ((np.nan, np.nan) if alg in missing else (hv, fpr))]
 
 
-def toy_samples(split, seed, hv_samples=500, **settings):
-    return samples_for(split.train, "toy", seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, **settings)
+def toy_samples(train, seed, hv_samples=500, **settings):
+    return samples_for(train, "toy", seed=seed, hv_samples=hv_samples, mc_cv_repetitions=2, **settings)
 
 
 def test_instance_from_perfect_detector(monkeypatch):
-    split = toy_split(1)
+    train, test = toy_split(1)
 
     class Distance:
         def __init__(self, center, radius, dim):
@@ -210,22 +212,22 @@ def test_instance_from_perfect_detector(monkeypatch):
         return Distance(train.features.mean(axis=0), 6.0, train.dim)
 
     monkeypatch.setattr(detectors, "fit", fit)
-    inst = build_detector_instance(toy_samples(split, 3), split.test, 0)
+    inst = build_detector_instance(toy_samples(train, 3), test, 0)
     assert inst is not None
     assert inst[1] == 1.0
 
 
 def test_instance_from_all_normal_detector_scores_half(monkeypatch):
-    split = toy_split(2)
+    train, test = toy_split(2)
     stub_fit(monkeypatch, False)
-    feats, target = build_detector_instance(toy_samples(split, 3), split.test, 0)
+    feats, target = build_detector_instance(toy_samples(train, 3), test, 0)
     assert target == 0.5
     assert feats.hypervolume == 1.0
     assert feats.fpr == 0.0
 
 
 def test_instance_replacement_after_failure(monkeypatch):
-    split = toy_split(3)
+    train, test = toy_split(3)
     calls = {"n": 0}
     real_fit = detectors.fit
 
@@ -236,13 +238,13 @@ def test_instance_replacement_after_failure(monkeypatch):
         return real_fit(config, train)
 
     monkeypatch.setattr(detectors, "fit", flaky)
-    inst = build_detector_instance(toy_samples(split, 4), split.test, 0)
+    inst = build_detector_instance(toy_samples(train, 4), test, 0)
     assert inst is not None
     assert calls["n"] >= 2
 
 
 def test_instance_timeout_triggers_replacement(monkeypatch):
-    split = toy_split(5)
+    train, test = toy_split(5)
     first_call = {"done": False}
     real_fit = detectors.fit
 
@@ -253,21 +255,21 @@ def test_instance_timeout_triggers_replacement(monkeypatch):
         return real_fit(config, train)
 
     monkeypatch.setattr(detectors, "fit", slow_once)
-    samples = toy_samples(split, 6, hv_samples=300, retries=3, detector_budget_s=1.0)
-    inst = build_detector_instance(samples, split.test, 0)
+    samples = toy_samples(train, 6, hv_samples=300, retries=3, detector_budget_s=1.0)
+    inst = build_detector_instance(samples, test, 0)
     # exactly one instance comes out of the timeout-then-replacement path
     assert inst is not None
     assert first_call["done"]
 
 
 def test_instance_skipped_when_retries_exhausted(monkeypatch):
-    split = toy_split(4)
+    train, test = toy_split(4)
 
     def always_fail(config, train):
         raise FitError("nope")
 
     monkeypatch.setattr(detectors, "fit", always_fail)
-    inst = build_detector_instance(toy_samples(split, 5, retries=2), split.test, 0)
+    inst = build_detector_instance(toy_samples(train, 5, retries=2), test, 0)
     assert inst is None
 
 
@@ -275,8 +277,8 @@ def test_instance_skipped_when_retries_exhausted(monkeypatch):
 def test_patched_fit_sees_every_fit_of_an_attempt(monkeypatch, kind):
     """detectors.fit is the one seam: one attempt fits the training rows, then
     each MC-CV fit set, 1 + mc_cv_repetitions calls in all."""
-    split = toy_split(2)
-    samples = toy_samples(split, 3)
+    train, test = toy_split(2)
+    samples = toy_samples(train, 3)
     fits = []
     real_fit = detectors.fit
 
@@ -290,7 +292,7 @@ def test_patched_fit_sees_every_fit_of_an_attempt(monkeypatch, kind):
         assert absent(build_landmarks(samples)) == []
     else:
         configs = [random_draw(samples.cfg.seed, samples.dataset_id, 0, "detector")(0)]
-        assert build_detector_instance(samples, split.test, 0) is not None
+        assert build_detector_instance(samples, test, 0) is not None
     expected = [samples.train] + [fit_set for _, fit_set in samples.splits]
     assert len(expected) == 3 and len(fits) == len(configs) * len(expected)
     for config in configs:
@@ -379,12 +381,12 @@ def test_landmark_events_name_the_algorithm(monkeypatch):
 
 @pytest.mark.parametrize("exhausted", (False, True))
 def test_detector_events_name_each_attempt(monkeypatch, exhausted):
-    split = toy_split(3)
+    train, test = toy_split(3)
     draw = random_draw(7, "toy", 2, "detector")
     ids = [draw(a).config_id for a in range(3)]
     scripted_fit(monkeypatch, fails=set(ids) if exhausted else {ids[0]}, slow={ids[1]})
     events = recorded_events(monkeypatch)
-    inst = build_detector_instance(toy_samples(split, 7, retries=2, detector_budget_s=5.0), split.test, 2)
+    inst = build_detector_instance(toy_samples(train, 7, retries=2, detector_budget_s=5.0), test, 2)
     where = {"dataset": "toy", "index": 2}
     if exhausted:
         assert inst is None
